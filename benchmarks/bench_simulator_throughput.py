@@ -10,7 +10,7 @@ import pytest
 
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.functional import run_functional_warming
-from repro.cpu.kernels.registry import available_backends
+from repro.cpu.kernels.registry import BACKEND_NAMES
 from repro.cpu.simulator import Simulator
 from repro.scale import Scale
 from repro.techniques.simpoint import SimPointTechnique
@@ -20,17 +20,13 @@ from repro.workloads.spec import get_benchmark, get_workload
 SCALE = Scale(25)
 REGION = 50_000
 
-#: The detailed/warming benchmarks run once per kernel backend so the
-#: speedup ratios in BENCH_kernels.json can be reproduced directly.
-BACKENDS = available_backends()
-
 
 @pytest.fixture(scope="module")
 def trace():
     return get_workload("gzip").trace(SCALE)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_detailed_simulation_throughput(benchmark, trace, backend):
     simulator = Simulator(ProcessorConfig(), backend=backend)
 
@@ -41,7 +37,7 @@ def test_detailed_simulation_throughput(benchmark, trace, backend):
     assert result.stats.instructions == REGION
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_functional_warming_throughput(benchmark, trace, backend):
     simulator = Simulator(ProcessorConfig(), backend=backend)
 

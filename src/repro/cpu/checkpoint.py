@@ -13,7 +13,7 @@ along the prefix.  A later run resumes from the nearest checkpoint at
 or below its warm-start and warms only the remainder, so prefix
 warming costs O(interval) instead of O(X).  Snapshots are *canonical*
 (backend-independent content, not object dumps): a checkpoint written
-under the numba backend restores bit-identically under the python one
+under the numpy backend restores bit-identically under the python one
 and vice versa.
 
 Checkpoints are keyed by the trace identity (benchmark, input-set

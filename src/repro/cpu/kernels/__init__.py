@@ -7,18 +7,15 @@ produce bit-identical statistics; they differ only in speed:
 
 * ``python`` -- the reference interpreter loops;
 * ``numpy``  -- vectorized resolve passes + a config-specialized
-  timing loop over flat-array state;
-* ``numba``  -- ``@njit``-compiled monolithic kernels (optional).
+  timing loop over flat-array state.
 """
 
 from repro.cpu.kernels.registry import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
     Backend,
-    available_backends,
     default_backend_name,
     get_backend,
-    numba_available,
     resolve_backend_name,
 )
 
@@ -26,9 +23,7 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "Backend",
-    "available_backends",
     "default_backend_name",
     "get_backend",
-    "numba_available",
     "resolve_backend_name",
 ]

@@ -698,7 +698,7 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
     loops = timing_loops_for([config for config, _ in batch])
     with obs_phases.measured(
         "timing_batch", instructions=res.n * len(batch),
-        configs=len(batch), threads=1,
+        configs=len(batch),
     ):
         for (config, enhancements), state, ml_l, drain_l, ev_stall, run_timing in zip(
             batch, states, ml_rows, drain_rows, ev_stall_rows, loops

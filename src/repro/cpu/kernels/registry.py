@@ -1,26 +1,21 @@
 """Backend registry: pluggable simulation kernels.
 
-Three backends share one contract -- bit-identical statistics:
+Two backends share one contract -- bit-identical statistics:
 
 * ``python``  -- the reference per-instruction interpreter loops over
   per-set Python-list structures (:mod:`repro.cpu.pipeline`,
   :mod:`repro.cpu.functional`);
 * ``numpy``   -- flat-array state, vectorized functional warming and a
   split-phase detailed model (resolve caches/predictors over
-  pre-filtered indices, then run a lean timing loop);
-* ``numba``   -- the same flat-array state driven by ``@njit``-compiled
-  monolithic kernels; auto-detected, optional.
+  pre-filtered indices, then run a lean timing loop).
 
 Selection follows the engine convention: explicit argument > the
-``REPRO_BACKEND`` environment variable > default (the fastest available
-backend).  Requesting ``numba`` without numba installed degrades
-gracefully to ``numpy`` with a warning rather than failing.
+``REPRO_BACKEND`` environment variable > default (``numpy``).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Dict, Optional, Union
 
 #: Environment variable consulted when no explicit backend is given
@@ -28,7 +23,7 @@ from typing import Dict, Optional, Union
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Recognized backend names (``auto`` resolves to the default).
-BACKEND_NAMES = ("python", "numpy", "numba")
+BACKEND_NAMES = ("python", "numpy")
 
 #: Regions shorter than this are simulated with the reference loops
 #: even on array backends: the vectorized set-up cost only pays off on
@@ -36,18 +31,18 @@ BACKEND_NAMES = ("python", "numpy", "numba")
 SMALL_REGION = 1024
 
 #: Degradation order for kernel failures: a run whose kernel raises is
-#: retried one tier down.  All tiers produce bit-identical statistics,
-#: so the substitution is invisible in the results (only slower); the
-#: ``python`` reference has no tier below it.
-KERNEL_FALLBACK: Dict[str, str] = {"numba": "numpy", "numpy": "python"}
+#: retried on the ``python`` reference.  Both backends produce
+#: bit-identical statistics, so the substitution is invisible in the
+#: results (only slower); the reference has no tier below it.
+KERNEL_FALLBACK: Dict[str, str] = {"numpy": "python"}
 
 
 class KernelError(RuntimeError):
     """A failure raised from inside a simulation kernel.
 
     Tagged with the backend it came from so the engine's supervisor can
-    retry the run one tier down (:data:`KERNEL_FALLBACK`) instead of
-    burning its retry budget on a broken accelerator path.
+    retry the run on the reference backend (:data:`KERNEL_FALLBACK`)
+    instead of burning its retry budget on a broken accelerator path.
     """
 
     def __init__(self, backend: str, message: str) -> None:
@@ -76,18 +71,9 @@ def _kernel_guard_check(backend_name: str) -> None:
     _faults.kernel_check(backend_name)
 
 
-def numba_available() -> bool:
-    """Whether the numba JIT compiler can be imported."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def default_backend_name() -> str:
-    """The fastest backend available on this interpreter."""
-    return "numba" if numba_available() else "numpy"
+    """The backend ``auto`` resolves to: the fastest one."""
+    return "numpy"
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
@@ -102,23 +88,14 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
             f"unknown simulation backend {name!r}; "
             f"expected one of {BACKEND_NAMES + ('auto',)}"
         )
-    if name == "numba" and not numba_available():
-        warnings.warn(
-            "numba requested but not installed; falling back to the "
-            "numpy backend (statistics are identical)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "numpy"
     return name
 
 
 class Backend:
-    """One simulation backend: structure storage plus kernel entry points."""
+    """One simulation backend: structure layout plus kernel entry points."""
 
-    #: Subclasses set these.
+    #: Subclasses set this.
     name = "abstract"
-    storage = "python"
 
     #: Whether :meth:`advance_detailed_batch` is implemented.  Callers
     #: (``Simulator.run_regions``, the engine's batching pass) consult
@@ -158,7 +135,6 @@ class PythonBackend(Backend):
     """The reference interpreter loops over Python-list structures."""
 
     name = "python"
-    storage = "python"
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
         from repro.cpu.pipeline import _run_region
@@ -179,13 +155,12 @@ class NumpyBackend(Backend):
     """
 
     name = "numpy"
-    storage = "list"
     supports_config_batching = True
 
     def build_structures(self, config, enhancements):
         from repro.cpu.kernels.state import build_structures
 
-        return build_structures(config, enhancements, self.storage)
+        return build_structures(config, enhancements)
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
         try:
@@ -226,57 +201,6 @@ class NumpyBackend(Backend):
             raise KernelError(self.name, f"warming kernel failed: {exc!r}") from exc
 
 
-class NumbaBackend(Backend):
-    """Flat-ndarray state driven by ``@njit``-compiled kernels.
-
-    Kernel dispatch is guarded: a failure inside the kernels surfaces
-    as :class:`KernelError` so the engine can degrade to ``numpy``.
-    """
-
-    name = "numba"
-    storage = "array"
-    supports_config_batching = True
-
-    def build_structures(self, config, enhancements):
-        from repro.cpu.kernels.state import build_structures
-
-        return build_structures(config, enhancements, self.storage)
-
-    def advance_detailed(self, machine, trace, start, end, state) -> None:
-        try:
-            _kernel_guard_check(self.name)
-            from repro.cpu.kernels.numba_impl import advance_detailed
-
-            advance_detailed(machine, trace, start, end, state)
-        except Exception as exc:
-            raise KernelError(self.name, f"detailed kernel failed: {exc!r}") from exc
-
-    def advance_detailed_batch(self, machine, trace, start, end, batch, states):
-        # The data-parallel batch kernel: one ``prange`` launch over the
-        # config dimension (repro.cpu.kernels.batch_impl), bit-identical
-        # to the sequential per-config loops.  A KernelError here
-        # degrades one tier to the numpy split-phase batch without
-        # spending retry budget, like the single-run ladder.
-        try:
-            _kernel_guard_check(self.name)
-            from repro.cpu.kernels.batch_impl import advance_detailed_batch
-
-            advance_detailed_batch(machine, trace, start, end, batch, states)
-        except Exception as exc:
-            raise KernelError(
-                self.name, f"batched detailed kernel failed: {exc!r}"
-            ) from exc
-
-    def run_warming(self, machine, trace, start, end):
-        try:
-            _kernel_guard_check(self.name)
-            from repro.cpu.kernels.numba_impl import run_warming
-
-            return run_warming(machine, trace, start, end)
-        except Exception as exc:
-            raise KernelError(self.name, f"warming kernel failed: {exc!r}") from exc
-
-
 _BACKENDS: Dict[str, Backend] = {}
 
 
@@ -290,15 +214,7 @@ def get_backend(name: Union[str, Backend, None] = None) -> Backend:
         backend = {
             "python": PythonBackend,
             "numpy": NumpyBackend,
-            "numba": NumbaBackend,
         }[resolved]()
         _BACKENDS[resolved] = backend
     return backend
 
-
-def available_backends() -> tuple:
-    """Names of the backends usable on this interpreter."""
-    names = ["python", "numpy"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)

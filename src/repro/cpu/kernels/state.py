@@ -2,13 +2,12 @@
 
 These classes mirror the reference structures in :mod:`repro.cpu.cache`
 and :mod:`repro.cpu.branch` exactly -- same geometry rules, same LRU
-semantics, same counters -- but hold their state in preallocated flat
-sequences (Python lists for the pure-``numpy`` backend, ``int64``
-ndarrays for the ``numba`` backend) instead of per-set Python lists.
-The flat layout is what the vectorized passes and the JIT-able kernels
-index directly; the ordinary ``access``/``warm``/``predict_update``
-methods are kept as faithful (slower) reference paths so the structures
-remain drop-in compatible with the existing ``Machine`` API.
+semantics, same counters -- but hold their state in one preallocated
+flat list per table instead of a list per set.  The flat layout is what
+the vectorized passes and the generated timing loops index directly;
+the ordinary ``access``/``warm``/``predict_update`` methods are kept as
+faithful (slower) reference paths so the structures remain drop-in
+compatible with the existing ``Machine`` API.
 
 Layout conventions:
 
@@ -16,8 +15,8 @@ Layout conventions:
   ``set_index * assoc``, most-recently-used first;
 * ``-1`` marks an invalid way (addresses and page ids are always
   non-negative, so ``-1`` never aliases a real tag);
-* counters live in small integer vectors (``stats``) so compiled
-  kernels can update them in place.
+* counters live in small integer vectors (``stats``) so the kernels
+  can update them in place.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-
-#: Storage kinds for the flat state.
-STORAGE_LIST = "list"
-STORAGE_ARRAY = "array"
 
 # Branch-predictor kind codes shared with the kernels.
 PRED_BIMODAL = 0
@@ -51,25 +46,18 @@ STAT_MISSES = 1
 STAT_PREFETCHES = 2
 
 
-def _alloc(length: int, storage: str, fill: int = 0):
-    """A flat int sequence of ``length`` slots in the given storage."""
-    if storage == STORAGE_ARRAY:
-        return np.full(length, fill, dtype=np.int64)
-    return [fill] * length
-
-
 class KernelMemory:
     """Flat-state equivalent of :class:`repro.cpu.cache.MainMemory`."""
 
     def __init__(
-        self, latency_first: int, latency_next: int, bus_width: int, storage: str
+        self, latency_first: int, latency_next: int, bus_width: int
     ) -> None:
         if latency_first <= 0 or latency_next <= 0 or bus_width <= 0:
             raise ValueError("memory latencies and bus width must be positive")
         self.latency_first = latency_first
         self.latency_next = latency_next
         self.bus_width = bus_width
-        self.stats = _alloc(1, storage)
+        self.stats = [0]
 
     @property
     def accesses(self) -> int:
@@ -133,7 +121,6 @@ class KernelCache:
         assoc: int,
         block_bytes: int,
         hit_latency: int,
-        storage: str,
         parent: Optional["KernelCache"] = None,
         memory: Optional[KernelMemory] = None,
         next_line_prefetch: bool = False,
@@ -162,8 +149,8 @@ class KernelCache:
         self.parent = parent
         self.memory = memory
         self.next_line_prefetch = next_line_prefetch
-        self.tags = _alloc(num_sets * assoc, storage, fill=-1)
-        self.stats = _alloc(3, storage)
+        self.tags = [-1] * (num_sets * assoc)
+        self.stats = [0] * 3
 
     # -- counters ------------------------------------------------------------
 
@@ -306,7 +293,7 @@ class KernelTLB:
     PAGE_BYTES = 4096
 
     def __init__(
-        self, name: str, entries: int, miss_latency: int, storage: str, assoc: int = 4
+        self, name: str, entries: int, miss_latency: int, assoc: int = 4
     ) -> None:
         if entries <= 0 or miss_latency <= 0:
             raise ValueError("TLB entries and miss latency must be positive")
@@ -319,8 +306,8 @@ class KernelTLB:
         self.num_sets = num_sets
         self.page_shift = self.PAGE_BYTES.bit_length() - 1
         self.miss_latency = miss_latency
-        self.tags = _alloc(num_sets * self.assoc, storage, fill=-1)
-        self.stats = _alloc(2, storage)
+        self.tags = [-1] * (num_sets * self.assoc)
+        self.stats = [0] * 2
 
     @property
     def hits(self) -> int:
@@ -401,7 +388,7 @@ class KernelPredictor:
     dummies so one uniform signature covers every predictor kind.
     """
 
-    def __init__(self, kind: str, entries: int, storage: str) -> None:
+    def __init__(self, kind: str, entries: int) -> None:
         try:
             self.kind = PREDICTOR_KINDS[kind]
         except KeyError:
@@ -417,10 +404,10 @@ class KernelPredictor:
         table = entries if self.kind in (PRED_BIMODAL, PRED_COMBINED) else 1
         gtable = entries if self.kind in (PRED_GSHARE, PRED_COMBINED) else 1
         ctable = entries if self.kind == PRED_COMBINED else 1
-        self.bimodal = _alloc(table, storage, fill=1)
-        self.gshare = _alloc(gtable, storage, fill=1)
-        self.chooser = _alloc(ctable, storage, fill=2)
-        self.state = _alloc(1, storage)
+        self.bimodal = [1] * table
+        self.gshare = [1] * gtable
+        self.chooser = [2] * ctable
+        self.state = [0]
 
     @property
     def history(self) -> int:
@@ -519,7 +506,7 @@ class KernelPredictor:
 class KernelBTB:
     """Flat-state equivalent of :class:`repro.cpu.branch.BranchTargetBuffer`."""
 
-    def __init__(self, entries: int, assoc: int, storage: str) -> None:
+    def __init__(self, entries: int, assoc: int) -> None:
         if entries <= 0 or assoc <= 0:
             raise ValueError("BTB geometry must be positive")
         assoc = min(assoc, entries)
@@ -528,9 +515,9 @@ class KernelBTB:
         self.assoc = max(1, entries // num_sets)
         self.set_mask = num_sets - 1
         self.num_sets = num_sets
-        self.keys = _alloc(num_sets * self.assoc, storage, fill=-1)
-        self.targets = _alloc(num_sets * self.assoc, storage)
-        self.stats = _alloc(2, storage)
+        self.keys = [-1] * (num_sets * self.assoc)
+        self.targets = [0] * (num_sets * self.assoc)
+        self.stats = [0] * 2
 
     @property
     def hits(self) -> int:
@@ -612,11 +599,11 @@ class KernelRAS:
     ``[depth, overflows]``.
     """
 
-    def __init__(self, entries: int, storage: str) -> None:
+    def __init__(self, entries: int) -> None:
         if entries <= 0:
             raise ValueError("RAS entries must be positive")
         self.entries = entries
-        self.state = _alloc(2, storage)
+        self.state = [0, 0]
 
     @property
     def depth(self) -> int:
@@ -722,7 +709,7 @@ def same_geometry(configs: Sequence) -> bool:
     )
 
 
-def build_structures(config, enhancements, storage: str):
+def build_structures(config, enhancements):
     """The full structure set for one config in flat storage.
 
     Returns a dict with the same keys :class:`repro.cpu.machine.Machine`
@@ -732,7 +719,6 @@ def build_structures(config, enhancements, storage: str):
         config.mem_latency_first,
         config.mem_latency_next,
         config.mem_bus_width,
-        storage,
     )
     l2 = KernelCache(
         "l2",
@@ -740,7 +726,6 @@ def build_structures(config, enhancements, storage: str):
         config.l2_assoc,
         config.l2_block,
         config.l2_latency,
-        storage,
         memory=memory,
     )
     il1 = KernelCache(
@@ -749,7 +734,6 @@ def build_structures(config, enhancements, storage: str):
         config.il1_assoc,
         config.il1_block,
         config.il1_latency,
-        storage,
         parent=l2,
     )
     dl1 = KernelCache(
@@ -758,7 +742,6 @@ def build_structures(config, enhancements, storage: str):
         config.dl1_assoc,
         config.dl1_block,
         config.dl1_latency,
-        storage,
         parent=l2,
         next_line_prefetch=enhancements.next_line_prefetch,
     )
@@ -768,14 +751,14 @@ def build_structures(config, enhancements, storage: str):
         "il1": il1,
         "dl1": dl1,
         "itlb": KernelTLB(
-            "itlb", config.itlb_entries, config.tlb_miss_latency, storage
+            "itlb", config.itlb_entries, config.tlb_miss_latency
         ),
         "dtlb": KernelTLB(
-            "dtlb", config.dtlb_entries, config.tlb_miss_latency, storage
+            "dtlb", config.dtlb_entries, config.tlb_miss_latency
         ),
         "predictor": KernelPredictor(
-            config.branch_predictor, config.bht_entries, storage
+            config.branch_predictor, config.bht_entries
         ),
-        "btb": KernelBTB(config.btb_entries, config.btb_assoc, storage),
-        "ras": KernelRAS(config.ras_entries, storage),
+        "btb": KernelBTB(config.btb_entries, config.btb_assoc),
+        "ras": KernelRAS(config.ras_entries),
     }

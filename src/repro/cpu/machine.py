@@ -18,8 +18,8 @@ class Machine:
     """All stateful microarchitectural structures for one config.
 
     ``backend`` selects the simulation kernels (and with them the
-    storage layout of the structures): the default follows the
-    registry's flag > ``$REPRO_BACKEND`` > fastest-available rule.
+    layout of the structures): the default follows the registry's
+    flag > ``$REPRO_BACKEND`` > ``numpy`` rule.
     Every backend holds bit-identical state and statistics.
     """
 

@@ -85,34 +85,22 @@ class _TimingState:
         # differ in window sizes (ROB/LSQ/IFQ/FU counts are timing-only
         # parameters; they build no shared structure).
         cfg = config or machine.config
-        backend = getattr(machine, "backend", None)
-        if backend is not None and backend.storage == "array":
-            import numpy as np
-
-            def alloc(length: int):
-                return np.zeros(length, dtype=np.int64)
-
-        else:
-
-            def alloc(length: int):
-                return [0] * length
-
         # Two extra register slots implement the kernel backends'
         # sentinel mapping: NUM_REGS is a write-only scratch slot for
         # instructions without a destination, NUM_REGS + 1 is a source
         # slot that is permanently ready at cycle 0.  The reference
         # loop guards on register validity and never touches either.
-        self.reg_ready = alloc(NUM_REGS + 2)
-        self.rob_ring = alloc(cfg.rob_entries)
-        self.lsq_ring = alloc(cfg.lsq_entries)
-        self.wb_ring = alloc(cfg.write_buffer_entries)
-        self.ifq_ring = alloc(cfg.ifq_size)
+        self.reg_ready = [0] * (NUM_REGS + 2)
+        self.rob_ring = [0] * cfg.rob_entries
+        self.lsq_ring = [0] * cfg.lsq_entries
+        self.wb_ring = [0] * cfg.write_buffer_entries
+        self.ifq_ring = [0] * cfg.ifq_size
         self.pools = [
-            alloc(cfg.int_alus),
-            alloc(cfg.int_mult_divs),
-            alloc(cfg.fp_alus),
-            alloc(cfg.fp_mult_divs),
-            alloc(cfg.mem_ports),
+            [0] * cfg.int_alus,
+            [0] * cfg.int_mult_divs,
+            [0] * cfg.fp_alus,
+            [0] * cfg.fp_mult_divs,
+            [0] * cfg.mem_ports,
         ]
         self.fc = 0
         self.fetch_count = 0

@@ -35,7 +35,7 @@ retry:
   being charged an attempt;
 * a failure raised from inside a simulation kernel
   (:class:`~repro.cpu.kernels.registry.KernelError`) degrades the run
-  one backend tier (numba -> numpy -> python) instead of consuming
+  to the reference backend (numpy -> python) instead of consuming
   retry budget -- the backends' bit-identical-statistics contract
   makes the degraded result indistinguishable.
 
@@ -641,7 +641,6 @@ class _Supervision:
 
     failures: int = 0                   # attempts that ended in failure
     signatures: List[Tuple[str, str]] = field(default_factory=list)
-    degradations: int = 0
 
 
 #: Actions returned by the supervisor's failure handler.
@@ -716,12 +715,7 @@ class Executor:
         # Kernel failures degrade one backend tier instead of consuming
         # retry budget: the backends' bit-identical contract makes the
         # lower tier a perfect substitute, just slower.
-        if (
-            isinstance(exc, KernelError)
-            and exc.fallback is not None
-            and sup.degradations < 2
-        ):
-            sup.degradations += 1
+        if isinstance(exc, KernelError) and exc.fallback is not None:
             if on_degrade is not None:
                 on_degrade(task.slot, exc.backend, exc.fallback)
             task.backend = exc.fallback

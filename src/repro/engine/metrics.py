@@ -452,7 +452,7 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self.jobs = max(1, jobs)
-        self._last_emit = 0.0
+        self._last_emit: Optional[float] = None
         self._recent_walls: "deque[float]" = deque(maxlen=self.ETA_WINDOW)
 
     def _emit(self, text: str) -> None:
@@ -489,7 +489,13 @@ class ProgressReporter:
             return
         final = done >= total
         now = time.monotonic()
-        if not final and now - self._last_emit < self.min_interval:
+        # The first line always emits: monotonic time starts near zero
+        # on a freshly booted host, so no fixed "long ago" value works.
+        if (
+            not final
+            and self._last_emit is not None
+            and now - self._last_emit < self.min_interval
+        ):
             return
         self._last_emit = now
         parts = [

@@ -1173,6 +1173,12 @@ class LeaseServer:
                 if not self._connections:
                     break
             time.sleep(0.05)
+        # Closing a listening socket from another thread does not wake a
+        # blocked accept() on Linux; shutting it down first does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -18,7 +18,7 @@ flag                     environment                      default
 ``--jobs``               ``REPRO_JOBS``                   all CPU cores
 ``--cache-dir``          ``REPRO_CACHE_DIR``              no persistent cache
 ``--profile``            ``REPRO_PROFILE``                ``tiny``
-``--backend``            ``REPRO_BACKEND``                fastest available backend
+``--backend``            ``REPRO_BACKEND``                ``numpy``
 ``--run-timeout``        ``REPRO_RUN_TIMEOUT``            no per-run timeout
 ``--max-retries``        ``REPRO_MAX_RETRIES``            1
 ``--checkpoint-interval``  ``REPRO_CHECKPOINT_INTERVAL``  500 (M instructions)
@@ -27,7 +27,6 @@ flag                     environment                      default
 ``--metrics-file``       ``REPRO_METRICS_FILE``           no Prometheus export
 ``--batch-configs``      ``REPRO_BATCH_CONFIGS``          1 (config batching off)
 ``--remote-batch-configs``  ``REPRO_REMOTE_BATCH_CONFIGS``  the --batch-configs cap
-``--kernel-threads``     ``REPRO_KERNEL_THREADS``         0 (numba's own default)
 ``--lease-ttl``          ``REPRO_LEASE_TTL``              10 (seconds)
 =======================  ===============================  =========================
 
@@ -79,7 +78,6 @@ from repro.obs.trace import TRACE_ENV_VAR, default_enabled as default_trace
 from repro.settings import (
     BATCH_CONFIGS_ENV_VAR,
     HISTORY_ENV_VAR,
-    KERNEL_THREADS_ENV_VAR,
     REMOTE_BATCH_CONFIGS_ENV_VAR,
     default_remote_batch_configs,
     resolve as resolve_setting,
@@ -227,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         choices=BACKEND_NAMES + ("auto",),
         help=f"simulation kernel backend (default: ${BACKEND_ENV_VAR} or "
-        "the fastest available); all backends produce identical statistics",
+        "numpy); all backends produce identical statistics",
     )
     parser.add_argument(
         "--trace",
@@ -285,15 +283,6 @@ def main(argv: list[str] | None = None) -> int:
         help="cap how many batch members one remote lease may carry "
         f"(default: ${REMOTE_BATCH_CONFIGS_ENV_VAR} or the "
         "--batch-configs cap); only meaningful with --listen",
-    )
-    parser.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker threads for the data-parallel batch timing kernel "
-        f"(default: ${KERNEL_THREADS_ENV_VAR} or 0 = the numba runtime's "
-        "own default); ignored by the numpy and python backends",
     )
     parser.add_argument(
         "--listen",
@@ -383,16 +372,6 @@ def main(argv: list[str] | None = None) -> int:
             default_remote_batch_configs()
         except ValueError as exc:
             parser.error(str(exc))
-    try:
-        kernel_threads = resolve_setting(
-            args.kernel_threads, KERNEL_THREADS_ENV_VAR, 0, int, "an integer"
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    if kernel_threads < 0:
-        parser.error("--kernel-threads must be >= 0 (0 = numba's default)")
-    # Export like the backend choice so worker processes inherit it.
-    os.environ[KERNEL_THREADS_ENV_VAR] = str(kernel_threads)
     trace = args.trace if args.trace is not None else default_trace()
     if trace and cache_dir is None:
         parser.error(

@@ -11,7 +11,7 @@ artifact browser:
 * the live snapshot (``<cache-dir>/v1/live.json``) left by the most
   recent (or still-running) sweep: progress, in-flight runs, queue
   depth, connected agents, per-agent artifact hit rates;
-* ``BENCH_*.json`` reports (the measure_sweep suites), both the copies
+* ``BENCH_*.json`` benchmark reports, both the copies
   recorded into history and any files sitting in ``--bench-dir``.
 
 Everything is rendered server-side; the only script in the page is a

@@ -94,7 +94,7 @@ class InflightTracker:
         self, slot: int, phase: str, attrs: Optional[dict] = None
     ) -> None:
         """Record the slot's current phase, with optional attributes
-        (e.g. ``timing_batch`` carries ``configs`` and ``threads``)."""
+        (e.g. ``timing_batch`` carries ``configs``)."""
         with self._lock:
             run = self._runs.get(slot)
             if run is not None:

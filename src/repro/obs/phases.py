@@ -58,9 +58,8 @@ _ledger: Dict[str, List[float]] = {}
 
 # Called when a measured block starts (live view).  Preferred signature
 # is ``notifier(phase, attrs)`` -- ``attrs`` carries the measured
-# block's keyword attributes (e.g. ``timing_batch``'s ``configs`` and
-# ``threads``); single-argument ``notifier(phase)`` observers keep
-# working unchanged.
+# block's keyword attributes (e.g. ``timing_batch``'s ``configs``);
+# single-argument ``notifier(phase)`` observers keep working unchanged.
 _notifier: Optional[Callable[..., None]] = None
 
 

@@ -30,10 +30,6 @@ BATCH_CONFIGS_ENV_VAR = "REPRO_BATCH_CONFIGS"
 #: (``--remote-batch-configs``); unset = same as ``--batch-configs``.
 REMOTE_BATCH_CONFIGS_ENV_VAR = "REPRO_REMOTE_BATCH_CONFIGS"
 
-#: Worker threads for the data-parallel batch timing kernel
-#: (``--kernel-threads``); 0 = the numba runtime's own default.
-KERNEL_THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
-
 #: Sweep-history recording (``--history``/``--no-history``); when on
 #: (the default), every cached sweep appends one record to
 #: ``<cache-dir>/v1/history/`` at supervisor exit.  ``0``/``false``/
@@ -119,18 +115,3 @@ def default_history() -> bool:
         None, HISTORY_ENV_VAR, True, _parse_bool, "a boolean (0/1)"
     )
 
-
-def default_kernel_threads() -> int:
-    """Batch-kernel thread count from ``$REPRO_KERNEL_THREADS`` (default 0).
-
-    0 defers to the numba runtime's own thread-pool size; positive
-    values cap the threads one data-parallel batch timing kernel may
-    use.  Thread count never changes results -- configs are disjoint
-    rows of the batch -- only wall clock.
-    """
-    threads = resolve(None, KERNEL_THREADS_ENV_VAR, 0, int, "an integer")
-    if threads < 0:
-        raise ValueError(
-            f"${KERNEL_THREADS_ENV_VAR} must be >= 0, got {threads}"
-        )
-    return threads

@@ -12,14 +12,11 @@ The canonical interface is :func:`permutations`::
     permutations("Reduced", "mcf")        # filtered to Table 2 availability
     permutations("SimPoint", extras=True) # + the Figure 6 single-10M variant
 
-Each returned technique is named by its ``permutation`` property.  The
-six family-specific ``*_permutations()`` functions predate this
-interface and remain as thin deprecated aliases.
+Each returned technique is named by its ``permutation`` property.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 from repro.techniques.base import SimulationTechnique
@@ -176,58 +173,3 @@ def count_permutations(benchmark: Optional[str] = None) -> int:
     """Total permutation count (69 when all five reduced sets exist)."""
     return sum(len(v) for v in all_permutations(benchmark).values())
 
-
-# -- deprecated aliases ------------------------------------------------------------
-#
-# REMOVAL NOTE: the six per-family ``*_permutations()`` helpers below
-# predate :func:`permutations` and exist only as warning shims.  They
-# are scheduled for removal in the release after the batch-first
-# simulation API (``Simulator.run_regions`` / engine ``--batch-configs``)
-# lands; no in-tree caller uses them.  Migrate to
-# ``permutations(family, benchmark, extras=...)``.
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated and will be removed in the next "
-        "release; use "
-        "repro.techniques.registry.permutations(family, benchmark)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def simpoint_permutations(include_single_10m: bool = False) -> List[SimulationTechnique]:
-    """Deprecated alias of ``permutations("SimPoint", extras=...)``."""
-    _deprecated("simpoint_permutations")
-    return permutations("SimPoint", extras=include_single_10m)
-
-
-def smarts_permutations() -> List[SimulationTechnique]:
-    """Deprecated alias of ``permutations("SMARTS")``."""
-    _deprecated("smarts_permutations")
-    return permutations("SMARTS")
-
-
-def reduced_permutations(benchmark: Optional[str] = None) -> List[SimulationTechnique]:
-    """Deprecated alias of ``permutations("Reduced", benchmark)``."""
-    _deprecated("reduced_permutations")
-    return permutations("Reduced", benchmark)
-
-
-def run_z_permutations() -> List[SimulationTechnique]:
-    """Deprecated alias of ``permutations("Run Z")``."""
-    _deprecated("run_z_permutations")
-    return permutations("Run Z")
-
-
-def ff_run_z_permutations() -> List[SimulationTechnique]:
-    """Deprecated alias of ``permutations("FF+Run Z")``."""
-    _deprecated("ff_run_z_permutations")
-    return permutations("FF+Run Z")
-
-
-def ff_wu_run_z_permutations() -> List[SimulationTechnique]:
-    """Deprecated alias of ``permutations("FF+WU+Run Z")``."""
-    _deprecated("ff_wu_run_z_permutations")
-    return permutations("FF+WU+Run Z")

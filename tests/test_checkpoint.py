@@ -27,14 +27,14 @@ from repro.cpu.checkpoint import (
 )
 from repro.cpu.config import ARCH_CONFIGS, BASELINE, NLP
 from repro.cpu.functional import run_functional_warming, warm_prefix
-from repro.cpu.kernels.registry import available_backends
+from repro.cpu.kernels.registry import BACKEND_NAMES
 from repro.cpu.machine import Machine
 from repro.cpu.simulator import Simulator
 
 from tests.conftest import TEST_SCALE, make_micro_workload
 
 CONFIG = ARCH_CONFIGS[0]
-BACKENDS = available_backends()
+BACKENDS = BACKEND_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +141,7 @@ class TestWarmPrefixParity:
 
     def test_cross_backend_resume(self, tmp_path, trace):
         """A checkpoint written under one backend resumes under another."""
-        if len(BACKENDS) < 2:
-            pytest.skip("needs two backends")
-        writer, reader = BACKENDS[0], BACKENDS[-1]
+        writer, reader = BACKENDS
         end = 3000
         checkpoint.activate(CheckpointStore(tmp_path, 1000))
 

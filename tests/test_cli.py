@@ -240,30 +240,3 @@ class TestBatchingOptions:
             main(["table3"])
         assert "--batch-configs must be >= 1" in capsys.readouterr().err
 
-
-class TestKernelThreadsOption:
-    def test_flag_exported_for_workers(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
-        assert main(["table3", "--kernel-threads", "2"]) == 0
-        # Exported like --backend so worker processes inherit it.
-        assert os.environ["REPRO_KERNEL_THREADS"] == "2"
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "8")
-        assert main(["table3", "--kernel-threads", "2"]) == 0
-        assert os.environ["REPRO_KERNEL_THREADS"] == "2"
-
-    def test_negative_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table3", "--kernel-threads", "-1"])
-        assert "--kernel-threads must be >= 0" in capsys.readouterr().err
-
-    def test_env_garbage_rejected_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "lots")
-        with pytest.raises(SystemExit):
-            main(["table3"])
-        assert "REPRO_KERNEL_THREADS must be an integer" in capsys.readouterr().err

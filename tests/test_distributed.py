@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -512,6 +513,21 @@ class TestLedgerObserve:
         phases = ledger.consume_remote_phases()
         assert phases["RunZ"]["fast_forward"]["seconds"] == pytest.approx(1.0)
         assert phases["RunZ"]["fast_forward"]["instructions"] == 14
+
+
+class TestLeaseServerClose:
+    def test_close_without_agents_is_prompt(self):
+        # Closing the listener alone does not wake a blocked accept();
+        # close() must still return fast and leave no accept thread.
+        server = LeaseServer(
+            "127.0.0.1", 0,
+            scale_instructions_per_m=1000, results_epoch=RESULTS_EPOCH,
+        )
+        time.sleep(0.2)  # let the accept thread block in accept()
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
 
 
 # -- artifact wire ops (server-side, no sockets) -----------------------------------

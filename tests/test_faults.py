@@ -137,7 +137,7 @@ class TestActivation:
     def test_kernel_fault_matches_backend(self, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "kernel@1:numpy")
         faults.activate(1, 1)
-        faults.kernel_check("numba")  # other backend: no fault
+        faults.kernel_check("python")  # other backend: no fault
         with pytest.raises(InjectedFault):
             faults.kernel_check("numpy")
 
@@ -145,7 +145,7 @@ class TestActivation:
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "kernel@1")
         faults.activate(1, 1)
         with pytest.raises(InjectedFault):
-            faults.kernel_check("numba")
+            faults.kernel_check("python")
 
     def test_kernel_check_inactive_outside_run(self, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "kernel@1:numpy")
@@ -184,8 +184,7 @@ class TestKernelGuard:
     def test_kernel_error_carries_fallback(self):
         from repro.cpu.kernels.registry import KERNEL_FALLBACK, KernelError
 
-        assert KERNEL_FALLBACK == {"numba": "numpy", "numpy": "python"}
-        assert KernelError("numba", "boom").fallback == "numpy"
+        assert KERNEL_FALLBACK == {"numpy": "python"}
         assert KernelError("numpy", "boom").fallback == "python"
         assert KernelError("python", "boom").fallback is None
 

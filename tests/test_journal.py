@@ -37,8 +37,8 @@ class TestJournalFile:
             journal.planned("aaa", "run a")
             journal.planned("bbb", "run b")
             journal.completed("aaa", 0.5, backend=None)
-            journal.degraded("bbb", "numba", "numpy")
-            journal.completed("bbb", 1.5, backend="numpy")
+            journal.degraded("bbb", "numpy", "python")
+            journal.completed("bbb", 1.5, backend="python")
             journal.failed("ccc", "timeout", "run exceeded 5s")
             journal.failed("ddd", "deterministic", "boom", quarantined=True)
         state = SweepJournal.load(path)

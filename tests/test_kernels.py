@@ -1,11 +1,9 @@
 """Backend registry and cross-backend parity tests.
 
-Every simulation backend (``python`` reference, ``numpy`` vectorized,
-``numba`` JIT) must produce bit-identical statistics; these tests pin
-that contract with fixed scenarios and a hypothesis sweep over random
-configurations and warm-up/measure splits.  Without numba installed the
-numba kernels run interpreted through the identity ``njit`` fallback,
-so their semantics are still exercised here.
+Both simulation backends (``python`` reference, ``numpy`` vectorized)
+must produce bit-identical statistics; these tests pin that contract
+with fixed scenarios and a hypothesis sweep over random configurations
+and warm-up/measure splits.
 """
 
 from __future__ import annotations
@@ -18,12 +16,10 @@ from repro.cpu.config import Enhancements, ProcessorConfig
 from repro.cpu.functional import run_functional_warming
 from repro.cpu.kernels.registry import (
     BACKEND_ENV_VAR,
-    NumbaBackend,
+    BACKEND_NAMES,
     NumpyBackend,
     PythonBackend,
-    available_backends,
     get_backend,
-    numba_available,
     resolve_backend_name,
 )
 from repro.cpu.machine import Machine
@@ -35,7 +31,7 @@ from tests.conftest import TEST_SCALE, make_micro_workload
 #: Backends compared against the python reference.  Fresh instances so
 #: an explicit object (rather than a registry name) also takes the
 #: ``get_backend`` instance path.
-ARRAY_BACKENDS = [NumpyBackend(), NumbaBackend()]
+ARRAY_BACKENDS = [NumpyBackend()]
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +55,8 @@ def run_scenario(backend, trace, config, enhancements, warm_end, measure_from):
 class TestRegistry:
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend_name() == expected
-        assert resolve_backend_name("auto") == expected
+        assert resolve_backend_name() == "numpy"
+        assert resolve_backend_name("auto") == "numpy"
 
     def test_env_var_respected(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
@@ -73,22 +68,15 @@ class TestRegistry:
         assert resolve_backend_name("python") == "python"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend_name("fortran")
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_numba_request_degrades_gracefully(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert resolve_backend_name("numba") == "numpy"
-        assert "numba" not in available_backends()
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                resolve_backend_name(name)
 
     def test_available_backends(self):
-        names = available_backends()
-        assert "python" in names and "numpy" in names
+        assert BACKEND_NAMES == ("python", "numpy")
 
     def test_get_backend_accepts_instance(self):
-        backend = NumbaBackend()
+        backend = NumpyBackend()
         assert get_backend(backend) is backend
 
     def test_get_backend_caches_by_name(self):
@@ -104,6 +92,18 @@ class TestRegistry:
         import os
 
         assert os.environ[BACKEND_ENV_VAR] == "python"
+
+    def test_cli_rejects_unknown_env_backend(self, monkeypatch, capsys):
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["list"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown simulation backend 'numba'" in err
+        assert "('python', 'numpy', 'auto')" in err
+        assert "Traceback" not in err
 
 
 class TestFixedScenarioParity:
@@ -349,48 +349,6 @@ class TestBatchedParity:
         )
         assert results == expected
 
-    def test_numba_batch_matches_sequential_numpy(self, trace):
-        # The data-parallel kernel (interpreted when numba is absent)
-        # must be bit-identical to the numpy backend's sequential
-        # per-member path -- full results, stats and work profile.
-        specs = [
-            (config, Enhancements(trivial_computation=(i % 2 == 1)))
-            for i, config in enumerate(self.variants())
-        ]
-        start, end = 2000, len(trace)
-        expected = self.per_run("numpy", trace, specs, start, end)
-        assert self.batched(
-            trace, specs, start, end, backend=NumbaBackend()
-        ) == expected
-
-    @pytest.mark.parametrize("threads", ["1", "2", "4"])
-    def test_thread_count_independence(self, trace, monkeypatch, threads):
-        # prange iterations are fully independent, so the thread count
-        # must never show up in the results.
-        from repro.settings import KERNEL_THREADS_ENV_VAR
-
-        specs = [(config, Enhancements()) for config in self.variants()]
-        start, end = 2000, len(trace)
-        expected = self.per_run("numpy", trace, specs, start, end)
-        monkeypatch.setenv(KERNEL_THREADS_ENV_VAR, threads)
-        assert self.batched(
-            trace, specs, start, end, backend=NumbaBackend()
-        ) == expected
-
-    def test_batch_kernel_falls_back_without_numba(self, trace, monkeypatch):
-        # With numba unavailable the driver runs the same kernel
-        # interpreted, single-threaded, and stays bit-identical.
-        from repro.cpu.kernels import batch_impl
-
-        monkeypatch.setattr(batch_impl, "NUMBA_AVAILABLE", False)
-        assert batch_impl.resolve_threads(8) == 1
-        specs = [(config, Enhancements()) for config in self.variants()[:3]]
-        start, end = 2000, len(trace)
-        expected = self.per_run("numpy", trace, specs, start, end)
-        assert self.batched(
-            trace, specs, start, end, backend=NumbaBackend()
-        ) == expected
-
     def test_mismatched_enhancement_count_rejected(self, trace):
         with pytest.raises(ValueError, match="configs but"):
             Simulator(backend="numpy").run_regions(
@@ -462,16 +420,6 @@ class TestBatchedHypothesisParity:
         )
         assert batched == per_run
         assert [r.stats for r in batched] == [r.stats for r in reference]
-        # The data-parallel numba kernel serves the same batch
-        # bit-identically (interpreted when numba is not installed).
-        parallel = Simulator(backend=NumbaBackend()).run_regions(
-            trace,
-            (start, end),
-            configs=[config for config, _ in members],
-            enhancements=[enh for _, enh in members],
-            warmed_prefix=warmed_prefix,
-        )
-        assert parallel == per_run
 
 
 @st.composite
@@ -514,7 +462,6 @@ class TestHypothesisParity:
             run_scenario(
                 backend, trace, config, enhancements, warm_end, measure_from
             )
-            for backend in (PythonBackend(), NumpyBackend(), NumbaBackend())
+            for backend in (PythonBackend(), NumpyBackend())
         ]
         assert results[1] == results[0]
-        assert results[2] == results[0]

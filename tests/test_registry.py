@@ -7,14 +7,8 @@ from repro.techniques.registry import (
     FAMILIES,
     all_permutations,
     count_permutations,
-    ff_run_z_permutations,
-    ff_wu_run_z_permutations,
     permutations,
     permutations_for_family,
-    reduced_permutations,
-    run_z_permutations,
-    simpoint_permutations,
-    smarts_permutations,
 )
 
 
@@ -81,28 +75,6 @@ class TestPermutationStructure:
         assert (1000, 2000) in pairs
 
 
-class TestDeprecatedAliases:
-    """The six pre-redesign functions still answer, with a warning."""
-
-    def test_aliases_match_canonical(self):
-        aliases = {
-            "SimPoint": simpoint_permutations,
-            "SMARTS": smarts_permutations,
-            "Reduced": reduced_permutations,
-            "Run Z": run_z_permutations,
-            "FF+Run Z": ff_run_z_permutations,
-            "FF+WU+Run Z": ff_wu_run_z_permutations,
-        }
-        for family, alias in aliases.items():
-            with pytest.warns(DeprecationWarning):
-                old = alias()
-            new = permutations(family)
-            assert [t.permutation for t in old] == [t.permutation for t in new]
-
-    def test_simpoint_alias_extras(self):
-        with pytest.warns(DeprecationWarning):
-            assert len(simpoint_permutations(include_single_10m=True)) == 4
-
+class TestPermutationsForFamily:
     def test_permutations_for_family_is_quiet(self):
-        # Still part of the public API, not deprecated.
         assert len(permutations_for_family("SMARTS")) == 9
