@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 #: Blocks whose expected count falls below this are pooled together,
 #: the standard validity guard for chi-squared tests.
@@ -78,6 +77,9 @@ def compare_profiles(
         )
     )
     statistic += float(observed_arr[zero].sum())
+
+    # Deferred: scipy costs ~0.7 s to import and only section 5.2 gets here.
+    from scipy import stats as scipy_stats
 
     dof = max(1, len(expected_arr) - 1)
     critical = float(scipy_stats.chi2.ppf(1.0 - significance, dof))

@@ -810,6 +810,12 @@ class Engine:
             else:
                 os.environ[name] = previous
 
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- internals ---------------------------------------------------------------
 
     def _group_batches(self, tasks: List[RunTask]) -> List[object]:

@@ -11,8 +11,7 @@ artifact browser:
 * the live snapshot (``<cache-dir>/v1/live.json``) left by the most
   recent (or still-running) sweep: progress, in-flight runs, queue
   depth, connected agents, per-agent artifact hit rates;
-* ``BENCH_*.json`` benchmark reports, both the copies
-  recorded into history and any files sitting in ``--bench-dir``.
+* ``BENCH_*.json`` benchmark reports sitting in ``--bench-dir``.
 
 Everything is rendered server-side; the only script in the page is a
 few inline lines that stamp relative ages, and the page degrades to
@@ -238,62 +237,27 @@ def _agents_section(records: List[dict], live: Optional[dict]) -> str:
     )
 
 
-def _bench_section(records: List[dict], bench_dir: Optional[Path]) -> str:
-    history_benches = [r for r in records if r.get("kind") == "bench"]
+def _bench_section(bench_dir: Optional[Path]) -> str:
     file_benches = _bench_files(bench_dir)
-
-    # Trajectory: per suite, the speedup-ish scalar over time.
-    by_suite: Dict[str, List[Tuple[float, dict]]] = {}
-    for record in history_benches:
-        bench = record.get("bench") or {}
-        report = bench.get("report") or {}
-        suite = str(bench.get("suite", "?"))
-        when = float(record.get("recorded_unix", 0.0) or 0.0)
-        by_suite.setdefault(suite, []).append((when, report))
-
-    parts = []
-    if by_suite:
-        trend_rows = []
-        for suite in sorted(by_suite):
-            entries = sorted(by_suite[suite], key=lambda pair: pair[0])
-            scalars_per_entry = [
-                dict(_numeric_scalars(report)) for _, report in entries
-            ]
-            keys = sorted(
-                {k for scalars in scalars_per_entry for k in scalars
-                 if "speedup" in k or k.endswith("_pct")}
-            ) or sorted({k for scalars in scalars_per_entry for k in scalars})
-            for key in keys:
-                trend_rows.append([
-                    _esc(f"{suite}: {key}"),
-                    sparkline([s.get(key) for s in scalars_per_entry]),
-                ])
-        parts.append(
-            "<h3>Recorded trajectory</h3>"
-            + _table(("suite metric", "trend (oldest &rarr; newest)"),
-                     trend_rows)
+    if not file_benches:
+        return _section(
+            "Benchmark reports",
+            '<p class="muted">No BENCH_*.json reports found on disk.</p>',
         )
-    if file_benches:
-        file_rows = []
-        for name, doc in file_benches:
-            scalars = ", ".join(
-                f"{k}={v:g}" for k, v in _numeric_scalars(doc)[:6]
-            )
-            file_rows.append([
-                _esc(name),
-                _esc(str(doc.get("benchmark", "-"))[:90]),
-                _esc(scalars or "-"),
-            ])
-        parts.append(
-            "<h3>On-disk reports</h3>"
-            + _table(("file", "benchmark", "headline scalars"), file_rows)
+    rows = []
+    for name, doc in file_benches:
+        scalars = ", ".join(
+            f"{k}={v:g}" for k, v in _numeric_scalars(doc)[:6]
         )
-    if not parts:
-        parts.append(
-            '<p class="muted">No BENCH_*.json reports recorded or found '
-            "on disk.</p>"
-        )
-    return _section("Benchmark trajectory", "".join(parts))
+        rows.append([
+            _esc(name),
+            _esc(str(doc.get("benchmark", "-"))[:90]),
+            _esc(scalars or "-"),
+        ])
+    return _section(
+        "Benchmark reports",
+        _table(("file", "benchmark", "headline scalars"), rows),
+    )
 
 
 def _strftime(unix: object) -> str:
@@ -356,7 +320,7 @@ def render_html(
         _history_section(records),
         _live_section(live),
         _agents_section(records, live),
-        _bench_section(records, bench_dir),
+        _bench_section(bench_dir),
     ])
     return (
         "<!DOCTYPE html>\n"

@@ -1,13 +1,13 @@
 """Append-only, content-addressed sweep-history store.
 
 Every sweep (local, batched, or distributed) appends one record at
-supervisor exit; benchmark suites append one record per leg.  The
-store is sharded JSONL under ``<cache-dir>/v1/history/``: a record is
-one JSON line appended with ``O_APPEND`` to the shard named by the
-first two hex digits of its content id, so concurrent sweeps sharing a
-cache directory never clobber each other -- at worst a crash leaves a
-truncated final line, which the reader skips exactly like the PR 5
-trace reader skips a killed worker's partial event.
+supervisor exit.  The store is sharded JSONL under
+``<cache-dir>/v1/history/``: a record is one JSON line appended with
+``O_APPEND`` to the shard named by the first two hex digits of its
+content id, so concurrent sweeps sharing a cache directory never
+clobber each other -- at worst a crash leaves a truncated final line,
+which the reader skips exactly like the trace reader skips a killed
+worker's partial event.
 
 Records are content-addressed: ``id`` is the SHA-256 of the record's
 canonical JSON (sorted keys, ``id`` excluded).  The reader recomputes
@@ -20,12 +20,14 @@ stay byte-identical whether history recording is on or off.
 
 Record shape (schema 1)::
 
-    {"schema": 1, "id": "<sha256>", "kind": "sweep" | "bench",
+    {"schema": 1, "id": "<sha256>", "kind": "sweep",
      "recorded_unix": t, "label": str | null,
      "sweep": {"fingerprint": ..., "backend": ..., "host": ...,
                "git": ..., "pid": ..., ...engine knobs...},
-     "stats": {...engine-stats snapshot...},   # sweep records
-     "bench": {"suite": ..., "report": {...}}} # bench records
+     "stats": {...engine-stats snapshot...}}
+
+Older stores may also hold ``"kind": "bench"`` records from a retired
+benchmark script; they still verify and list like any other record.
 """
 
 from __future__ import annotations
@@ -116,32 +118,6 @@ def sweep_record(
         "label": label,
         "sweep": sweep,
         "stats": stats,
-    }
-
-
-def bench_record(
-    suite: str,
-    report: Dict,
-    *,
-    label: Optional[str] = None,
-    recorded_unix: Optional[float] = None,
-) -> Dict:
-    """Build (but do not append) a benchmark-suite record."""
-    return {
-        "schema": HISTORY_SCHEMA_VERSION,
-        "kind": "bench",
-        "recorded_unix": (
-            time.time() if recorded_unix is None else float(recorded_unix)
-        ),
-        "label": label,
-        "sweep": {
-            "fingerprint": None,
-            "host": socket.gethostname(),
-            "pid": os.getpid(),
-            "git": git_describe(),
-            "suite": suite,
-        },
-        "bench": {"suite": suite, "report": report},
     }
 
 

@@ -465,10 +465,6 @@ def _history_main(argv: List[str]) -> int:
         help=f"sweep cache directory (default: ${CACHE_DIR_ENV_VAR})",
     )
     parser.add_argument(
-        "--kind", choices=("sweep", "bench"), default=None,
-        help="only records of this kind",
-    )
-    parser.add_argument(
         "--backend", default=None, help="only sweeps on this backend"
     )
     parser.add_argument(
@@ -481,8 +477,6 @@ def _history_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     cache_dir = _resolved_cache_dir(parser, args.cache_dir)
     records = obs_history.read_records(cache_dir)
-    if args.kind:
-        records = [r for r in records if r.get("kind") == args.kind]
     if args.backend:
         records = [
             r for r in records

@@ -25,11 +25,15 @@ from repro.cpu.checkpoint import (
     snapshot_machine,
     state_key,
 )
-from repro.cpu.config import ARCH_CONFIGS, BASELINE, NLP
+from repro.cpu.config import ARCH_CONFIGS, BASELINE, NLP, ProcessorConfig
 from repro.cpu.functional import run_functional_warming, warm_prefix
 from repro.cpu.kernels.registry import BACKEND_NAMES
 from repro.cpu.machine import Machine
 from repro.cpu.simulator import Simulator
+from repro.engine.planner import RunRequest
+from repro.scale import scale_from_profile
+from repro.techniques.reference import ReferenceTechnique
+from repro.workloads.spec import get_workload
 
 from tests.conftest import TEST_SCALE, make_micro_workload
 
@@ -310,3 +314,75 @@ class TestTechniqueParity:
         self._run_with_and_without(
             SmartsTechnique(1000, 2000, initial_samples=8), workload, tmp_path
         )
+
+
+# -- key coverage: the checkpoint key spans exactly the warm-state geometry ----
+
+_BASE = ProcessorConfig()
+_FIELDS = [f.name for f in dataclasses.fields(ProcessorConfig)]
+_GZIP = get_workload("gzip")
+_TINY = scale_from_profile("tiny")
+#: Prefix warmed to compare warm state across a perturbation.
+_WARM_PREFIX = 20_000
+
+
+def _perturb(config, name):
+    """``config`` with field ``name`` moved to another valid value.
+
+    Integers go to 1 (2 if already 1): valid for every field, and so
+    far from the defaults that any structure they size visibly changes
+    state on a short prefix -- a one-entry RAS overflows, a one-byte
+    block gives every address its own line."""
+    value = getattr(config, name)
+    if name == "name":
+        new = value + "-perturbed"
+    elif name == "branch_predictor":
+        new = "bimodal" if value != "bimodal" else "gshare"
+    else:
+        new = 1 if value != 1 else 2
+    return dataclasses.replace(config, **{name: new})
+
+
+@pytest.fixture(scope="module")
+def gzip_trace():
+    return _GZIP.trace(_TINY)
+
+
+def _warm_state(config, trace):
+    machine = Machine(config, BASELINE, backend="python")
+    stats = run_functional_warming(machine, trace, 0, _WARM_PREFIX)
+    return _stats_tuple(stats), _canonical(snapshot_machine(machine))
+
+
+@pytest.fixture(scope="module")
+def base_warm_state(gzip_trace):
+    return _warm_state(_BASE, gzip_trace)
+
+
+class TestKeyCoverage:
+    @pytest.mark.parametrize("name", _FIELDS)
+    def test_perturbation_moves_exactly_the_right_keys(
+        self, name, gzip_trace, base_warm_state
+    ):
+        """Every field reaches the result key; the checkpoint key moves
+        iff the field is geometry; and warming a gzip prefix changes
+        state iff the field is geometry -- so a structural field missing
+        from the fingerprint fails here rather than serving stale warm
+        state, and a fingerprint field that shapes nothing is flagged."""
+        other = _perturb(_BASE, name)
+
+        def content_key(config):
+            request = RunRequest(ReferenceTechnique(), _GZIP, config)
+            return request.content_key(_TINY)
+
+        assert content_key(other) != content_key(_BASE)
+
+        in_geometry = geometry_fingerprint(other, BASELINE) != (
+            geometry_fingerprint(_BASE, BASELINE)
+        )
+        key_moved = state_key(_GZIP, _TINY, other, BASELINE) != (
+            state_key(_GZIP, _TINY, _BASE, BASELINE)
+        )
+        assert key_moved == in_geometry
+        state_moved = _warm_state(other, gzip_trace) != base_warm_state
+        assert state_moved == in_geometry

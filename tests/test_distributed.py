@@ -697,7 +697,13 @@ def _store_bytes(root: Path) -> dict:
     return out
 
 
-def _spawn_agent(port, name, fault_plan=None, backend="python", cache_dir=None):
+def _spawn_agent(
+    port, name, log_dir, fault_plan=None, backend="python", cache_dir=None
+):
+    """Start a worker agent whose output goes to ``log_dir/<name>.log``.
+
+    A file, not a pipe nobody reads: an agent whose progress lines
+    filled a pipe buffer would block mid-sweep."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
@@ -711,10 +717,10 @@ def _spawn_agent(port, name, fault_plan=None, backend="python", cache_dir=None):
                "--connect", f"127.0.0.1:{port}", "--name", name]
     if cache_dir is not None:
         command += ["--cache-dir", str(cache_dir)]
-    return subprocess.Popen(
-        command,
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-    )
+    with open(Path(log_dir) / f"{name}.log", "ab") as log:
+        return subprocess.Popen(
+            command, env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
 
 
 @pytest.fixture()
@@ -750,8 +756,10 @@ class TestDistributedSweep:
         try:
             port = engine.lease_server.port
             # dead@1: the victim SIGKILLs itself on its first lease.
-            agents.append(_spawn_agent(port, "victim", fault_plan="dead@1"))
-            agents.append(_spawn_agent(port, "steady"))
+            agents.append(
+                _spawn_agent(port, "victim", tmp_path, fault_plan="dead@1")
+            )
+            agents.append(_spawn_agent(port, "steady", tmp_path))
             results = engine.run_many(_requests())
             snapshot = engine.metrics.snapshot()
         finally:
@@ -784,7 +792,7 @@ class TestDistributedSweep:
         agent = None
         try:
             port = engine.lease_server.port
-            agent = _spawn_agent(port, "flaky", fault_plan="drop@1")
+            agent = _spawn_agent(port, "flaky", tmp_path, fault_plan="drop@1")
             results = engine.run_many(_requests())
             snapshot = engine.metrics.snapshot()
         finally:
@@ -810,7 +818,7 @@ class TestDistributedSweep:
         agent = None
         try:
             port = engine.lease_server.port
-            agent = _spawn_agent(port, "only")
+            agent = _spawn_agent(port, "only", tmp_path)
             engine.run_many(_requests(2))
         finally:
             engine.close()
@@ -852,7 +860,7 @@ class TestDistributedSweep:
         agent = None
         try:
             port = engine.lease_server.port
-            agent = _spawn_agent(port, "fetcher")
+            agent = _spawn_agent(port, "fetcher", tmp_path)
             results = engine.run_many(requests)
             snapshot = engine.metrics.snapshot()
         finally:
@@ -901,7 +909,7 @@ class TestDistributedSweep:
         agent = None
         try:
             port = engine.lease_server.port
-            agent = _spawn_agent(port, "splitter")
+            agent = _spawn_agent(port, "splitter", tmp_path)
             results = engine.run_many(requests)
             snapshot = engine.metrics.snapshot()
         finally:
@@ -933,7 +941,9 @@ class TestDistributedSweep:
         agent = None
         try:
             port = engine.lease_server.port
-            agent = _spawn_agent(port, "noisy", fault_plan="corrupt@1")
+            agent = _spawn_agent(
+                port, "noisy", tmp_path, fault_plan="corrupt@1"
+            )
             results = engine.run_many(requests)
             snapshot = engine.metrics.snapshot()
         finally:
@@ -963,7 +973,9 @@ class TestDistributedSweep:
         agent = None
         try:
             port = engine.lease_server.port
-            agent = _spawn_agent(port, "flaky", fault_plan="drop@1:fetch")
+            agent = _spawn_agent(
+                port, "flaky", tmp_path, fault_plan="drop@1:fetch"
+            )
             results = engine.run_many(requests)
             snapshot = engine.metrics.snapshot()
         finally:
@@ -1003,7 +1015,9 @@ class TestDistributedSweep:
             # exc@2 arms inside the agent's child for plan slot 2: the
             # batched pass raises, then the singleton rerun of slot 2
             # fails once more (charged) and succeeds on its retry.
-            agent = _spawn_agent(port, "poisoned", fault_plan="exc@2")
+            agent = _spawn_agent(
+                port, "poisoned", tmp_path, fault_plan="exc@2"
+            )
             results = engine.run_many(requests)
             snapshot = engine.metrics.snapshot()
         finally:
@@ -1036,17 +1050,19 @@ class TestDistributedSweep:
             env["PYTHONPATH"] = str(
                 Path(__file__).resolve().parents[1] / "src"
             )
-            agent = subprocess.Popen(
-                [sys.executable, "-c",
-                 "import sys\n"
-                 "from repro.engine import worker\n"
-                 "worker.RESULTS_EPOCH = worker.RESULTS_EPOCH + 999\n"
-                 "sys.exit(worker.main(['--connect', '127.0.0.1:%d']))"
-                 % port],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            )
+            with open(tmp_path / "agent.log", "wb") as log:
+                agent = subprocess.Popen(
+                    [sys.executable, "-c",
+                     "import sys\n"
+                     "from repro.engine import worker\n"
+                     "worker.RESULTS_EPOCH = worker.RESULTS_EPOCH + 999\n"
+                     "sys.exit(worker.main(['--connect', '127.0.0.1:%d']))"
+                     % port],
+                    env=env, stdout=log, stderr=subprocess.STDOUT,
+                )
             assert agent.wait(timeout=30) == 2
         finally:
             if agent is not None and agent.poll() is None:
                 agent.kill()
+                agent.wait()
             engine.close()

@@ -279,38 +279,44 @@ def _real_requests(workload):
     ]
 
 
+def _run_many(requests, **kwargs):
+    """Run ``requests`` on a fresh engine at ``SCALE``, then close it."""
+    with Engine(scale=SCALE, **kwargs) as engine:
+        return engine.run_many(requests)
+
+
 class TestEngine:
     def test_duplicate_requests_run_once(self, workload):
-        engine = Engine(scale=SCALE, jobs=1)
         request = RunRequest(StubTechnique(), workload, ARCH_CONFIGS[0])
-        results = engine.run_many([request, request, request])
+        with Engine(scale=SCALE, jobs=1) as engine:
+            results = engine.run_many([request, request, request])
         assert engine.metrics.runs_launched == 1
         assert engine.metrics.runs_deduplicated == 2
         assert results[0] is results[1] is results[2]
 
     def test_repeat_call_hits_memory(self, workload):
-        engine = Engine(scale=SCALE, jobs=1)
         request = RunRequest(StubTechnique(), workload, ARCH_CONFIGS[0])
-        first = engine.run_many([request])[0]
-        second = engine.run_many([request])[0]
+        with Engine(scale=SCALE, jobs=1) as engine:
+            first = engine.run_many([request])[0]
+            second = engine.run_many([request])[0]
         assert first is second
         assert engine.metrics.memory_hits == 1
         assert engine.metrics.runs_launched == 1
 
     def test_parallel_equals_serial(self, workload):
-        serial = Engine(scale=SCALE, jobs=1).run_many(_real_requests(workload))
-        parallel = Engine(scale=SCALE, jobs=2).run_many(_real_requests(workload))
+        serial = _run_many(_real_requests(workload), jobs=1)
+        parallel = _run_many(_real_requests(workload), jobs=2)
         for a, b in zip(serial, parallel):
             assert _result_fingerprint(a) == _result_fingerprint(b)
 
     def test_persistent_cache_hits_across_engines(self, tmp_path, workload):
         requests = _real_requests(workload)
-        first = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path)
-        results = first.run_many(requests)
+        with Engine(scale=SCALE, jobs=1, cache_dir=tmp_path) as first:
+            results = first.run_many(requests)
         assert first.metrics.runs_launched == len(requests)
 
-        second = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path)
-        cached = second.run_many(requests)
+        with Engine(scale=SCALE, jobs=1, cache_dir=tmp_path) as second:
+            cached = second.run_many(requests)
         assert second.metrics.runs_launched == 0
         assert second.metrics.cache_hits == len(requests)
         assert second.metrics.hit_rate == 1.0
@@ -319,71 +325,71 @@ class TestEngine:
 
     def test_cache_invalidated_by_config_change(self, tmp_path, workload):
         request = RunRequest(RunZ(500), workload, ARCH_CONFIGS[0])
-        Engine(scale=SCALE, jobs=1, cache_dir=tmp_path).run_many([request])
+        _run_many([request], jobs=1, cache_dir=tmp_path)
 
         tweaked = RunRequest(
             RunZ(500), workload, ARCH_CONFIGS[0].replace(l2_size_kb=1024)
         )
-        engine = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path)
-        engine.run_many([tweaked])
+        with Engine(scale=SCALE, jobs=1, cache_dir=tmp_path) as engine:
+            engine.run_many([tweaked])
         assert engine.metrics.cache_hits == 0
         assert engine.metrics.runs_launched == 1
 
     def test_retry_recovers_serial(self, tmp_path, workload):
-        engine = Engine(scale=SCALE, jobs=1)
         flaky = FlakyTechnique(tmp_path / "attempted.flag")
-        result = engine.run_many(
-            [RunRequest(flaky, workload, ARCH_CONFIGS[0])]
-        )[0]
+        with Engine(scale=SCALE, jobs=1) as engine:
+            result = engine.run_many(
+                [RunRequest(flaky, workload, ARCH_CONFIGS[0])]
+            )[0]
         assert result.permutation == "flaky"
         assert engine.metrics.retries == 1
         assert engine.metrics.failures == 0
 
     def test_retry_recovers_parallel(self, tmp_path, workload):
-        engine = Engine(scale=SCALE, jobs=2)
         flaky = FlakyTechnique(tmp_path / "attempted-parallel.flag")
         requests = [
             RunRequest(flaky, workload, ARCH_CONFIGS[0]),
             RunRequest(StubTechnique("ok1"), workload, ARCH_CONFIGS[0]),
             RunRequest(StubTechnique("ok2"), workload, ARCH_CONFIGS[0]),
         ]
-        results = engine.run_many(requests)
+        with Engine(scale=SCALE, jobs=2) as engine:
+            results = engine.run_many(requests)
         assert [r.permutation for r in results] == ["flaky", "ok1", "ok2"]
         assert engine.metrics.retries == 1
         assert engine.metrics.failures == 0
 
     def test_failures_surface_without_killing_sweep(self, workload):
-        engine = Engine(scale=SCALE, jobs=1)
         requests = [
             RunRequest(StubTechnique("good"), workload, ARCH_CONFIGS[0]),
             RunRequest(BrokenTechnique(), workload, ARCH_CONFIGS[0]),
             RunRequest(StubTechnique("also good"), workload, ARCH_CONFIGS[0]),
         ]
-        with pytest.raises(EngineRunError) as excinfo:
-            engine.run_many(requests)
-        assert "broken" in str(excinfo.value)
-        # The sweep completed: both healthy runs were executed and
-        # cached; the broken run failed identically twice, so it was
-        # quarantined rather than retried to budget exhaustion.
-        assert engine.metrics.runs_launched == 3
-        assert engine.metrics.runs_succeeded == 2
-        assert engine.metrics.failures + engine.metrics.quarantined == 1
-        assert engine.metrics.quarantined == 1
-        assert engine.metrics.retries == 1  # the one retry was spent
-        assert engine.metrics.runs_launched == (
-            engine.metrics.runs_succeeded
-            + engine.metrics.failures
-            + engine.metrics.quarantined
-        )
+        with Engine(scale=SCALE, jobs=1) as engine:
+            with pytest.raises(EngineRunError) as excinfo:
+                engine.run_many(requests)
+            assert "broken" in str(excinfo.value)
+            # The sweep completed: both healthy runs were executed and
+            # cached; the broken run failed identically twice, so it was
+            # quarantined rather than retried to budget exhaustion.
+            metrics = engine.metrics
+            assert metrics.runs_launched == 3
+            assert metrics.runs_succeeded == 2
+            assert metrics.failures + metrics.quarantined == 1
+            assert metrics.quarantined == 1
+            assert metrics.retries == 1  # the one retry was spent
+            assert metrics.runs_launched == (
+                metrics.runs_succeeded + metrics.failures + metrics.quarantined
+            )
 
-        results = engine.run_many(requests, allow_errors=True)
+            results = engine.run_many(requests, allow_errors=True)
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
 
     def test_write_stats(self, tmp_path, workload):
-        engine = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path)
-        engine.run_many([RunRequest(StubTechnique(), workload, ARCH_CONFIGS[0])])
-        path = engine.write_stats()
+        request = RunRequest(StubTechnique(), workload, ARCH_CONFIGS[0])
+        with Engine(scale=SCALE, jobs=1, cache_dir=tmp_path) as engine:
+            engine.run_many([request])
+            path = engine.write_stats()
         assert path == tmp_path / "engine-stats.json"
         document = json.loads(path.read_text())
         assert document["runs_launched"] == 1
@@ -392,10 +398,11 @@ class TestEngine:
         assert "Stub" in document["per_family"]
 
     def test_write_stats_without_store_needs_path(self, tmp_path, workload):
-        engine = Engine(scale=SCALE, jobs=1)
-        engine.run_many([RunRequest(StubTechnique(), workload, ARCH_CONFIGS[0])])
-        assert engine.write_stats() is None
-        explicit = engine.write_stats(tmp_path / "stats.json")
+        request = RunRequest(StubTechnique(), workload, ARCH_CONFIGS[0])
+        with Engine(scale=SCALE, jobs=1) as engine:
+            engine.run_many([request])
+            assert engine.write_stats() is None
+            explicit = engine.write_stats(tmp_path / "stats.json")
         assert explicit is not None and explicit.exists()
 
 
@@ -441,28 +448,20 @@ class TestSharedStores:
 
     def test_acceleration_is_bit_identical(self, tmp_path, workload):
         requests = self._warmed_requests(workload)
-        plain = Engine(
-            scale=SCALE, jobs=1, checkpoint_interval=0.0, trace_cache=False
+        baseline = _run_many(
+            requests, jobs=1, checkpoint_interval=0.0, trace_cache=False
         )
-        baseline = plain.run_many(requests)
-
-        accelerated = Engine(
-            scale=SCALE, jobs=2, cache_dir=tmp_path, checkpoint_interval=100.0
+        results = _run_many(
+            requests, jobs=2, cache_dir=tmp_path, checkpoint_interval=100.0
         )
-        try:
-            results = accelerated.run_many(requests)
-        finally:
-            accelerated.close()
         for a, b in zip(baseline, results):
             assert _result_fingerprint(a) == _result_fingerprint(b)
 
     def test_resume_with_stores_is_bit_identical(self, tmp_path, workload):
         requests = self._warmed_requests(workload) + _real_requests(workload)
-        first = Engine(
-            scale=SCALE, jobs=1, cache_dir=tmp_path, checkpoint_interval=100.0
+        results = _run_many(
+            requests, jobs=1, cache_dir=tmp_path, checkpoint_interval=100.0
         )
-        results = first.run_many(requests)
-        first.close()
 
         resumed_engine = Engine(
             scale=SCALE, jobs=1, cache_dir=tmp_path,
@@ -537,9 +536,9 @@ class TestConfigBatching:
 
     def test_batched_matches_unbatched(self, workload):
         requests = _latency_sweep(workload)
-        baseline = Engine(scale=SCALE, jobs=1).run_many(requests)
-        engine = Engine(scale=SCALE, jobs=1, batch_configs=4)
-        results = engine.run_many(requests)
+        baseline = _run_many(requests, jobs=1)
+        with Engine(scale=SCALE, jobs=1, batch_configs=4) as engine:
+            results = engine.run_many(requests)
         assert engine.metrics.batches == 1
         assert engine.metrics.batched_runs == len(requests)
         for a, b in zip(baseline, results):
@@ -547,9 +546,9 @@ class TestConfigBatching:
 
     def test_batched_matches_unbatched_parallel(self, workload):
         requests = _latency_sweep(workload, count=6)
-        baseline = Engine(scale=SCALE, jobs=1).run_many(requests)
-        engine = Engine(scale=SCALE, jobs=2, batch_configs=3)
-        results = engine.run_many(requests)
+        baseline = _run_many(requests, jobs=1)
+        with Engine(scale=SCALE, jobs=2, batch_configs=3) as engine:
+            results = engine.run_many(requests)
         assert engine.metrics.batches == 2
         assert engine.metrics.batched_runs == len(requests)
         for a, b in zip(baseline, results):
@@ -569,9 +568,9 @@ class TestConfigBatching:
                 enhancements=NLP,
             ),
         ]
-        baseline = Engine(scale=SCALE, jobs=1).run_many(requests)
-        engine = Engine(scale=SCALE, jobs=1, batch_configs=8)
-        results = engine.run_many(requests)
+        baseline = _run_many(requests, jobs=1)
+        with Engine(scale=SCALE, jobs=1, batch_configs=8) as engine:
+            results = engine.run_many(requests)
         assert engine.metrics.batches == 1  # the two reference runs
         assert engine.metrics.batched_runs == 2
         assert engine.metrics.runs_succeeded == len(requests)
@@ -583,8 +582,8 @@ class TestConfigBatching:
             RunRequest(StubTechnique(f"s{i}"), workload, ARCH_CONFIGS[0])
             for i in range(3)
         ]
-        engine = Engine(scale=SCALE, jobs=1, batch_configs=8)
-        engine.run_many(requests)
+        with Engine(scale=SCALE, jobs=1, batch_configs=8) as engine:
+            engine.run_many(requests)
         assert engine.metrics.batches == 0
 
     def test_batch_member_fault_degrades_alone(self, workload, monkeypatch):
@@ -593,8 +592,10 @@ class TestConfigBatching:
         # degradation path and every run still succeeds.
         monkeypatch.setenv("REPRO_FAULT_PLAN", "exc@2x*")
         requests = _latency_sweep(workload)
-        engine = Engine(scale=SCALE, jobs=1, batch_configs=4, retries=0)
-        results = engine.run_many(requests, allow_errors=True)
+        with Engine(
+            scale=SCALE, jobs=1, batch_configs=4, retries=0
+        ) as engine:
+            results = engine.run_many(requests, allow_errors=True)
         assert [r is None for r in results] == [False, False, True, False]
         assert engine.metrics.runs_succeeded == len(requests) - 1
         assert engine.metrics.failures == 1
@@ -602,9 +603,9 @@ class TestConfigBatching:
 
     def test_batched_store_resume_is_bit_identical(self, tmp_path, workload):
         requests = _latency_sweep(workload)
-        first = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path, batch_configs=4)
-        results = first.run_many(requests)
-        first.close()
+        results = _run_many(
+            requests, jobs=1, cache_dir=tmp_path, batch_configs=4
+        )
 
         resumed_engine = Engine(
             scale=SCALE, jobs=1, cache_dir=tmp_path,
@@ -623,11 +624,9 @@ class TestConfigBatching:
         # Two runs already persisted: a later batched sweep serves them
         # from cache and batches only the remaining members.
         requests = _latency_sweep(workload)
-        seed = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path)
-        seed.run_many(requests[:2])
-        seed.close()
+        _run_many(requests[:2], jobs=1, cache_dir=tmp_path)
 
-        baseline = Engine(scale=SCALE, jobs=1).run_many(requests)
+        baseline = _run_many(requests, jobs=1)
         engine = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path, batch_configs=4)
         try:
             results = engine.run_many(requests)

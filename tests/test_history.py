@@ -459,15 +459,14 @@ class TestChromeTracks:
 class TestDashboard:
     def test_self_contained_html(self, tmp_path):
         obs_history.append(tmp_path, _record(recorded_unix=1.0))
-        obs_history.append(
-            tmp_path, obs_history.bench_record(
-                "batch", {"benchmark": "x", "speedup_cold": 3.0}
-            )
+        (tmp_path / "BENCH_x.json").write_text(
+            json.dumps({"benchmark": "x", "speedup_cold": 3.0})
         )
         from repro.obs.dashboard import render_html
 
         text = render_html(tmp_path, bench_dir=tmp_path)
         assert "<svg" in text and "</html>" in text
+        assert "BENCH_x.json" in text and "speedup_cold=3" in text
         for banned in ("http://", "https://", "src=", "href=", "@import"):
             assert banned not in text, banned
 
@@ -491,6 +490,19 @@ class TestHistoryCLI:
         assert report_main(["history", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "sweep" in out and "batch_s" in out
+
+    def test_legacy_bench_records_still_list(self, tmp_path, capsys):
+        """Stores written before the ``bench`` kind was retired keep
+        listing: the reader and table are kind-agnostic."""
+        from repro.obs.report import main as report_main
+
+        obs_history.append(tmp_path, {
+            "kind": "bench", "recorded_unix": 1.0, "label": None,
+            "sweep": {"host": "h", "suite": "batch"},
+            "bench": {"suite": "batch", "report": {"speedup_cold": 3.0}},
+        })
+        assert report_main(["history", "--cache-dir", str(tmp_path)]) == 0
+        assert "bench" in capsys.readouterr().out
 
     def test_empty_store_exits_nonzero(self, tmp_path):
         from repro.obs.report import main as report_main

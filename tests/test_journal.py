@@ -1,6 +1,7 @@
 """Tests for the crash-safe sweep journal and resume semantics."""
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -110,15 +111,18 @@ class TestEngineJournalling:
     def test_resume_skips_completed_runs(self, tmp_path, workload):
         requests = self._requests(workload)
         # Uninterrupted reference sweep (separate cache).
-        reference = Engine(scale=SCALE, jobs=1).run_many(requests)
+        with Engine(scale=SCALE, jobs=1) as engine:
+            reference = engine.run_many(requests)
 
         # "Interrupted" sweep: only the first half ran before the kill.
         first = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path)
         first.run_many(requests[:3])
         first.close()
 
-        resumed = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path, resume=True)
-        results = resumed.run_many(requests)
+        with Engine(
+            scale=SCALE, jobs=1, cache_dir=tmp_path, resume=True
+        ) as resumed:
+            results = resumed.run_many(requests)
         assert resumed.metrics.resumed == 3
         assert resumed.metrics.runs_launched == 3  # only the second half
         for a, b in zip(reference, results):
@@ -169,18 +173,18 @@ class TestEngineJournalling:
         assert first.metrics.quarantined == 1
 
         monkeypatch.delenv(FAULT_PLAN_ENV_VAR)
-        resumed = Engine(
+        with Engine(
             scale=SCALE, jobs=1, cache_dir=tmp_path, resume=True,
             backoff_base=0.0,
-        )
-        with pytest.raises(EngineRunError) as excinfo:
-            resumed.run_many(requests)
-        # The poison run was skipped, not re-executed: nothing launched
-        # beyond the two runs the first sweep completed.
-        assert resumed.metrics.runs_launched == 0
-        assert resumed.metrics.resumed == 2
-        assert len(excinfo.value.errors) == 1
-        results = resumed.run_many(requests, allow_errors=True)
+        ) as resumed:
+            with pytest.raises(EngineRunError) as excinfo:
+                resumed.run_many(requests)
+            # The poison run was skipped, not re-executed: nothing
+            # launched beyond the two runs the first sweep completed.
+            assert resumed.metrics.runs_launched == 0
+            assert resumed.metrics.resumed == 2
+            assert len(excinfo.value.errors) == 1
+            results = resumed.run_many(requests, allow_errors=True)
         assert results[0] is None
         assert results[1] is not None and results[2] is not None
 
@@ -206,8 +210,10 @@ class TestEngineJournalling:
         # store is the source of truth, so the run must re-execute.
         victim = next(iter((tmp_path / "v1").glob("*/*.json")))
         victim.unlink()
-        resumed = Engine(scale=SCALE, jobs=1, cache_dir=tmp_path, resume=True)
-        resumed.run_many(requests)
+        with Engine(
+            scale=SCALE, jobs=1, cache_dir=tmp_path, resume=True
+        ) as resumed:
+            resumed.run_many(requests)
         assert resumed.metrics.runs_launched == 1
         assert resumed.metrics.resumed == 1
 
@@ -257,8 +263,9 @@ class TestSigkillResume:
 
         victim = subprocess.Popen(
             [sys.executable, "-c", _SIGKILL_SWEEP, str(killed_dir), "fresh"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         # Let it journal some completions, then kill it mid-sweep.
         deadline = time.monotonic() + 60
@@ -267,7 +274,9 @@ class TestSigkillResume:
             if journal.exists() and '"completed"' in journal.read_text():
                 break
             time.sleep(0.05)
-        victim.send_signal(signal.SIGKILL)
+        # Kill the whole process group: pool workers orphaned by a
+        # SIGKILLed supervisor never exit on their own.
+        os.killpg(victim.pid, signal.SIGKILL)
         victim.wait(timeout=30)
 
         completed = sum(

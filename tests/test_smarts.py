@@ -1,6 +1,10 @@
 """Tests for SMARTS sampling and its statistics."""
 
+import math
+
+import numpy as np
 import pytest
+from scipy import special, stats
 
 from repro.cpu.config import ARCH_CONFIGS
 from repro.scale import PROFILES, Scale
@@ -10,6 +14,7 @@ from repro.techniques.smarts import (
     estimate_cpi,
     required_samples,
 )
+from repro.techniques.smarts.statistics import _ndtri
 
 from tests.conftest import TEST_SCALE, make_micro_workload
 
@@ -43,7 +48,6 @@ class TestStatistics:
             estimate_cpi([])
 
     def test_halfwidth_shrinks_with_n(self):
-        import math
         samples_small = [1.0, 3.0] * 5
         samples_large = [1.0, 3.0] * 50
         small = estimate_cpi(samples_small)
@@ -64,6 +68,54 @@ class TestStatistics:
         loose = required_samples(estimate_cpi(samples, confidence=0.9))
         tight = required_samples(estimate_cpi(samples, confidence=0.997))
         assert tight > loose
+
+
+def _probes():
+    """Dense probes over (0, 1): uniform draws, both tails down to
+    1e-300, every branch boundary, and SMARTS' confidence levels."""
+    rng = np.random.default_rng(2005)
+    tail = np.logspace(-300, -1, 20_000)
+    boundaries = [
+        math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32),
+        0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 5e-324,
+        2.2250738585072014e-308,
+    ]
+    levels = [0.5 + c / 2.0 for c in (0.68, 0.9, 0.95, 0.99, 0.997, 0.999)]
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, 40_000), tail, 1.0 - tail,
+        np.linspace(0.0, 1.0, 10_001), boundaries, levels,
+    ])
+
+
+class TestNormalQuantile:
+    """The in-tree Cephes port must equal scipy bit for bit: a last-ulp
+    difference could flip ``satisfies()`` or ``required_samples()`` at
+    a boundary, and with it which samples SMARTS simulates."""
+
+    def test_bit_identical_to_scipy_ndtri(self):
+        probes = _probes()
+        got = [_ndtri(float(p)) for p in probes]
+        mismatches = [
+            (float(p), ours, float(theirs))
+            for p, ours, theirs in zip(probes, got, special.ndtri(probes))
+            if ours != theirs
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "confidence", [0.68, 0.9, 0.95, 0.99, 0.997, 0.999]
+    )
+    def test_matches_norm_ppf_at_smarts_levels(self, confidence):
+        p = 0.5 + confidence / 2.0
+        assert _ndtri(p) == float(stats.norm.ppf(p))
+
+    def test_endpoints_and_domain(self):
+        assert _ndtri(0.0) == -math.inf == special.ndtri(0.0)
+        assert _ndtri(1.0) == math.inf == special.ndtri(1.0)
+        for bad in (-1e-300, -0.5, 1.0 + 1e-15, 2.0, math.inf, -math.inf,
+                    math.nan):
+            assert math.isnan(_ndtri(bad))
+            assert math.isnan(special.ndtri(bad))
 
 
 class TestScaleAdaptation:

@@ -438,9 +438,11 @@ class TestDegradation:
 
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "kernel@0:numpy")
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        engine = _engine(jobs=1, cache_dir=tmp_path)
-        engine.run_many([RunRequest(RunZ(300), workload, ARCH_CONFIGS[0])])
-        path = engine.write_stats()
+        with _engine(jobs=1, cache_dir=tmp_path) as engine:
+            engine.run_many(
+                [RunRequest(RunZ(300), workload, ARCH_CONFIGS[0])]
+            )
+            path = engine.write_stats()
         document = json.loads(path.read_text())
         assert document["degradations"] == 1
         assert document["degraded_runs"][0]["from"] == "numpy"
