@@ -395,6 +395,7 @@ class Engine:
                 remote_batch_configs=self.remote_batch_configs,
                 artifact_roots=artifact_roots or None,
             )
+            self.metrics.agents_source = self.lease_server.agents_snapshot
             if self.monitor is not None:
                 self.monitor.agents_source = self.lease_server.agents_snapshot
 
@@ -581,10 +582,10 @@ class Engine:
                 phase_times=result.phase_times,
                 backend=info.backend or self._default_backend,
             )
-            self.metrics.record_reuse(info.reuse)
+            self.metrics.fold(info.reuse)
             self.metrics.record_resources(info.resources)
             if info.agent is not None:
-                self.metrics.record_agent_run(info.agent, wall)
+                self.metrics.remote_runs += 1
                 obs_trace.emit_span(
                     "remote_run",
                     time.monotonic() - wall,
@@ -657,22 +658,16 @@ class Engine:
             )
         # Fold in parent-side store traffic (SimPoint selections, inline
         # trace loads); worker-side traffic arrived via RunInfo.reuse.
-        self.metrics.record_reuse(trace_store.consume_counters())
-        self.metrics.record_reuse(checkpoint.consume_counters())
+        self.metrics.fold(trace_store.consume_counters())
+        self.metrics.fold(checkpoint.consume_counters())
         if self.lease_server is not None:
-            self.metrics.record_remote(self.lease_server.consume_counters())
+            self.metrics.fold(self.lease_server.consume_counters())
             # Remote per-phase observations stream back over the lease
             # connections; fold them into the same per-family attribution
             # the local pool feeds so reports see one unified table.
             remote_phases = self.lease_server.consume_remote_phases()
             for family, phase_times in remote_phases.items():
                 self.metrics.record_phases(family, phase_times)
-            for row in self.lease_server.agents_snapshot():
-                self.metrics.record_agent_artifacts(
-                    row["agent"],
-                    row.get("artifact_hits", 0),
-                    row.get("artifact_misses", 0),
-                )
         if self.store is not None:
             self.metrics.store_corrupt_entries += (
                 self.store.consume_corrupt_entries()

@@ -1,4 +1,11 @@
-"""Engine observability: run counters, throughput, progress streaming.
+"""Engine observability: the metric registry, run counters, progress.
+
+:data:`METRICS` declares every measured scalar in ``engine-stats.json``
+once -- name, unit, help text and how ``report compare`` treats it -- and
+:data:`SERIES` declares the labelled and live Prometheus series.
+``engine-stats.json``, ``live.json``, the Prometheus textfile, sweep
+history, ``report compare`` and the dashboard all iterate these tuples
+instead of naming counters, so a new metric is one registry entry.
 
 :class:`EngineMetrics` accumulates over an engine's lifetime and
 serializes to the machine-readable ``engine-stats.json``;
@@ -14,14 +21,220 @@ the executor ends in exactly one terminal state, so
 from __future__ import annotations
 
 import json
-import os
 import sys
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO
+from typing import Callable, Dict, List, Optional, TextIO
+
+from repro.obs.trace import atomic_write
+
+#: ``Metric.compare`` for counters that must match between two sweeps
+#: of the same grid (a mismatch is drift, not a regression).
+EXACT = "exact"
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One declared metric, exported as ``repro_sweep_<name>``.
+
+    ``compare`` is :data:`EXACT`, a ``(relative, floor)`` noise band (a
+    rise beyond ``max(relative * base, floor)`` is a regression), or
+    None (not compared).  ``path`` is the dotted engine-stats location
+    (default ``name``); for a labelled series it is ``table[.field]``,
+    one sample per ``table`` entry.  ``derive`` computes the value from
+    the other values instead of accumulating it.  ``column`` names the
+    metric's sweep-history column, showing the value times ``scale``.
+    """
+
+    name: str
+    unit: str
+    help: str
+    compare: object = None
+    path: str = ""
+    derive: Optional[Callable[[dict], object]] = None
+    column: str = ""
+    scale: float = 1.0
+    label: str = ""
+
+    @property
+    def key(self) -> str:
+        return self.path or self.name
+
+    def value(self, stats: dict, default=None):
+        """The value at :attr:`key` in ``stats`` (``default`` if absent)."""
+        node = stats
+        for part in self.key.split("."):
+            if not isinstance(node, dict):
+                return default
+            node = node.get(part)
+        return default if node is None else node
+
+
+def _ratio(numerator: str, denominator: str) -> Callable[[dict], float]:
+    def derive(values: dict) -> float:
+        base = values.get(denominator, 0)
+        return values.get(numerator, 0) / base if base > 0 else 0.0
+
+    return derive
+
+
+def _hit_rate(values: dict) -> float:
+    hits = values.get("memory_hits", 0) + values.get("cache_hits", 0)
+    served = hits + values.get("runs_launched", 0)
+    return hits / served if served else 0.0
+
+
+def _agents_connected(source: dict) -> Optional[int]:
+    agents = source.get("agents")
+    if agents is None:
+        return None
+    return sum(1 for entry in agents if entry.get("state") != "lost")
+
+
+#: Sweep-level timing band: the relative part absorbs proportional
+#: jitter; the floor keeps tiny sweeps, where scheduler noise dwarfs
+#: the signal, from flagging spurious regressions.
+_SWEEP_BAND = (0.75, 2.0)
+
+#: Every measured ``engine-stats.json`` scalar (engine settings such as
+#: ``jobs`` are added beside them).  ``report compare`` lists them in
+#: this order, banded timings before banded sizes.
+METRICS = (
+    Metric("runs_requested", "count",
+           "Run requests submitted, before deduplication.", EXACT),
+    Metric("runs_deduplicated", "count",
+           "Requests collapsed onto an identical run."),
+    Metric("memory_hits", "count",
+           "Unique runs answered by the in-process cache."),
+    Metric("resumed", "count", "Journal-completed runs skipped on --resume."),
+    Metric("runs_launched", "count", "Unique runs handed to the executor.",
+           EXACT, column="runs"),
+    Metric("runs_succeeded", "count", "Launched runs that produced a result.",
+           EXACT),
+    Metric("cache_hits", "count",
+           "Unique runs answered by the persistent result store.", EXACT),
+    Metric("hit_rate", "ratio",
+           "Share of unique runs served from any cache layer.",
+           derive=_hit_rate),
+    Metric("failures", "count", "Runs that exhausted their retry budget.",
+           EXACT),
+    Metric("quarantined", "count",
+           "Poison runs quarantined after failing identically twice.", EXACT),
+    Metric("retries", "count", "Re-executions after a failed attempt.", EXACT),
+    Metric("timeouts", "count", "Attempts reaped by the run-timeout watchdog."),
+    Metric("crashes", "count", "Attempts lost to a dead worker process."),
+    Metric("degradations", "count",
+           "Runs retried on a lower kernel-backend tier."),
+    Metric("store_corrupt_entries", "count",
+           "Result-store reads rejected by the payload checksum "
+           "(each reads as a miss and is regenerated)."),
+    Metric("batches", "count", "Config-batched simulation passes completed.",
+           EXACT),
+    Metric("batched_runs", "count", "Runs served by a config-batched pass.",
+           EXACT),
+    Metric("configs_per_batch", "runs", "Mean runs per config-batched pass.",
+           derive=_ratio("batched_runs", "batches")),
+    Metric("remote_runs", "count", "Runs completed by remote worker agents.",
+           EXACT),
+    Metric("agents_joined", "count",
+           "Worker agents that completed a handshake."),
+    Metric("agents_lost", "count", "Worker agents whose heartbeats stopped."),
+    Metric("leases_granted", "count", "Leases granted to remote agents."),
+    Metric("lease_expiries", "count",
+           "Leases reclaimed from dead or partitioned agents."),
+    Metric("lease_requeues", "count", "Expired leases requeued uncharged."),
+    Metric("duplicate_completions", "count",
+           "At-least-once redeliveries deduplicated."),
+    Metric("stale_completions", "count",
+           "Completions for leases already requeued."),
+    Metric("remote_batch_explodes", "count",
+           "Batch leases exploded into singletons by a member fault."),
+    Metric("artifact_fetches", "count",
+           "Trace/checkpoint artifacts agents fetched over the wire."),
+    Metric("artifact_refetches", "count",
+           "Artifact re-fetches after a failed verification."),
+    Metric("artifact_corrupt_chunks", "count",
+           "Artifact transfers rejected by their sha256."),
+    Metric("trace_cache_hits", "count",
+           "Traces served memory-mapped from the trace store."),
+    Metric("trace_cache_misses", "count",
+           "Traces generated (and stored) fresh."),
+    Metric("checkpoint_hits", "count",
+           "Prefix warmings resumed from a checkpoint."),
+    Metric("checkpoint_misses", "count",
+           "Prefix warmings replayed from instruction zero."),
+    Metric("instructions_skipped", "instructions",
+           "Warming instructions checkpoints saved."),
+    Metric("instructions", "instructions",
+           "Instructions simulated (detailed and warming).", EXACT),
+    Metric("instructions_per_second", "instructions/s",
+           "Simulated instructions per second of run wall time.",
+           derive=_ratio("instructions", "wall_time_s")),
+    Metric("wall_time_s", "s", "Sum of per-run execution wall time.",
+           _SWEEP_BAND),
+    Metric("batch_time_s", "s", "End-to-end run_many() wall time.",
+           _SWEEP_BAND, column="batch_s"),
+    Metric("run_rss_bytes", "bytes",
+           "Peak resident-set size observed by any run this sweep.",
+           (0.50, 64e6), path="resources.max_rss_bytes",
+           column="max_rss_mb", scale=1e-6),
+    Metric("run_cpu_seconds", "s",
+           "Total CPU time (user+system) burned by this sweep's runs.",
+           _SWEEP_BAND, path="resources.cpu_time_s", column="cpu_s"),
+)
+
+#: Labelled and live Prometheus series, in textfile order.  The
+#: ``live`` table is the in-flight tracker's counts; ``per_agent``
+#: fields are the lease ledger's per-agent row keys.
+SERIES = (
+    Metric("failures_by_kind", "count", "Terminal run failures by error kind.",
+           path="failures_by_kind", label="kind"),
+    Metric("family_runs", "count", "Executed runs per technique family.",
+           path="per_family.runs", label="family"),
+    Metric("family_wall_time_seconds", "s",
+           "Run wall time per technique family.",
+           path="per_family.wall_time_s", label="family"),
+    Metric("in_flight", "count",
+           "Runs executing right now (batch members counted individually).",
+           path="live.in_flight"),
+    Metric("queued", "count",
+           "Runs waiting to execute (batch members counted individually).",
+           path="live.queued"),
+    Metric("agents_connected", "count",
+           "Remote worker agents currently connected.",
+           derive=_agents_connected),
+    Metric("agent_runs", "count", "Runs completed per remote worker agent.",
+           path="per_agent.runs", label="agent"),
+    Metric("agent_wall_time_seconds", "s",
+           "Run wall time per remote worker agent.",
+           path="per_agent.wall_time_s", label="agent"),
+    Metric("agent_artifact_hits", "count",
+           "Artifact-store probe hits per remote worker agent.",
+           path="per_agent.artifact_hits", label="agent"),
+    Metric("agent_artifact_misses", "count",
+           "Artifact-store probe misses per remote worker agent.",
+           path="per_agent.artifact_misses", label="agent"),
+)
+
+#: Per-agent row fields kept in ``engine-stats.json``'s ``per_agent``.
+AGENT_FIELDS = tuple(
+    m.key.split(".", 1)[1] for m in SERIES if m.key.startswith("per_agent.")
+)
+
+
+def artifact_hit_rate(agent: dict) -> str:
+    """An agent row's artifact-store probe hit rate ("-" before any)."""
+    hits = int(agent.get("artifact_hits", 0) or 0)
+    probes = hits + int(agent.get("artifact_misses", 0) or 0)
+    return f"{100.0 * hits / probes:.1f}%" if probes else "-"
+
+
+#: Registered metrics accumulated by :class:`EngineMetrics` (the rest
+#: are derived or live in a nested section).
+_COUNTERS = tuple(m for m in METRICS if m.derive is None and m.path == "")
+_DERIVED = {m.name: m.derive for m in METRICS if m.derive is not None}
 
 
 def _percentile(samples: List[float], fraction: float) -> float:
@@ -35,11 +248,11 @@ def _percentile(samples: List[float], fraction: float) -> float:
     return ordered[rank]
 
 
-def _histogram(samples: List[float]) -> Dict[str, float]:
+def _histogram(samples: List[float], suffix: str = "_s") -> Dict[str, float]:
     return {
-        "p50_s": _percentile(samples, 0.50),
-        "p90_s": _percentile(samples, 0.90),
-        "max_s": max(samples) if samples else 0.0,
+        f"p50{suffix}": _percentile(samples, 0.50),
+        f"p90{suffix}": _percentile(samples, 0.90),
+        f"max{suffix}": max(samples) if samples else 0.0,
     }
 
 
@@ -56,16 +269,13 @@ class PhaseBucket:
         self.instructions += instructions
         self.samples.append(seconds)
 
-
-@dataclass
-class FamilyMetrics:
-    """Per-technique-family execution totals."""
-
-    runs: int = 0
-    wall_time_s: float = 0.0
-    instructions: int = 0
-    wall_samples: List[float] = field(default_factory=list)
-    phases: Dict[str, PhaseBucket] = field(default_factory=dict)
+    def summary(self) -> Dict[str, object]:
+        return {
+            "seconds": self.seconds,
+            "instructions": self.instructions,
+            "samples": len(self.samples),
+            **_histogram(self.samples),
+        }
 
 
 @dataclass
@@ -76,76 +286,102 @@ class BackendMetrics:
     wall_time_s: float = 0.0
     wall_samples: List[float] = field(default_factory=list)
 
+    def add(self, wall: float) -> None:
+        self.runs += 1
+        self.wall_time_s += wall
+        self.wall_samples.append(wall)
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "runs": self.runs,
+            "wall_time_s": self.wall_time_s,
+            "wall": _histogram(self.wall_samples),
+        }
+
 
 @dataclass
-class AgentMetrics:
-    """Per-remote-agent execution totals (distributed sweeps)."""
+class FamilyMetrics(BackendMetrics):
+    """Per-technique-family execution totals."""
 
-    runs: int = 0
-    wall_time_s: float = 0.0
-    artifact_hits: int = 0    # local artifact-store probe hits
-    artifact_misses: int = 0  # probe misses (fetched or regenerated)
+    instructions: int = 0
+    phases: Dict[str, PhaseBucket] = field(default_factory=dict)
+
+    def add_phases(self, phase_times: Dict[str, Dict[str, float]]) -> None:
+        for phase, entry in phase_times.items():
+            self.phases.setdefault(phase, PhaseBucket()).add(
+                float(entry.get("seconds", 0.0)),
+                int(entry.get("instructions", 0)),
+            )
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            **super().summary(),
+            "instructions": self.instructions,
+            "phases": {
+                phase: bucket.summary()
+                for phase, bucket in sorted(self.phases.items())
+            },
+        }
 
 
-@dataclass
 class EngineMetrics:
-    """Counters for one engine's lifetime (possibly many batches)."""
+    """Counters for one engine's lifetime (possibly many batches).
 
-    runs_requested: int = 0     # requests submitted, before dedup
-    runs_deduplicated: int = 0  # requests collapsed onto an identical run
-    memory_hits: int = 0        # unique runs answered by the in-process cache
-    cache_hits: int = 0         # unique runs answered by the persistent store
-    resumed: int = 0            # journal-completed runs skipped on --resume
-    runs_launched: int = 0      # unique runs handed to the executor
-    runs_succeeded: int = 0     # launched runs that produced a result
-    retries: int = 0            # re-executions after a failed attempt
-    failures: int = 0           # runs that exhausted their retry budget
-    quarantined: int = 0        # poison runs (identical failure twice)
-    timeouts: int = 0           # attempts reaped by the watchdog
-    crashes: int = 0            # attempts lost to a dead worker process
-    degradations: int = 0       # runs retried on a lower backend tier
-    batches: int = 0            # config-batched passes completed
-    batched_runs: int = 0       # runs served by a config-batched pass
-    # Distributed scheduling (lease server + remote worker agents):
-    agents_joined: int = 0      # worker agents that completed a handshake
-    agents_lost: int = 0        # agents whose heartbeats stopped
-    leases_granted: int = 0     # runs leased to remote agents
-    lease_expiries: int = 0     # leases reclaimed (dead/partitioned agent)
-    lease_requeues: int = 0     # expired leases requeued uncharged
-    remote_runs: int = 0        # runs completed by remote agents
-    duplicate_completions: int = 0  # at-least-once redeliveries deduped
-    stale_completions: int = 0  # completions for leases already requeued
-    remote_batch_explodes: int = 0  # batch leases exploded by a member fault
-    artifact_fetches: int = 0   # artifacts agents fetched over the wire
-    artifact_refetches: int = 0  # re-fetches after a failed verification
-    artifact_corrupt_chunks: int = 0  # transfers rejected by the sha256
-    store_corrupt_entries: int = 0  # store reads rejected by the checksum
-    # Shared-state reuse (trace store + warm-state checkpoints):
-    trace_cache_hits: int = 0   # traces served memory-mapped from the store
-    trace_cache_misses: int = 0  # traces generated (and stored) fresh
-    checkpoint_hits: int = 0    # prefix warmings resumed from a checkpoint
-    checkpoint_misses: int = 0  # prefix warmings that replayed from zero
-    instructions_skipped: int = 0  # warming instructions checkpoints saved
-    wall_time_s: float = 0.0    # sum of per-run execution wall time
-    batch_time_s: float = 0.0   # end-to-end run_many() wall time
-    instructions: int = 0       # instructions simulated (detailed + warm)
-    # Per-run resource telemetry (see repro.obs.resources):
-    max_rss_bytes: int = 0      # peak resident set observed by any run
-    cpu_time_s: float = 0.0     # CPU seconds runs burned (user + system)
-    cpu_user_s: float = 0.0
-    cpu_system_s: float = 0.0
-    run_rss_samples: List[float] = field(default_factory=list)
-    run_cpu_samples: List[float] = field(default_factory=list)
-    per_family: Dict[str, FamilyMetrics] = field(default_factory=dict)
-    per_backend: Dict[str, BackendMetrics] = field(default_factory=dict)
-    per_agent: Dict[str, AgentMetrics] = field(default_factory=dict)
-    #: Every terminal failure kind, counted (timeout/crash also keep
-    #: their dedicated counters for backwards compatibility).
-    failures_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Terminal failures: {"run", "kind", "error", "attempts", "quarantined"}.
-    failed_runs: List[Dict[str, object]] = field(default_factory=list)
-    #: Backend degradations: {"run", "from", "to"}.
-    degraded_runs: List[Dict[str, object]] = field(default_factory=list)
+    Every :data:`METRICS` entry reads as an attribute of the same name;
+    accumulated ones are also assignable (``metrics.retries += 1``).
+    ``agents_source`` (the lease ledger's ``agents_snapshot``, for a
+    distributed sweep) is the one source of the ``per_agent`` table.
+    """
+
+    def __init__(
+        self, agents_source: Optional[Callable[[], List[dict]]] = None
+    ) -> None:
+        self.__dict__["_values"] = {
+            m.name: 0.0 if m.unit == "s" else 0 for m in _COUNTERS
+        }
+        self.agents_source = agents_source
+        self.per_family: Dict[str, FamilyMetrics] = {}
+        self.per_backend: Dict[str, BackendMetrics] = {}
+        #: Every terminal failure kind, counted (timeout/crash also keep
+        #: their dedicated counters for backwards compatibility).
+        self.failures_by_kind: Dict[str, int] = {}
+        #: Terminal failures: {"run", "kind", "error", "attempts", "quarantined"}.
+        self.failed_runs: List[Dict[str, object]] = []
+        #: Backend degradations: {"run", "from", "to"}.
+        self.degraded_runs: List[Dict[str, object]] = []
+        # Per-run resource telemetry (see repro.obs.resources).
+        self.max_rss_bytes = 0
+        self.cpu_time_s = 0.0
+        self.cpu_user_s = 0.0
+        self.cpu_system_s = 0.0
+        self.run_rss_samples: List[float] = []
+        self.run_cpu_samples: List[float] = []
+
+    def __getattr__(self, name: str):
+        values = self.__dict__.get("_values", {})
+        if name in values:
+            return values[name]
+        if name in _DERIVED:
+            return _DERIVED[name](values)
+        raise AttributeError(name)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._values:
+            self._values[name] = value
+        else:
+            object.__setattr__(self, name, value)
+
+    def fold(self, deltas: Dict[str, int]) -> None:
+        """Add one counter delta (trace store, checkpoints, lease
+        ledger, a run's reuse counts) into the totals.
+
+        Raises ValueError on a name :data:`METRICS` does not accumulate,
+        so a new producer counter cannot be silently dropped.
+        """
+        for name, amount in deltas.items():
+            if name not in self._values:
+                raise ValueError(f"unregistered metric delta {name!r}")
+            self._values[name] += amount
 
     def record_execution(
         self,
@@ -159,27 +395,12 @@ class EngineMetrics:
         self.wall_time_s += wall
         self.instructions += instructions
         bucket = self.per_family.setdefault(family, FamilyMetrics())
-        bucket.runs += 1
-        bucket.wall_time_s += wall
+        bucket.add(wall)
         bucket.instructions += instructions
-        bucket.wall_samples.append(wall)
         if phase_times:
-            self._add_phases(bucket, phase_times)
+            bucket.add_phases(phase_times)
         if backend:
-            backend_bucket = self.per_backend.setdefault(backend, BackendMetrics())
-            backend_bucket.runs += 1
-            backend_bucket.wall_time_s += wall
-            backend_bucket.wall_samples.append(wall)
-
-    @staticmethod
-    def _add_phases(
-        bucket: FamilyMetrics, phase_times: Dict[str, Dict[str, float]]
-    ) -> None:
-        for phase, entry in phase_times.items():
-            bucket.phases.setdefault(phase, PhaseBucket()).add(
-                float(entry.get("seconds", 0.0)),
-                int(entry.get("instructions", 0)),
-            )
+            self.per_backend.setdefault(backend, BackendMetrics()).add(wall)
 
     def record_phases(
         self, family: str, phase_times: Dict[str, Dict[str, float]]
@@ -187,8 +408,8 @@ class EngineMetrics:
         """Attribute phases that ran outside a run's wall time (e.g.
         supervisor-side SimPoint selection) to ``family``."""
         if phase_times:
-            self._add_phases(
-                self.per_family.setdefault(family, FamilyMetrics()), phase_times
+            self.per_family.setdefault(family, FamilyMetrics()).add_phases(
+                phase_times
             )
 
     def record_failure(
@@ -218,44 +439,6 @@ class EngineMetrics:
             }
         )
 
-    def record_reuse(self, counters: Dict[str, int]) -> None:
-        """Fold one trace-store/checkpoint counter delta into the totals."""
-        self.trace_cache_hits += counters.get("trace_cache_hits", 0)
-        self.trace_cache_misses += counters.get("trace_cache_misses", 0)
-        self.checkpoint_hits += counters.get("checkpoint_hits", 0)
-        self.checkpoint_misses += counters.get("checkpoint_misses", 0)
-        self.instructions_skipped += counters.get("instructions_skipped", 0)
-
-    def record_remote(self, counters: Dict[str, int]) -> None:
-        """Fold one lease-server counter delta into the totals."""
-        self.agents_joined += counters.get("agents_joined", 0)
-        self.agents_lost += counters.get("agents_lost", 0)
-        self.leases_granted += counters.get("leases_granted", 0)
-        self.lease_expiries += counters.get("lease_expiries", 0)
-        self.lease_requeues += counters.get("lease_requeues", 0)
-        self.duplicate_completions += counters.get("duplicate_completions", 0)
-        self.stale_completions += counters.get("stale_completions", 0)
-        self.remote_batch_explodes += counters.get("remote_batch_explodes", 0)
-        self.artifact_fetches += counters.get("artifact_fetches", 0)
-        self.artifact_refetches += counters.get("artifact_refetches", 0)
-        self.artifact_corrupt_chunks += counters.get(
-            "artifact_corrupt_chunks", 0
-        )
-
-    def record_agent_run(self, agent: str, wall: float) -> None:
-        """Attribute one remotely-executed run to its worker agent."""
-        self.remote_runs += 1
-        bucket = self.per_agent.setdefault(agent, AgentMetrics())
-        bucket.runs += 1
-        bucket.wall_time_s += wall
-
-    def record_agent_artifacts(self, agent: str, hits: int, misses: int) -> None:
-        """Set one agent's cumulative artifact-cache probe counters
-        (the lease ledger's registry entry is authoritative)."""
-        bucket = self.per_agent.setdefault(agent, AgentMetrics())
-        bucket.artifact_hits = hits
-        bucket.artifact_misses = misses
-
     def record_resources(self, resources: Optional[Dict[str, float]]) -> None:
         """Fold one run's resource sample (RSS high-water, CPU time)
         into the totals; None (unmeasured platform) is a no-op."""
@@ -276,125 +459,44 @@ class EngineMetrics:
             {"run": description, "from": from_backend, "to": to_backend}
         )
 
-    @property
-    def instructions_per_second(self) -> float:
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.instructions / self.wall_time_s
+    def _resources(self) -> Dict[str, object]:
+        return {
+            "max_rss_bytes": self.max_rss_bytes,
+            "cpu_time_s": self.cpu_time_s,
+            "cpu_user_s": self.cpu_user_s,
+            "cpu_system_s": self.cpu_system_s,
+            "samples": len(self.run_cpu_samples),
+            "run_rss_bytes": _histogram(self.run_rss_samples, ""),
+            "run_cpu_s": _histogram(self.run_cpu_samples, ""),
+        }
 
-    @property
-    def hit_rate(self) -> float:
-        """Share of unique runs served from any cache layer."""
-        served = self.memory_hits + self.cache_hits + self.runs_launched
-        if not served:
-            return 0.0
-        return (self.memory_hits + self.cache_hits) / served
+    def _per_agent(self) -> Dict[str, Dict[str, object]]:
+        rows = self.agents_source() if self.agents_source is not None else []
+        return {
+            row["agent"]: {name: row.get(name, 0) for name in AGENT_FIELDS}
+            for row in rows
+        }
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "runs_requested": self.runs_requested,
-            "runs_deduplicated": self.runs_deduplicated,
-            "memory_hits": self.memory_hits,
-            "cache_hits": self.cache_hits,
-            "resumed": self.resumed,
-            "runs_launched": self.runs_launched,
-            "runs_succeeded": self.runs_succeeded,
-            "retries": self.retries,
-            "failures": self.failures,
-            "quarantined": self.quarantined,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "degradations": self.degradations,
-            "batches": self.batches,
-            "batched_runs": self.batched_runs,
-            "agents_joined": self.agents_joined,
-            "agents_lost": self.agents_lost,
-            "leases_granted": self.leases_granted,
-            "lease_expiries": self.lease_expiries,
-            "lease_requeues": self.lease_requeues,
-            "remote_runs": self.remote_runs,
-            "duplicate_completions": self.duplicate_completions,
-            "stale_completions": self.stale_completions,
-            "remote_batch_explodes": self.remote_batch_explodes,
-            "artifact_fetches": self.artifact_fetches,
-            "artifact_refetches": self.artifact_refetches,
-            "artifact_corrupt_chunks": self.artifact_corrupt_chunks,
-            "store_corrupt_entries": self.store_corrupt_entries,
-            "configs_per_batch": (
-                self.batched_runs / self.batches if self.batches else 0.0
-            ),
-            "trace_cache_hits": self.trace_cache_hits,
-            "trace_cache_misses": self.trace_cache_misses,
-            "checkpoint_hits": self.checkpoint_hits,
-            "checkpoint_misses": self.checkpoint_misses,
-            "instructions_skipped": self.instructions_skipped,
-            "hit_rate": self.hit_rate,
-            "wall_time_s": self.wall_time_s,
-            "batch_time_s": self.batch_time_s,
-            "instructions": self.instructions,
-            "instructions_per_second": self.instructions_per_second,
-            "resources": {
-                "max_rss_bytes": self.max_rss_bytes,
-                "cpu_time_s": self.cpu_time_s,
-                "cpu_user_s": self.cpu_user_s,
-                "cpu_system_s": self.cpu_system_s,
-                "samples": len(self.run_cpu_samples),
-                "run_rss_bytes": {
-                    "p50": _percentile(self.run_rss_samples, 0.50),
-                    "p90": _percentile(self.run_rss_samples, 0.90),
-                    "max": (
-                        max(self.run_rss_samples)
-                        if self.run_rss_samples else 0.0
-                    ),
-                },
-                "run_cpu_s": {
-                    "p50": _percentile(self.run_cpu_samples, 0.50),
-                    "p90": _percentile(self.run_cpu_samples, 0.90),
-                    "max": (
-                        max(self.run_cpu_samples)
-                        if self.run_cpu_samples else 0.0
-                    ),
-                },
-            },
-            "failures_by_kind": dict(sorted(self.failures_by_kind.items())),
-            "per_family": {
-                family: {
-                    "runs": bucket.runs,
-                    "wall_time_s": bucket.wall_time_s,
-                    "instructions": bucket.instructions,
-                    "wall": _histogram(bucket.wall_samples),
-                    "phases": {
-                        phase: {
-                            "seconds": phase_bucket.seconds,
-                            "instructions": phase_bucket.instructions,
-                            "samples": len(phase_bucket.samples),
-                            **_histogram(phase_bucket.samples),
-                        }
-                        for phase, phase_bucket in sorted(bucket.phases.items())
-                    },
-                }
+        document: Dict[str, object] = {
+            m.name: getattr(self, m.name) for m in METRICS if not m.path
+        }
+        document.update(
+            resources=self._resources(),
+            failures_by_kind=dict(sorted(self.failures_by_kind.items())),
+            per_family={
+                family: bucket.summary()
                 for family, bucket in sorted(self.per_family.items())
             },
-            "per_backend": {
-                backend: {
-                    "runs": bucket.runs,
-                    "wall_time_s": bucket.wall_time_s,
-                    "wall": _histogram(bucket.wall_samples),
-                }
+            per_backend={
+                backend: bucket.summary()
                 for backend, bucket in sorted(self.per_backend.items())
             },
-            "per_agent": {
-                agent: {
-                    "runs": bucket.runs,
-                    "wall_time_s": bucket.wall_time_s,
-                    "artifact_hits": bucket.artifact_hits,
-                    "artifact_misses": bucket.artifact_misses,
-                }
-                for agent, bucket in sorted(self.per_agent.items())
-            },
-            "failed_runs": list(self.failed_runs),
-            "degraded_runs": list(self.degraded_runs),
-        }
+            per_agent=self._per_agent(),
+            failed_runs=list(self.failed_runs),
+            degraded_runs=list(self.degraded_runs),
+        )
+        return document
 
     def write_json(self, path: Path, extra: Optional[Dict[str, object]] = None) -> None:
         """Write ``engine-stats.json`` (snapshot plus engine context).
@@ -406,22 +508,7 @@ class EngineMetrics:
         document = self.snapshot()
         if extra:
             document.update(extra)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 class ProgressReporter:

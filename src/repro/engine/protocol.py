@@ -384,7 +384,8 @@ class LeaseLedger:
         return phases
 
     def agents_snapshot(self) -> List[dict]:
-        """Connected-agent view for live telemetry."""
+        """Per-agent rows: live telemetry and ``engine-stats.json``'s
+        ``per_agent`` table both read this one view."""
         now = self.clock()
         with self._lock:
             return [
@@ -394,7 +395,7 @@ class LeaseLedger:
                     "pid": entry.pid,
                     "state": entry.state,
                     "runs": entry.runs,
-                    "wall_time_s": round(entry.wall_time_s, 3),
+                    "wall_time_s": entry.wall_time_s,
                     "idle_s": round(max(0.0, now - entry.last_seen), 3),
                     "phase": entry.phase,
                     "artifact_hits": entry.artifact_hits,

@@ -2,7 +2,12 @@
 
 The engine and the simulation layers emit three kinds of signal through
 this package, all of them parity-safe (they carry *no* simulation
-state, so traced and untraced sweeps produce bit-identical results):
+state, so traced and untraced sweeps produce bit-identical results).
+Every engine counter these modules render -- in ``live.json``, the
+Prometheus textfile, history records, ``report compare`` and the
+dashboard -- is declared once in the metric registry
+(:data:`repro.engine.metrics.METRICS` and ``SERIES``), and these
+modules iterate the registry instead of naming counters themselves.
 
 :mod:`repro.obs.trace`
     A low-overhead structured event/span tracer.  Workers append JSONL

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.metrics import AGENT_FIELDS, METRICS, artifact_hit_rate
 from repro.obs import history as obs_history
 from repro.obs.live import LIVE_FILENAME
 
@@ -113,6 +114,11 @@ def _bench_files(bench_dir: Optional[Path]) -> List[Tuple[str, dict]]:
     return reports
 
 
+def _cell(value: object) -> str:
+    """An escaped table cell; floats keep six significant digits."""
+    return _esc(f"{value:.6g}" if isinstance(value, float) else value)
+
+
 def _num(value: object) -> float:
     """Lenient numeric coercion (summary rows use "-" for absent)."""
     try:
@@ -137,36 +143,29 @@ def _history_section(records: List[dict]) -> str:
     if not sweeps:
         return _section(
             "Sweep history",
-            '<p class="muted">No sweeps recorded yet. Run a sweep with '
-            "history enabled (<code>--history</code> / "
-            "<code>REPRO_HISTORY=1</code>).</p>",
+            '<p class="muted">No sweeps recorded yet. Every sweep run '
+            "with a cache directory records one unless "
+            "<code>--no-history</code> is given.</p>",
         )
     rows = [obs_history.summary_row(r) for r in sweeps]
+    measured = {metric.column for metric in METRICS if metric.column}
     trends = _table(
         ("metric", "trend (oldest &rarr; newest)"),
         [
-            ("batch wall time (s)",
-             sparkline([_num(r["batch_s"]) for r in rows], "s")),
-            ("CPU time (s)",
-             sparkline([_num(r["cpu_s"]) for r in rows], "s")),
-            ("peak RSS (MB)",
-             sparkline([_num(r["max_rss_mb"]) for r in rows], "MB")),
-            ("runs",
-             sparkline([_num(r["runs"]) for r in rows])),
+            (_esc(column), sparkline([_num(row[column]) for row in rows]))
+            for column in obs_history.HISTORY_COLUMNS if column in measured
         ],
     )
     recent = _table(
-        ("id", "when", "backend", "runs", "batch_s", "cpu_s", "max_rss_mb",
-         "host", "label"),
-        [
-            [_esc(r["id"]), _esc(r["when"]), _esc(r["backend"]),
-             _esc(r["runs"]), _esc(r["batch_s"]), _esc(r["cpu_s"]),
-             _esc(r["max_rss_mb"]), _esc(r["host"]), _esc(r["label"])]
-            for r in rows[-20:]
-        ],
+        obs_history.HISTORY_COLUMNS,
+        [[_cell(cell) for cell in row.values()] for row in rows[-20:]],
     )
     note = f"{len(sweeps)} recorded sweep(s); table shows the last 20."
     return _section("Sweep history", trends + recent, note)
+
+
+#: ``LeaseLedger.agents_snapshot`` fields in the live agents table.
+_LIVE_AGENT_FIELDS = ("agent", "state", "runs", "idle_s", "phase")
 
 
 def _live_section(live: Optional[dict]) -> str:
@@ -186,21 +185,18 @@ def _live_section(live: Optional[dict]) -> str:
         ("in-flight runs",
          _esc(live.get("in_flight_runs", len(live.get("in_flight") or [])))),
         ("queued runs", _esc(live.get("queued", 0))),
-        ("runs succeeded", _esc(metrics.get("runs_succeeded", 0))),
-        ("cache hits", _esc(metrics.get("cache_hits", 0))),
-        ("failures", _esc(metrics.get("failures", 0))),
+    ] + [
+        (f'<span title="{_esc(metric.help)}">{_esc(metric.key)}</span>',
+         _cell(metric.value(metrics)))
+        for metric in METRICS if metric.value(metrics)
     ]
     body = _table(("fact", "value"), facts)
     agents = live.get("agents") or []
     if agents:
         body += "<h3>Connected agents</h3>" + _table(
-            ("agent", "leases", "last heartbeat"),
-            [
-                [_esc(a.get("agent", a.get("name", "-"))),
-                 _esc(a.get("leases", a.get("runs", "-"))),
-                 _esc(_strftime(a.get("last_heartbeat_unix")))]
-                for a in agents
-            ],
+            _LIVE_AGENT_FIELDS,
+            [[_cell(a.get(name, "-")) for name in _LIVE_AGENT_FIELDS]
+             for a in agents],
         )
     return _section("Live sweep", body)
 
@@ -218,21 +214,15 @@ def _agents_section(records: List[dict], live: Optional[dict]) -> str:
             '<p class="muted">No per-agent stats recorded (the most '
             "recent sweep was not distributed).</p>",
         )
-    rows = []
-    for agent, entry in sorted(per_agent.items()):
-        hits = int(entry.get("artifact_hits", 0) or 0)
-        misses = int(entry.get("artifact_misses", 0) or 0)
-        probes = hits + misses
-        rate = f"{100.0 * hits / probes:.1f}%" if probes else "-"
-        rows.append([
-            _esc(agent), _esc(entry.get("runs", 0)),
-            _esc(round(float(entry.get("wall_time_s", 0.0) or 0.0), 2)),
-            _esc(hits), _esc(misses), _esc(rate),
-        ])
+    rows = [
+        [_esc(agent)]
+        + [_cell(entry.get(name, 0)) for name in AGENT_FIELDS]
+        + [_esc(artifact_hit_rate(entry))]
+        for agent, entry in sorted(per_agent.items())
+    ]
     return _section(
         "Agent artifact hit rates",
-        _table(("agent", "runs", "wall_s", "artifact hits",
-                "artifact misses", "hit rate"), rows),
+        _table(("agent",) + AGENT_FIELDS + ("hit rate",), rows),
         "From the most recent recorded sweep.",
     )
 

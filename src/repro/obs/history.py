@@ -213,12 +213,23 @@ def resolve(records: List[Dict], ref: str) -> Dict:
     return matches[0]
 
 
+#: The sweep-history table, one column list for ``report history`` and
+#: the dashboard: record fields plus every registry metric that
+#: declares a ``column``.
+HISTORY_COLUMNS = (
+    "id", "kind", "when", "backend", "runs", "batch_s", "cpu_s",
+    "max_rss_mb", "host", "label",
+)
+
+
 def summary_row(record: Dict) -> Dict:
-    """Flat listing fields for one record (the ``history`` CLI table)."""
+    """One record's :data:`HISTORY_COLUMNS` cells ("-" when absent)."""
+    # Imported here: repro.engine imports this module at start-up.
+    from repro.engine.metrics import METRICS
+
     stats = record.get("stats") or {}
     sweep = record.get("sweep") or {}
-    resources = stats.get("resources") or {}
-    return {
+    row = {
         "id": str(record.get("id", ""))[:12],
         "kind": record.get("kind", "?"),
         "when": time.strftime(
@@ -228,14 +239,12 @@ def summary_row(record: Dict) -> Dict:
         "backend": str(
             sweep.get("backend") or stats.get("default_backend") or "-"
         ),
-        "runs": stats.get("runs_launched", "-"),
-        "batch_s": stats.get("batch_time_s", "-"),
-        "cpu_s": resources.get("cpu_time_s", "-"),
-        "max_rss_mb": (
-            round(resources.get("max_rss_bytes", 0) / 1e6, 1)
-            if resources.get("max_rss_bytes")
-            else "-"
-        ),
         "host": str(sweep.get("host") or "-"),
         "label": str(record.get("label") or ""),
     }
+    for metric in (m for m in METRICS if m.column):
+        value = metric.value(stats)
+        if metric.scale != 1.0:
+            value = round(value * metric.scale, 1) if value else None
+        row[metric.column] = "-" if value is None else value
+    return {column: row[column] for column in HISTORY_COLUMNS}

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.obs.trace import atomic_write
 
 #: Filename of the live snapshot under the store's versioned directory.
 LIVE_FILENAME = "live.json"
@@ -30,23 +31,6 @@ METRICS_FILE_ENV_VAR = "REPRO_METRICS_FILE"
 
 #: Version of the live.json document format.
 LIVE_SCHEMA_VERSION = 1
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class InflightTracker:
@@ -193,33 +177,20 @@ def _prometheus_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-#: Help strings for the labelled / derived series; plain engine
-#: counters fall back to a generated one-liner.  Every exported series
-#: gets both a ``# HELP`` and a ``# TYPE`` line (the exposition format
-#: lint below enforces it).
-_SERIES_HELP = {
-    "repro_sweep_failures_by_kind": "Terminal run failures by error kind.",
-    "repro_sweep_family_runs": "Executed runs per technique family.",
-    "repro_sweep_family_wall_time_seconds":
-        "Run wall time per technique family.",
-    "repro_sweep_in_flight": "Runs executing right now (batch members "
-        "counted individually).",
-    "repro_sweep_queued": "Runs waiting to execute (batch members "
-        "counted individually).",
-    "repro_sweep_agents_connected": "Remote worker agents currently "
-        "connected.",
-    "repro_sweep_agent_runs": "Runs completed per remote worker agent.",
-    "repro_sweep_agent_wall_time_seconds":
-        "Run wall time per remote worker agent.",
-    "repro_sweep_agent_artifact_hits":
-        "Artifact-store probe hits per remote worker agent.",
-    "repro_sweep_agent_artifact_misses":
-        "Artifact-store probe misses per remote worker agent.",
-    "repro_sweep_run_rss_bytes":
-        "Peak resident-set size observed by any run this sweep.",
-    "repro_sweep_run_cpu_seconds":
-        "Total CPU time (user+system) burned by this sweep's runs.",
-}
+def _samples(metric, source: dict) -> List[Tuple[str, object]]:
+    """(labels, value) samples of one registered series in ``source``."""
+    if not metric.label:
+        value = metric.value(source)
+        if value is None and metric.derive is not None:
+            value = metric.derive(source)
+        return [] if value is None else [("", value)]
+    table, _, column = metric.key.partition(".")
+    return [
+        ('{%s="%s"}' % (metric.label, _prometheus_escape(str(name))),
+         entry.get(column, 0) if column else entry)
+        for name, entry in sorted((source.get(table) or {}).items())
+        if not column or isinstance(entry, dict)
+    ]
 
 
 def render_prometheus(
@@ -227,88 +198,32 @@ def render_prometheus(
     tracker_counts: Dict[str, int],
     agents: Optional[List[dict]] = None,
 ) -> str:
-    """Engine counters as Prometheus textfile-collector lines.
+    """Engine metrics as Prometheus textfile-collector gauges.
 
-    Scalars become ``repro_sweep_<name>`` gauges; per-family run counts
-    and wall time are labelled series; nested objects are skipped.
-    ``agents`` (the lease server's snapshot, when a sweep is
-    distributed) adds connected-agent gauges.  Every series is emitted
-    as one contiguous group with exactly one ``# HELP`` and one
-    ``# TYPE`` preamble, as the exposition format requires
-    (:func:`lint_prometheus` checks the invariant).
+    Every series is declared in :mod:`repro.engine.metrics`: the
+    top-level :data:`METRICS` sorted by name, then the nested ones, then
+    the labelled and live :data:`SERIES` (``tracker_counts`` and the
+    lease server's ``agents`` snapshot, when distributed, feed the live
+    gauges).  Each series is one contiguous group with exactly one
+    ``# HELP`` and one ``# TYPE`` preamble, as the exposition format
+    requires (:func:`lint_prometheus` checks the invariant).
     """
-    order: List[str] = []
-    samples: Dict[str, List[Tuple[str, object]]] = {}
+    # Imported here: repro.engine imports this module at start-up.
+    from repro.engine.metrics import METRICS, SERIES
 
-    def gauge(name: str, value, labels: str = "") -> None:
-        if name not in samples:
-            samples[name] = []
-            order.append(name)
-        samples[name].append((labels, value))
-
-    for name, value in sorted(metrics.items()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        gauge(f"repro_sweep_{name}", value)
-    resources = metrics.get("resources") or {}
-    if isinstance(resources, dict):
-        gauge(
-            "repro_sweep_run_rss_bytes", resources.get("max_rss_bytes", 0)
-        )
-        gauge(
-            "repro_sweep_run_cpu_seconds", resources.get("cpu_time_s", 0.0)
-        )
-    for kind, count in sorted((metrics.get("failures_by_kind") or {}).items()):
-        gauge(
-            "repro_sweep_failures_by_kind",
-            count,
-            '{kind="%s"}' % _prometheus_escape(str(kind)),
-        )
-    for family, stats in sorted((metrics.get("per_family") or {}).items()):
-        label = '{family="%s"}' % _prometheus_escape(str(family))
-        if isinstance(stats, dict):
-            gauge("repro_sweep_family_runs", stats.get("runs", 0), label)
-            gauge(
-                "repro_sweep_family_wall_time_seconds",
-                stats.get("wall_time_s", 0.0),
-                label,
-            )
-    gauge("repro_sweep_in_flight", tracker_counts.get("in_flight", 0))
-    gauge("repro_sweep_queued", tracker_counts.get("queued", 0))
-    if agents is not None:
-        connected = sum(1 for entry in agents if entry.get("state") != "lost")
-        gauge("repro_sweep_agents_connected", connected)
-        for entry in agents:
-            label = '{agent="%s"}' % _prometheus_escape(
-                str(entry.get("agent", ""))
-            )
-            gauge("repro_sweep_agent_runs", entry.get("runs", 0), label)
-            gauge(
-                "repro_sweep_agent_wall_time_seconds",
-                entry.get("wall_time_s", 0.0),
-                label,
-            )
-            gauge(
-                "repro_sweep_agent_artifact_hits",
-                entry.get("artifact_hits", 0),
-                label,
-            )
-            gauge(
-                "repro_sweep_agent_artifact_misses",
-                entry.get("artifact_misses", 0),
-                label,
-            )
+    source = dict(metrics, live=tracker_counts, agents=agents)
+    declared = sorted(
+        (m for m in METRICS if not m.path), key=lambda m: m.name
+    ) + [m for m in METRICS if m.path] + list(SERIES)
     lines: List[str] = []
-    for name in order:
-        help_text = _SERIES_HELP.get(
-            name,
-            "Engine counter "
-            f"{name[len('repro_sweep_'):]} for the current sweep.",
-        )
-        lines.append(f"# HELP {name} {help_text}")
+    for metric in declared:
+        samples = _samples(metric, source)
+        if not samples:
+            continue
+        name = f"repro_sweep_{metric.name}"
+        lines.append(f"# HELP {name} {metric.help}")
         lines.append(f"# TYPE {name} gauge")
-        for labels, value in samples[name]:
-            lines.append(f"{name}{labels} {value}")
+        lines.extend(f"{name}{labels} {value}" for labels, value in samples)
     return "\n".join(lines) + "\n"
 
 
@@ -472,12 +387,12 @@ class LiveMonitor:
             if agents is not None:
                 document["agents"] = agents
             document["metrics"] = metrics
-            _atomic_write(
+            atomic_write(
                 self.live_path,
                 json.dumps(document, indent=2, sort_keys=True, default=str) + "\n",
             )
         if self.metrics_path is not None:
-            _atomic_write(
+            atomic_write(
                 self.metrics_path,
                 render_prometheus(metrics, self.tracker.counts(), agents),
             )

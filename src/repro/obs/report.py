@@ -39,6 +39,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.metrics import EXACT, METRICS
 from repro.obs import history as obs_history
 from repro.obs import phases as obs_phases
 from repro.obs import trace as obs_trace
@@ -305,34 +306,6 @@ def chrome_trace(events: List[dict]) -> dict:
 
 # -- sweep history: list, compare, dashboard ----------------------------------
 
-#: Counters diffed one-to-one between two sweeps.  A mismatch is
-#: reported as drift (the grids differ or runs failed) but is not a
-#: performance regression by itself.
-_COMPARE_COUNTERS = (
-    "runs_requested",
-    "runs_launched",
-    "runs_succeeded",
-    "cache_hits",
-    "failures",
-    "quarantined",
-    "retries",
-    "batches",
-    "batched_runs",
-    "remote_runs",
-    "instructions",
-)
-
-#: Sweep-level timing/resource metrics: dotted stats path ->
-#: (relative tolerance, absolute floor).  The relative part absorbs
-#: proportional jitter; the floor keeps tiny sweeps (where scheduler
-#: noise dwarfs the signal) from flagging spurious regressions.
-_SWEEP_METRICS = (
-    ("wall_time_s", 0.75, 2.0),
-    ("batch_time_s", 0.75, 2.0),
-    ("resources.cpu_time_s", 0.75, 2.0),
-    ("resources.max_rss_bytes", 0.50, 64e6),
-)
-
 #: Phase p50 noise band: relative tolerance on the baseline p50 plus an
 #: absolute floor; the within-sweep p90-p50 spread of *either* sweep
 #: widens the band further (a phase that varies that much between runs
@@ -342,23 +315,16 @@ _PHASE_REL_TOL = 0.5
 _PHASE_ABS_FLOOR_S = 0.005
 
 
-def _stat(stats: dict, dotted: str, default=0.0):
-    node = stats
-    for part in dotted.split("."):
-        if not isinstance(node, dict):
-            return default
-        node = node.get(part)
-    return default if node is None else node
-
-
 def compare_records(base: dict, cand: dict) -> dict:
     """Aligned diff of two sweep-history records.
 
     Returns ``{"rows": [...], "regressions": [...], "aligned": bool}``;
     each row is ``(metric, base, cand, band, status)`` with status one
-    of ``ok`` / ``drift`` / ``improved`` / ``REGRESSION``.  Only shifts
-    *beyond the noise band in the slow/expensive direction* are
-    regressions; counter mismatches are drift.
+    of ``ok`` / ``drift`` / ``improved`` / ``REGRESSION``.  Each
+    registered metric is compared as its ``compare`` declares: exact
+    counters first (a mismatch is drift), then noise-banded timings and
+    resources, where only a shift *beyond the band in the
+    slow/expensive direction* is a regression.
     """
     base_stats = base.get("stats") or {}
     cand_stats = cand.get("stats") or {}
@@ -375,23 +341,25 @@ def compare_records(base: dict, cand: dict) -> dict:
              "-", "drift")
         )
 
-    for counter in _COMPARE_COUNTERS:
-        base_value = _stat(base_stats, counter, 0)
-        cand_value = _stat(cand_stats, counter, 0)
+    for metric in (m for m in METRICS if m.compare == EXACT):
+        base_value = metric.value(base_stats, 0)
+        cand_value = metric.value(cand_stats, 0)
         status = "ok"
         if base_value != cand_value:
             status = "drift"
             drift = True
-        rows.append((counter, base_value, cand_value, "-", status))
+        rows.append((metric.key, base_value, cand_value, "-", status))
 
-    for metric, rel_tol, abs_floor in _SWEEP_METRICS:
-        base_value = float(_stat(base_stats, metric, 0.0) or 0.0)
-        cand_value = float(_stat(cand_stats, metric, 0.0) or 0.0)
+    banded = [m for m in METRICS if isinstance(m.compare, tuple)]
+    for metric in sorted(banded, key=lambda m: m.unit != "s"):  # time first
+        rel_tol, abs_floor = metric.compare
+        base_value = float(metric.value(base_stats, 0.0))
+        cand_value = float(metric.value(cand_stats, 0.0))
         band = max(rel_tol * base_value, abs_floor)
         if cand_value > base_value + band:
             status = "REGRESSION"
             regressions.append(
-                f"{metric}: {base_value:g} -> {cand_value:g} "
+                f"{metric.key}: {base_value:g} -> {cand_value:g} "
                 f"(band +{band:g})"
             )
         elif base_value > cand_value + band:
@@ -399,7 +367,7 @@ def compare_records(base: dict, cand: dict) -> dict:
         else:
             status = "ok"
         rows.append(
-            (metric, round(base_value, 4), round(cand_value, 4),
+            (metric.key, round(base_value, 4), round(cand_value, 4),
              round(band, 4), status)
         )
 
@@ -496,16 +464,9 @@ def _history_main(argv: List[str]) -> int:
             print(json.dumps(record, sort_keys=True))
         return 0
     rows = [
-        [row["id"], row["kind"], row["when"], row["backend"], row["runs"],
-         row["batch_s"], row["cpu_s"], row["max_rss_mb"], row["host"],
-         row["label"]]
-        for row in (obs_history.summary_row(r) for r in records)
+        list(obs_history.summary_row(record).values()) for record in records
     ]
-    print(format_table(
-        ("id", "kind", "when", "backend", "runs", "batch_s", "cpu_s",
-         "max_rss_mb", "host", "label"),
-        rows,
-    ))
+    print(format_table(obs_history.HISTORY_COLUMNS, rows))
     return 0
 
 

@@ -376,6 +376,26 @@ def merge_events(events_dir: os.PathLike) -> List[dict]:
     return events
 
 
+def atomic_write(path: os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file and ``os.replace``, so
+    a reader (or a resume after a kill) never sees a torn file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def merge(events_dir: os.PathLike, out_path: os.PathLike) -> int:
     """Merge worker event files into ``out_path`` (atomic write).
 
@@ -384,25 +404,11 @@ def merge(events_dir: os.PathLike, out_path: os.PathLike) -> int:
     distinguish "traced, nothing happened" from "not traced".
     """
     events = merge_events(events_dir)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     payload = "".join(
         json.dumps(event_doc, separators=(",", ":"), default=str) + "\n"
         for event_doc in events
     )
-    fd, tmp_name = tempfile.mkstemp(
-        dir=out_path.parent, prefix=f".{out_path.name}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(out_path, payload)
     return len(events)
 
 
