@@ -656,23 +656,17 @@ class Engine:
                 telemetry=self.tracker, on_batch=on_batch,
                 remote=self.lease_server,
             )
-        # Fold in parent-side store traffic (SimPoint selections, inline
+        # Fold in parent-side store traffic (SimPoint selections, in-process
         # trace loads); worker-side traffic arrived via RunInfo.reuse.
         self.metrics.fold(trace_store.consume_counters())
         self.metrics.fold(checkpoint.consume_counters())
         if self.lease_server is not None:
             self.metrics.fold(self.lease_server.consume_counters())
-            # Remote per-phase observations stream back over the lease
-            # connections; fold them into the same per-family attribution
-            # the local pool feeds so reports see one unified table.
-            remote_phases = self.lease_server.consume_remote_phases()
-            for family, phase_times in remote_phases.items():
-                self.metrics.record_phases(family, phase_times)
         if self.store is not None:
             self.metrics.store_corrupt_entries += (
                 self.store.consume_corrupt_entries()
             )
-        # Parent-side phases not attributed to a run (inline-mode runs
+        # Parent-side phases not attributed to a run (in-process runs
         # drain into their results; this catches supervisor leftovers).
         self.metrics.record_phases("(engine)", obs_phases.drain())
         self.metrics.batch_time_s += time.perf_counter() - batch_started

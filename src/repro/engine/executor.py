@@ -1,4 +1,13 @@
-"""Run execution: serial fallback and a supervised process pool.
+"""Run execution: one supervision loop over three kinds of runner.
+
+:meth:`Executor.run` drives every task through one loop; only the
+runner behind it differs: a supervised ``ProcessPoolExecutor``, an
+in-process runner that hands back already-resolved futures (``jobs ==
+1``, or a lone task with no timeout to enforce), or none at all
+(``jobs == 0``: remote agents lease every task, see
+:mod:`repro.engine.protocol`).  Every task runs in one worker envelope
+(:func:`_worker`), and every completion, local or leased, is credited
+through one fan-out.
 
 Workers receive pickled ``(technique, workload, config, enhancements,
 scale)`` tuples and return the finished :class:`TechniqueResult`, so a
@@ -26,9 +35,9 @@ retry:
   signatures are exempt: a pool breakage cannot be attributed to one
   run with certainty, so identical crashes never quarantine -- the
   retry budget is the backstop for a run that keeps killing workers;
-* a per-run wall-clock timeout (``jobs > 1`` only: a hang in-process
-  cannot be interrupted) is enforced by a watchdog that kills the
-  worker processes and rebuilds the pool.  The clock starts when the
+* a per-run wall-clock timeout (pool and leases only: a hang
+  in-process cannot be interrupted) is enforced by a watchdog that
+  kills the worker processes and rebuilds the pool.  The clock starts when the
   run *begins executing* in a worker (workers report start/end events
   to the parent), so time spent queued behind siblings never counts
   against a run's budget; sibling in-flight runs are requeued without
@@ -68,6 +77,7 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -162,10 +172,6 @@ class RunInfo:
     #: run carries its even CPU share of the pass, like wall time.
     resources: Optional[Dict[str, float]] = None
 
-    @property
-    def degraded(self) -> bool:
-        return self.backend is not None
-
 
 @dataclass
 class RunTask:
@@ -216,14 +222,6 @@ class BatchTask:
         return self.members[0].key
 
     @property
-    def request(self) -> RunRequest:
-        return self.members[0].request
-
-    @property
-    def workload_key(self) -> Optional[Tuple[str, str, int]]:
-        return self.members[0].workload_key
-
-    @property
     def description(self) -> str:
         return (
             f"{self.members[0].description} "
@@ -231,9 +229,10 @@ class BatchTask:
         )
 
 
-def _deadline_budget(task) -> int:
-    """Wall-clock budget multiplier: a batch earns its members' sum."""
-    return len(task.members) if isinstance(task, BatchTask) else 1
+def _members(task) -> List[RunTask]:
+    """The runs one task executes: a batch's members, or the run itself
+    (a batch also earns its members' summed wall-clock budget)."""
+    return task.members if isinstance(task, BatchTask) else [task]
 
 
 @lru_cache(maxsize=64)
@@ -318,7 +317,8 @@ def execute_request(
 
 
 # Worker-side handle on the parent's lifecycle event queue, installed
-# by the pool initializer (None when running inline in the parent).
+# by the pool initializer (None in the in-process runner and in an
+# agent's lease child).
 # Every event carries the pool generation so the parent can discard
 # stragglers written by workers of an already-killed pool.
 _worker_events = None
@@ -342,23 +342,17 @@ def _pool_init(event_queue, generation: int) -> None:
     event_queue.put(("spawn", generation, os.getpid()))
 
 
-def _consume_reuse_counters() -> Dict[str, int]:
-    """Drain the trace-store and checkpoint counters into one delta."""
-    counters = trace_store.consume_counters()
-    counters.update(checkpoint.consume_counters())
-    return counters
+class PhaseNotifier:
+    """Forwards a run's phase transitions to ``sink(phase, attrs)``,
+    rate-limited: a repeat of the last forwarded phase is dropped, and
+    so is any change within :data:`_PHASE_EVENT_MIN_S` of the last
+    forwarded event.  The pool worker's sink is the parent's event
+    queue; an agent's lease child's is its pipe to the agent."""
 
+    __slots__ = ("sink", "last", "sent_at")
 
-class _PhaseNotifier:
-    """Streams a run's phase transitions to the parent, rate-limited."""
-
-    __slots__ = ("events", "generation", "slot", "attempt", "last", "sent_at")
-
-    def __init__(self, events, generation: int, task: RunTask) -> None:
-        self.events = events
-        self.generation = generation
-        self.slot = task.slot
-        self.attempt = task.attempt
+    def __init__(self, sink: Callable[[str, dict], None]) -> None:
+        self.sink = sink
         self.last: Optional[str] = None
         self.sent_at = 0.0
 
@@ -369,26 +363,22 @@ class _PhaseNotifier:
         self.last = phase
         self.sent_at = now
         try:
-            self.events.put(
-                (
-                    "phase", self.generation, self.slot, self.attempt,
-                    phase, dict(attrs) if attrs else {},
-                )
-            )
+            self.sink(phase, dict(attrs) if attrs else {})
         except Exception:
             pass  # telemetry must never fail the run
 
 
-def _run_attrs(task: RunTask) -> Dict[str, object]:
-    """Trace attributes identifying a run (no simulation state)."""
+def _run_attrs(task) -> Dict[str, object]:
+    """Trace attributes identifying a task (no simulation state)."""
     attrs: Dict[str, object] = {"run": task.key, "attempt": task.attempt}
-    workload = task.request.workload
+    first = _members(task)[0]
+    workload = first.request.workload
     if workload is not None:
         attrs["benchmark"] = workload.benchmark
-    elif task.workload_key is not None:
-        attrs["benchmark"] = task.workload_key[0]
+    elif first.workload_key is not None:
+        attrs["benchmark"] = first.workload_key[0]
     try:
-        attrs["family"] = task.request.technique.family
+        attrs["family"] = first.request.technique.family
     except Exception:
         pass
     if task.backend is not None:
@@ -396,9 +386,29 @@ def _run_attrs(task: RunTask) -> Dict[str, object]:
     return attrs
 
 
+def _phase_share(phases: Dict[str, dict], runs: int) -> Dict[str, dict]:
+    """One run's even share of a pass's phase ledger (a batched pass
+    warms once, not N times, so per-family totals stay true)."""
+    if runs == 1:
+        return phases
+    return {
+        phase: {
+            "seconds": entry.get("seconds", 0.0) / runs,
+            "instructions": int(round(entry.get("instructions", 0) / runs)),
+        }
+        for phase, entry in phases.items()
+    }
+
+
 def _worker(task, scale: Scale):
-    if isinstance(task, BatchTask):
-        return _run_batch(task, scale)
+    """The one worker envelope, for every task kind and every runner.
+
+    Returns ``(slots, results, wall, reuse, resources)`` with one slot
+    and one result per run (a singleton is a one-run batch); each
+    result carries its own ``phase_times``.  Any exception --
+    including injected faults armed for *any* member slot -- propagates
+    whole, and the parent explodes a failed batch back into singletons.
+    """
     events, generation = _worker_events, _worker_generation
     begun = time.monotonic()
     if events is not None:
@@ -408,8 +418,16 @@ def _worker(task, scale: Scale):
         events.put(
             ("start", generation, task.slot, task.attempt, begun, os.getpid())
         )
-        obs_phases.set_notifier(_PhaseNotifier(events, generation, task))
+        obs_phases.set_notifier(
+            PhaseNotifier(
+                lambda phase, attrs: events.put(
+                    ("phase", generation, task.slot, task.attempt, phase, attrs)
+                )
+            )
+        )
     attrs = _run_attrs(task)
+    if isinstance(task, BatchTask):
+        attrs["configs"] = len(task.members)
     if task.submitted is not None:
         # Stamped by the parent at submission; CLOCK_MONOTONIC is
         # machine-wide, so the difference is the true queue wait.
@@ -419,18 +437,29 @@ def _worker(task, scale: Scale):
     obs_trace.set_context(
         **{k: v for k, v in attrs.items() if k in ("run", "family", "benchmark")}
     )
-    obs_phases.drain()  # stray ledger state must not leak into this run
+    obs_phases.drain()  # stray ledger state must not leak into this task
     usage_baseline = obs_resources.snapshot()
     try:
-        request = _rebind_workload(task).request
-        faults.activate(task.slot, task.attempt)
+        members = [_rebind_workload(member) for member in _members(task)]
+        faults.activate_many([(m.slot, m.attempt) for m in members])
         previous = os.environ.get(BACKEND_ENV_VAR)
         if task.backend is not None:
             os.environ[BACKEND_ENV_VAR] = task.backend
         started = time.perf_counter()
         try:
             with obs_trace.span("run", **attrs):
-                result = execute_request(request, scale, task.selection)
+                if isinstance(task, BatchTask):
+                    first = members[0].request
+                    results = first.technique.run_batch(
+                        first.workload,
+                        [m.request.config for m in members],
+                        [m.request.enhancements for m in members],
+                        scale,
+                    )
+                else:
+                    results = [
+                        execute_request(members[0].request, scale, task.selection)
+                    ]
         finally:
             faults.deactivate()
             if task.backend is not None:
@@ -439,84 +468,16 @@ def _worker(task, scale: Scale):
                 else:
                     os.environ[BACKEND_ENV_VAR] = previous
         wall = time.perf_counter() - started
-        result.phase_times = obs_phases.drain()
-        return (
-            task.slot,
-            result,
-            wall,
-            _consume_reuse_counters(),
-            obs_resources.sample_since(usage_baseline),
-        )
-    finally:
-        obs_trace.clear_context()
-        if events is not None:
-            obs_phases.set_notifier(None)
-            events.put(("end", generation, task.slot, task.attempt))
-
-
-def _run_batch(task: BatchTask, scale: Scale):
-    """Execute one config-batched pass; returns per-member results.
-
-    The return shape is ``(slots, results, wall, reuse, resources)``
-    with one slot and one result per member.  Any exception -- including injected
-    faults armed for *any* member slot -- propagates whole, and the
-    parent explodes the batch back into singletons.  The phase ledger
-    is drained once for the shared pass and divided evenly across the
-    members, so per-family phase totals reflect the work actually done
-    (a batch warms once, not N times).
-    """
-    events, generation = _worker_events, _worker_generation
-    begun = time.monotonic()
-    if events is not None:
-        events.put(
-            ("start", generation, task.slot, task.attempt, begun, os.getpid())
-        )
-        obs_phases.set_notifier(_PhaseNotifier(events, generation, task))
-    attrs = _run_attrs(task)
-    attrs["configs"] = len(task.members)
-    if task.submitted is not None:
-        obs_trace.emit_span(
-            "queue_wait", task.submitted, begun - task.submitted, **attrs
-        )
-    obs_trace.set_context(
-        **{k: v for k, v in attrs.items() if k in ("run", "family", "benchmark")}
-    )
-    obs_phases.drain()  # stray ledger state must not leak into this batch
-    usage_baseline = obs_resources.snapshot()
-    try:
-        members = [_rebind_workload(member) for member in task.members]
-        technique = members[0].request.technique
-        workload = members[0].request.workload
-        faults.activate_many([(m.slot, m.attempt) for m in members])
-        started = time.perf_counter()
-        try:
-            with obs_trace.span("run", **attrs):
-                results = technique.run_batch(
-                    workload,
-                    [m.request.config for m in members],
-                    [m.request.enhancements for m in members],
-                    scale,
-                )
-        finally:
-            faults.deactivate()
-        wall = time.perf_counter() - started
-        share = len(members)
-        shared_phases = obs_phases.drain()
+        phases = obs_phases.drain()
         for result in results:
-            result.phase_times = {
-                phase: {
-                    "seconds": entry.get("seconds", 0.0) / share,
-                    "instructions": int(
-                        round(entry.get("instructions", 0) / share)
-                    ),
-                }
-                for phase, entry in shared_phases.items()
-            }
+            result.phase_times = _phase_share(phases, len(results))
+        reuse = trace_store.consume_counters()  # this task's store traffic
+        reuse.update(checkpoint.consume_counters())
         return (
             [m.slot for m in members],
             results,
             wall,
-            _consume_reuse_counters(),
+            reuse,
             obs_resources.sample_since(usage_baseline),
         )
     finally:
@@ -524,6 +485,57 @@ def _run_batch(task: BatchTask, scale: Scale):
         if events is not None:
             obs_phases.set_notifier(None)
             events.put(("end", generation, task.slot, task.attempt))
+
+
+def _live_entry(task) -> Dict[str, object]:
+    """A task's identity in the live in-flight view (member-weighted)."""
+    return {
+        "slot": task.slot,
+        "key": task.key,
+        "description": task.description,
+        "attempt": task.attempt,
+        "backend": task.backend,
+        "runs": len(_members(task)),
+    }
+
+
+class _InProcessRunner:
+    """Runs each submitted task to completion inside :meth:`submit`, in
+    this process, and hands back an already-resolved future.
+
+    Used where a pool would only add overhead.  Unlike a pool worker it
+    never reports a spawn (so the watchdog's kill path can never
+    SIGKILL the supervisor) and never drains the parent's store
+    counters at start-up.  The loop cannot poll while a run executes
+    here, so the runner keeps that run's live view itself: its slot,
+    this process's PID and its current phase.
+    """
+
+    def __init__(self, telemetry: Optional[InflightTracker]) -> None:
+        self.telemetry = telemetry
+
+    def submit(self, fn, task, scale: Scale) -> Future:
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.start(**_live_entry(task), pid=os.getpid())
+            obs_phases.set_notifier(
+                lambda phase, attrs=None: telemetry.set_phase(
+                    task.slot, phase, attrs
+                )
+            )
+        future: Future = Future()
+        try:
+            future.set_result(fn(task, scale))
+        except Exception as exc:
+            future.set_exception(exc)
+        finally:
+            if telemetry is not None:
+                obs_phases.set_notifier(None)
+                telemetry.finish(task.slot)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 class _WorkerEvents:
@@ -540,51 +552,44 @@ class _WorkerEvents:
         self.queue = multiprocessing.SimpleQueue()
         self.generation = 0
         self.pids: set = set()
-        self.started: Dict[Tuple[int, int], float] = {}
-        self.run_pids: Dict[Tuple[int, int], int] = {}
-        # (slot, attempt) -> (phase, attrs)
-        self.phases: Dict[Tuple[int, int], Tuple[str, dict]] = {}
+        #: (slot, attempt) -> the executing run's ``started``, ``pid``,
+        #: ``phase`` and ``phase_attrs``.
+        self.running: Dict[Tuple[int, int], dict] = {}
 
     def drain(self) -> None:
         # Single consumer: if empty() is False a get() cannot block.
         while not self.queue.empty():
-            event = self.queue.get()
-            if event[1] != self.generation:
+            kind, generation, *event = self.queue.get()
+            if generation != self.generation:
                 continue
-            if event[0] == "spawn":
-                self.pids.add(event[2])
-            elif event[0] == "start":
-                self.started[(event[2], event[3])] = event[4]
-                self.run_pids[(event[2], event[3])] = event[5]
-            elif event[0] == "phase":
-                self.phases[(event[2], event[3])] = (
-                    event[4], event[5] if len(event) > 5 else {}
-                )
-            elif event[0] == "end":
-                self.started.pop((event[2], event[3]), None)
-                self.run_pids.pop((event[2], event[3]), None)
-                self.phases.pop((event[2], event[3]), None)
+            if kind == "spawn":
+                self.pids.add(event[0])
+            elif kind == "start":
+                slot, attempt, started, pid = event
+                self.running[(slot, attempt)] = {
+                    "started": started, "pid": pid,
+                    "phase": None, "phase_attrs": {},
+                }
+            elif kind == "phase":
+                slot, attempt, phase, attrs = event
+                run = self.running.get((slot, attempt))
+                if run is not None:
+                    run.update(phase=phase, phase_attrs=attrs)
+            elif kind == "end":
+                self.running.pop((event[0], event[1]), None)
+
+    def run(self, task: "RunTask") -> Optional[dict]:
+        """The executing run's record, or None if it has not started."""
+        return self.running.get((task.slot, task.attempt))
 
     def start_time(self, task: "RunTask") -> Optional[float]:
-        return self.started.get((task.slot, task.attempt))
-
-    def run_pid(self, task: "RunTask") -> Optional[int]:
-        return self.run_pids.get((task.slot, task.attempt))
-
-    def phase(self, task: "RunTask") -> Optional[str]:
-        entry = self.phases.get((task.slot, task.attempt))
-        return entry[0] if entry is not None else None
-
-    def phase_attrs(self, task: "RunTask") -> dict:
-        entry = self.phases.get((task.slot, task.attempt))
-        return entry[1] if entry is not None else {}
+        run = self.run(task)
+        return run["started"] if run is not None else None
 
     def new_generation(self) -> None:
         self.generation += 1
         self.pids.clear()
-        self.started.clear()
-        self.run_pids.clear()
-        self.phases.clear()
+        self.running.clear()
 
     def close(self) -> None:
         self.queue.close()
@@ -653,7 +658,7 @@ class Executor:
 
     ``retries`` bounds re-executions per run (on top of the first
     attempt); ``timeout`` is the per-run wall-clock budget in seconds
-    (None = unbounded; enforced only when ``jobs > 1``).  ``jobs=0``
+    (None = unbounded; not enforced on the in-process runner).  ``jobs=0``
     runs no local workers at all -- every run is executed by remote
     worker agents through the ``remote`` lease scheduler, so :meth:`run`
     requires one.
@@ -735,26 +740,16 @@ class Executor:
         )
         sup.signatures.append(sig)
         sup.failures += 1
-        attempts = sup.failures
 
-        if identical:
-            # Poison run: failing the exact same way twice means more
-            # retries would only reproduce the failure.
+        # A poison run (identical failure twice) is quarantined: more
+        # retries would only reproduce the failure.
+        if identical or sup.failures > self.retries:
             error = RunError(
-                kind if kind != "transient" else "deterministic",
+                "deterministic" if identical and kind == "transient" else kind,
                 f"{sig[0]}: {sig[1]}",
-                attempts=attempts,
-                quarantined=True,
-                cause=exc if not isinstance(exc, _WatchdogTimeout) else None,
-            )
-            on_failure(task.slot, task.request, error)
-            return (_DONE,)
-        if sup.failures > self.retries:
-            error = RunError(
-                kind,
-                f"{sig[0]}: {sig[1]}",
-                attempts=attempts,
-                cause=exc if not isinstance(exc, _WatchdogTimeout) else None,
+                attempts=sup.failures,
+                quarantined=identical,
+                cause=None if isinstance(exc, _WatchdogTimeout) else exc,
             )
             on_failure(task.slot, task.request, error)
             return (_DONE,)
@@ -762,13 +757,7 @@ class Executor:
         task.attempt = sup.failures + 1
         return (_REQUEUE, task, self._backoff_delay(task.key, sup.failures))
 
-    def _info(self, task: RunTask, supervision: Dict[int, _Supervision]) -> RunInfo:
-        sup = supervision.get(task.slot)
-        return RunInfo(
-            attempts=(sup.failures if sup else 0) + 1, backend=task.backend
-        )
-
-    # -- execution modes ---------------------------------------------------------
+    # -- the run loop -------------------------------------------------------------
 
     def run(
         self,
@@ -798,222 +787,23 @@ class Executor:
         """
         if self.jobs == 0 and remote is None:
             raise ValueError("jobs=0 requires a remote lease scheduler")
-        if remote is None and (
+        in_process = remote is None and (
             self.jobs == 1 or (len(tasks) <= 1 and self.timeout is None)
-        ):
-            supervision: Dict[int, _Supervision] = {}
-            queue: Deque = deque(tasks)
-            while queue:
-                task = queue.popleft()
-                if telemetry is not None:
-                    # Member-weighted: a queued batch is N pending runs.
-                    telemetry.set_queue(
-                        sum(_deadline_budget(t) for t in queue)
-                    )
-                if isinstance(task, BatchTask):
-                    exploded = self._run_batch_inline(
-                        task, scale, on_success, on_batch, telemetry
-                    )
-                    if exploded is not None:
-                        # The members run next, as singletons, uncharged.
-                        queue.extendleft(reversed(exploded))
-                    continue
-                self._run_inline(
-                    task, scale, supervision,
-                    on_success, on_failure, on_retry, on_degrade, telemetry,
-                )
-            return
-        self._run_parallel(
-            tasks, scale, on_success, on_failure, on_retry, on_degrade,
-            telemetry, on_batch, remote,
         )
-
-    def _run_inline(
-        self,
-        task: RunTask,
-        scale: Scale,
-        supervision: Dict[int, _Supervision],
-        on_success: SuccessCallback,
-        on_failure: FailureCallback,
-        on_retry: RetryCallback,
-        on_degrade: Optional[DegradeCallback],
-        telemetry: Optional[InflightTracker] = None,
-    ) -> None:
-        while True:
-            if telemetry is not None:
-                telemetry.start(
-                    task.slot,
-                    key=task.key,
-                    description=task.description,
-                    attempt=task.attempt,
-                    backend=task.backend,
-                    pid=os.getpid(),
-                )
-                obs_phases.set_notifier(
-                    lambda phase, attrs=None, slot=task.slot: (
-                        telemetry.set_phase(slot, phase, attrs)
-                    )
-                )
-            try:
-                slot, result, wall, reuse, resources = _worker(task, scale)
-            except Exception as exc:
-                action = self._after_failure(
-                    task, exc, supervision, on_failure, on_retry, on_degrade
-                )
-                if action[0] == _DONE:
-                    return
-                _, task, delay = action
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            finally:
-                if telemetry is not None:
-                    obs_phases.set_notifier(None)
-                    telemetry.finish(task.slot)
-            info = self._info(task, supervision)
-            info.reuse = reuse
-            info.resources = resources
-            on_success(slot, result, wall, info)
-            return
-
-    def _run_batch_inline(
-        self,
-        task: BatchTask,
-        scale: Scale,
-        on_success: SuccessCallback,
-        on_batch: Optional[BatchCallback],
-        telemetry: Optional[InflightTracker] = None,
-    ) -> Optional[List[RunTask]]:
-        """One inline batched pass; returns the members to requeue as
-        singletons when the pass failed (None on success)."""
-        if telemetry is not None:
-            telemetry.start(
-                task.slot,
-                key=task.key,
-                description=task.description,
-                attempt=task.attempt,
-                backend=task.backend,
-                pid=os.getpid(),
-                runs=len(task.members),
-            )
-            obs_phases.set_notifier(
-                lambda phase, attrs=None, slot=task.slot: (
-                    telemetry.set_phase(slot, phase, attrs)
-                )
-            )
-        try:
-            payload = _worker(task, scale)
-        except Exception as exc:
-            # Exploded: supervision is per-run, so the batch itself is
-            # never retried -- its members are, individually, uncharged.
-            obs_trace.event(
-                "batch_explode",
-                run=task.key,
-                configs=len(task.members),
-                kind=classify_failure(exc),
-            )
-            return list(task.members)
-        finally:
-            if telemetry is not None:
-                obs_phases.set_notifier(None)
-                telemetry.finish(task.slot)
-        self._dispatch_batch_success(task, payload, on_success, on_batch)
-        return None
-
-    @staticmethod
-    def _dispatch_batch_success(
-        task: BatchTask,
-        payload,
-        on_success: SuccessCallback,
-        on_batch: Optional[BatchCallback],
-    ) -> None:
-        """Fan a completed batch out into per-member success callbacks.
-
-        Each member is credited an even share of the batch's wall time
-        (the shares sum back to the true cost) and the first member
-        carries the pass's store-reuse counters so they are folded into
-        the metrics exactly once.
-        """
-        slots, results, wall, reuse, resources = payload
-        share = wall / max(1, len(slots))
-        member_resources = obs_resources.share(resources, len(slots))
-        for index, (slot, result) in enumerate(zip(slots, results)):
-            info = RunInfo(
-                attempts=1, backend=task.backend, batch_size=len(slots)
-            )
-            info.resources = member_resources
-            if index == 0:
-                info.reuse = reuse
-            on_success(slot, result, share, info)
-        if on_batch is not None:
-            on_batch(len(slots))
-
-    def _dispatch_remote_success(
-        self,
-        task,
-        payloads: List[dict],
-        wall: float,
-        reuse: Dict[str, int],
-        agent: str,
-        supervision: Dict[int, _Supervision],
-        on_success: SuccessCallback,
-        on_batch: Optional[BatchCallback],
-        resources: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """Fan a remotely-completed lease out into success callbacks.
-
-        The agent's wire payloads travel on :attr:`RunInfo.payload` so
-        the engine can persist them verbatim -- the store entry is then
-        byte-identical to a local execution of the same run.
-        """
-        results = [TechniqueResult.from_payload(p) for p in payloads]
-        if isinstance(task, BatchTask):
-            share = wall / max(1, len(results))
-            member_resources = obs_resources.share(resources, len(results))
-            for index, (member, result) in enumerate(
-                zip(task.members, results)
-            ):
-                info = RunInfo(
-                    attempts=1,
-                    backend=task.backend,
-                    batch_size=len(results),
-                    payload=payloads[index],
-                    agent=agent,
-                )
-                info.resources = member_resources
-                if index == 0:
-                    info.reuse = reuse
-                on_success(member.slot, result, share, info)
-            if on_batch is not None:
-                on_batch(len(results))
-            return
-        info = self._info(task, supervision)
-        info.reuse = reuse
-        info.payload = payloads[0]
-        info.agent = agent
-        info.resources = resources
-        on_success(task.slot, results[0], wall, info)
-
-    def _run_parallel(
-        self,
-        tasks: Sequence[object],
-        scale: Scale,
-        on_success: SuccessCallback,
-        on_failure: FailureCallback,
-        on_retry: RetryCallback,
-        on_degrade: Optional[DegradeCallback],
-        telemetry: Optional[InflightTracker] = None,
-        on_batch: Optional[BatchCallback] = None,
-        remote: Optional[object] = None,
-    ) -> None:
         workers = min(self.jobs, max(1, len(tasks)))
-        backlog = workers * _BACKLOG_PER_WORKER
+        # The in-process runner finishes a task inside submit(), so it
+        # takes one at a time and each completes before the next runs.
+        backlog = 1 if in_process else workers * _BACKLOG_PER_WORKER
         pending: Deque = deque(tasks)
         waiting: List[Tuple[float, RunTask]] = []  # backoff: (ready_at, task)
         supervision: Dict[int, _Supervision] = {}
         futures: Dict[object, object] = {}
         events = _WorkerEvents()
-        pool = self._new_pool(workers, events) if workers > 0 else None
+        if in_process:
+            new_runner = lambda: _InProcessRunner(telemetry)  # noqa: E731
+        else:
+            new_runner = lambda: self._new_pool(workers, events)  # noqa: E731
+        pool = new_runner() if workers else None  # jobs=0: leases only
         if remote is not None:
             # Connected agents lease tasks straight out of `pending`
             # (deque pops are atomic, so local submission and remote
@@ -1026,34 +816,23 @@ class Executor:
                 return
             running = []
             submitted_unstarted = 0
-            for task in futures.values():
-                begun = events.start_time(task)
-                if begun is None:
+            for future, task in futures.items():
+                if future.done():
+                    continue  # finished: neither running nor queued
+                run = events.run(task)
+                if run is None:
                     # Submitted but not yet executing: still queued work
                     # (a batch still counts as its member runs).
-                    submitted_unstarted += _deadline_budget(task)
+                    submitted_unstarted += len(_members(task))
                     continue
-                running.append(
-                    {
-                        "slot": task.slot,
-                        "key": task.key,
-                        "description": task.description,
-                        "attempt": task.attempt,
-                        "backend": task.backend,
-                        "pid": events.run_pid(task),
-                        "phase": events.phase(task),
-                        "phase_attrs": events.phase_attrs(task),
-                        "started": begun,
-                        "runs": _deadline_budget(task),
-                    }
-                )
+                running.append({**_live_entry(task), **run})
             # Weight every pending unit by its member count: a BatchTask
             # is one future but ``configs_per_batch`` pending runs, and
             # an ETA that counted it as one run would be optimistic by
             # roughly that factor.
             queued = (
-                sum(_deadline_budget(t) for t in pending)
-                + sum(_deadline_budget(t) for _, t in waiting)
+                sum(len(_members(t)) for t in pending)
+                + sum(len(_members(t)) for _, t in waiting)
                 + submitted_unstarted
             )
             telemetry.sync(running, queued)
@@ -1081,10 +860,45 @@ class Executor:
                 else:
                     pending.append(retask)
 
+        def complete(task, outcome, payloads=None, agent=None) -> None:
+            """The one success fan-out: credit every run of a finished
+            task, wherever it executed.
+
+            ``outcome`` is the worker envelope's ``(slots, results,
+            wall, reuse, resources)``.  Each run is credited an even
+            share of the wall time and CPU (the shares sum back to the
+            true cost); the first carries the task's store-reuse
+            counters so they are folded exactly once.  ``payloads`` are
+            a remote agent's wire payloads: the engine persists them
+            verbatim, so a distributed store is byte-identical to a
+            local one.
+            """
+            slots, results, wall, reuse, resources = outcome
+            runs = len(slots)
+            run_resources = obs_resources.share(resources, runs)
+            for index, (slot, result) in enumerate(zip(slots, results)):
+                sup = supervision.get(slot)
+                on_success(
+                    slot,
+                    result,
+                    wall / runs,
+                    RunInfo(
+                        attempts=(sup.failures if sup else 0) + 1,
+                        backend=task.backend,
+                        reuse=reuse if index == 0 else {},
+                        batch_size=runs,
+                        payload=payloads[index] if payloads else None,
+                        agent=agent,
+                        resources=run_resources,
+                    ),
+                )
+            if isinstance(task, BatchTask) and on_batch is not None:
+                on_batch(runs)
+
         def handle_done_future(future, task) -> bool:
             """Dispatch one completed future; True if the pool broke."""
             try:
-                payload = future.result()
+                outcome = future.result()
             except BrokenExecutor as exc:
                 # The breakage exception lands on *every* in-flight
                 # future, but only runs that had started executing can
@@ -1099,16 +913,7 @@ class Executor:
             except Exception as exc:
                 handle_failure(task, exc)
             else:
-                if isinstance(task, BatchTask):
-                    self._dispatch_batch_success(
-                        task, payload, on_success, on_batch
-                    )
-                else:
-                    slot, result, wall, reuse, resources = payload
-                    info = self._info(task, supervision)
-                    info.reuse = reuse
-                    info.resources = resources
-                    on_success(slot, result, wall, info)
+                complete(task, outcome)
             return False
 
         def drain_remote() -> None:
@@ -1116,11 +921,16 @@ class Executor:
             for event in remote.collect():
                 kind = event[0]
                 if kind == "complete":
-                    _, task, payloads, wall_s, reuse, agent, resources = event
-                    self._dispatch_remote_success(
-                        task, payloads, wall_s, reuse, agent,
-                        supervision, on_success, on_batch,
-                        resources=resources,
+                    _, task, payloads, wall, reuse, agent, resources, phases = (
+                        event
+                    )
+                    results = [TechniqueResult.from_payload(p) for p in payloads]
+                    for result, phase_times in zip(results, phases):
+                        result.phase_times = phase_times
+                    slots = [member.slot for member in _members(task)]
+                    complete(
+                        task, (slots, results, wall, reuse, resources),
+                        payloads, agent,
                     )
                 elif kind == "fail":
                     _, task, exc, _agent = event
@@ -1151,11 +961,8 @@ class Executor:
             ):
                 now = time.monotonic()
                 if waiting:  # promote retries whose backoff has elapsed
-                    still = [(ready, t) for ready, t in waiting if ready > now]
-                    for ready, t in waiting:
-                        if ready <= now:
-                            pending.append(t)
-                    waiting = still
+                    pending.extend(t for ready, t in waiting if ready <= now)
+                    waiting = [(ready, t) for ready, t in waiting if ready > now]
 
                 if remote is not None:
                     drain_remote()
@@ -1176,7 +983,7 @@ class Executor:
                         pending.appendleft(task)
                         if futures:
                             break  # drain in-flight first; rebuild below
-                        pool = self._replace_pool(pool, workers, events)
+                        pool = self._replace_pool(pool, new_runner)
                         pool_dead = True
                         break
                     futures[future] = task
@@ -1215,7 +1022,7 @@ class Executor:
                         if begun is not None:
                             timeouts.append(
                                 begun
-                                + self.timeout * _deadline_budget(task)
+                                + self.timeout * len(_members(task))
                                 - now
                             )
                 if telemetry is not None:
@@ -1240,12 +1047,12 @@ class Executor:
                     broken |= handle_done_future(future, task)
                 if broken:
                     self._drain_broken(futures, pending, handle_done_future)
-                    pool = self._replace_pool(pool, workers, events)
+                    pool = self._replace_pool(pool, new_runner)
                     continue
 
                 if self.timeout is not None:
                     pool = self._reap_expired(
-                        pool, workers, futures, pending, events,
+                        pool, new_runner, futures, pending, events,
                         handle_failure, handle_done_future,
                     )
         finally:
@@ -1270,7 +1077,7 @@ class Executor:
                 if telemetry is not None:
                     telemetry.clear()
 
-    # -- parallel-mode internals --------------------------------------------------
+    # -- pool internals -----------------------------------------------------------
 
     @staticmethod
     def _new_pool(workers: int, events: _WorkerEvents):
@@ -1290,13 +1097,14 @@ class Executor:
             initargs=(events.queue, events.generation),
         )
 
-    def _replace_pool(self, pool, workers: int, events: _WorkerEvents):
+    @staticmethod
+    def _replace_pool(pool, new_runner: Callable[[], object]):
         """Tear down a (possibly broken) pool and build a fresh one."""
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
-        return self._new_pool(workers, events)
+        return new_runner()
 
     @staticmethod
     def _drain_broken(futures, pending, handle_done_future) -> None:
@@ -1317,7 +1125,7 @@ class Executor:
                 pending.append(task)
 
     def _reap_expired(
-        self, pool, workers, futures, pending, events,
+        self, pool, new_runner, futures, pending, events,
         handle_failure, handle_done_future,
     ):
         """Kill the pool if any in-flight run blew its deadline.
@@ -1338,7 +1146,7 @@ class Executor:
             if future.done():  # completed while we were deciding
                 raced.append((future, task))
             elif begun is not None and now >= (
-                begun + self.timeout * _deadline_budget(task)
+                begun + self.timeout * len(_members(task))
             ):
                 expired.append(task)
             else:
@@ -1357,7 +1165,7 @@ class Executor:
                 ),
             )
         pending.extend(interrupted)
-        return self._new_pool(workers, events)
+        return new_runner()
 
     @staticmethod
     def _kill_pool(pool, events: _WorkerEvents) -> None:

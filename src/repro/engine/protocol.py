@@ -59,12 +59,13 @@ file's sha256 before an atomic rename into its local store, so a
 corrupt transfer is detected and re-fetched, never trusted.
 
 Obs ops (PR 9): agents stream throttled per-phase progress events and
-per-run phase timing ledgers back over the lease connection.  The
-server re-emits them on the supervisor's tracer (they merge into
-``trace.jsonl``), folds per-agent artifact cache counters into the
-agent registry (surfaced in ``live.json`` and the Prometheus
-textfile), and accumulates per-family phase seconds for the report's
-attribution table.
+artifact cache counter deltas back over the lease connection.  The
+server re-emits the events on the supervisor's tracer (they merge into
+``trace.jsonl``) and folds the counters into the agent registry
+(surfaced in ``live.json`` and the Prometheus textfile).  A run's
+phase-timing ledger is not an obs report: it rides on the ``complete``
+message, one ``phases`` dict per payload, and is recorded per run
+exactly like a local run's.
 """
 
 from __future__ import annotations
@@ -175,6 +176,26 @@ def payload_digest(payloads: List[dict]) -> str:
     """Canonical content hash of a completion's result payloads."""
     canonical = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _phase_ledgers(raw) -> List[dict]:
+    """Validate a ``complete`` message's per-payload phase ledgers
+    (untrusted wire input: a malformed ledger becomes an empty one)."""
+    ledgers = []
+    for ledger in raw if isinstance(raw, list) else []:
+        try:
+            ledgers.append(
+                {
+                    str(phase): {
+                        "seconds": float(entry.get("seconds", 0.0)),
+                        "instructions": int(entry.get("instructions", 0)),
+                    }
+                    for phase, entry in ledger.items()
+                }
+            )
+        except (AttributeError, TypeError, ValueError):
+            ledgers.append({})
+    return ledgers
 
 
 #: Characters allowed in a wire artifact key (stores key by sha256 hex).
@@ -314,7 +335,6 @@ class LeaseLedger:
         self._deliveries: Dict[str, int] = {}   # key -> grant count
         self._events: Deque[tuple] = deque()
         self._counters: Dict[str, int] = {}
-        self._remote_phases: Dict[str, Dict[str, dict]] = {}
         self._next_lease = 0
         self._next_agent = 0
         self.closing = False
@@ -336,7 +356,8 @@ class LeaseLedger:
         Event tuples (consumed by the executor's scheduling loop):
 
         * ``("complete", task, payloads, wall_s, reuse, agent,
-          resources)``
+          resources, phases)`` -- ``phases`` holds one phase-timing
+          ledger per payload
         * ``("fail", task, exception, agent)`` -- charged normally
         * ``("timeout", task, agent, reason)`` -- charged as a timeout
         * ``("requeue", task, agent, reason)`` -- **uncharged**
@@ -371,17 +392,6 @@ class LeaseLedger:
         with self._lock:
             counters, self._counters = self._counters, {}
         return counters
-
-    def consume_remote_phases(self) -> Dict[str, Dict[str, dict]]:
-        """Drain accumulated remote per-family phase ledgers.
-
-        ``{family: {phase: {"seconds": s, "instructions": n}}}`` --
-        obs-streamed by agents, folded into the engine's phase
-        attribution alongside local workers' ledgers.
-        """
-        with self._lock:
-            phases, self._remote_phases = self._remote_phases, {}
-        return phases
 
     def agents_snapshot(self) -> List[dict]:
         """Per-agent rows: live telemetry and ``engine-stats.json``'s
@@ -558,13 +568,15 @@ class LeaseLedger:
         reuse: Dict[str, int],
         keys: Optional[List[str]] = None,
         resources: Optional[Dict[str, float]] = None,
+        phases: Optional[List[dict]] = None,
     ) -> str:
         """Record one completion; returns ``ok``/``duplicate``/``stale``.
 
         ``keys`` carries the member run keys of a batch lease (one per
         payload); the ledger then dedups stragglers *per member*, so a
         duplicate batch completion resolves even after the original
-        batch was split or exploded into singletons.
+        batch was split or exploded into singletons.  ``phases`` holds
+        each payload's phase-timing ledger.
         """
         digest = payload_digest(payloads)
         with self._lock:
@@ -592,7 +604,7 @@ class LeaseLedger:
                     entry.wall_time_s += wall_s
                 self._events.append(
                     ("complete", lease.task, payloads, wall_s, reuse,
-                     agent_id, resources)
+                     agent_id, resources, phases or [])
                 )
                 return "ok"
             # Lease expired/canceled/unknown: at-least-once straggler.
@@ -679,16 +691,13 @@ class LeaseLedger:
         agent_id: str,
         phase: str = "",
         artifacts: Optional[Dict[str, int]] = None,
-        phases: Optional[Dict[str, dict]] = None,
-        family: str = "",
     ) -> None:
         """Fold one obs report from an agent into the ledger.
 
         ``phase`` is the agent's latest simulation phase (live
         telemetry); ``artifacts`` carries cache counter deltas
         (``hits``/``misses``/``fetches``/``refetches``/
-        ``corrupt_chunks``); ``phases`` + ``family`` is a completed
-        run's per-phase timing ledger for the attribution table.
+        ``corrupt_chunks``).
         """
         with self._lock:
             entry = self._agents.get(agent_id)
@@ -708,16 +717,6 @@ class LeaseLedger:
                     amount = int(artifacts.get(wire, 0))
                     if amount:
                         self._bump(counter, amount)
-            if phases and family:
-                bucket = self._remote_phases.setdefault(family, {})
-                for name, record in phases.items():
-                    slot = bucket.setdefault(
-                        name, {"seconds": 0.0, "instructions": 0}
-                    )
-                    slot["seconds"] += float(record.get("seconds", 0.0))
-                    slot["instructions"] += int(
-                        record.get("instructions", 0)
-                    )
 
     # -- expiry --------------------------------------------------------------------
 
@@ -833,9 +832,6 @@ class LeaseServer:
 
     def consume_counters(self) -> Dict[str, int]:
         return self.ledger.consume_counters()
-
-    def consume_remote_phases(self) -> Dict[str, Dict[str, dict]]:
-        return self.ledger.consume_remote_phases()
 
     def agents_snapshot(self) -> List[dict]:
         return self.ledger.agents_snapshot()
@@ -990,6 +986,7 @@ class LeaseServer:
                 resources=obs_resources.normalize(
                     message.get("resources")
                 ),
+                phases=_phase_ledgers(message.get("phases")),
             )
             return {"op": "ok", "status": status}, agent_id, False
         if op == "artifact_probe":
@@ -1001,8 +998,6 @@ class LeaseServer:
                 agent_id,
                 phase=str(message.get("phase", "") or ""),
                 artifacts=message.get("artifacts") or None,
-                phases=message.get("phases") or None,
-                family=str(message.get("family", "") or ""),
             )
             self._emit_remote_events(
                 agent_id, message.get("events") or []

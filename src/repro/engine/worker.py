@@ -33,10 +33,13 @@ artifacts and fetches misses from the supervisor over the same
 connection (chunked base64, whole-file sha256-verified, written via
 the stores' atomic-rename discipline) -- so a fresh host costs one
 trace fetch + one checkpoint fetch instead of regenerating everything
-from zero.  While a run executes, the child's per-phase obs events
-stream back (throttled) as ``obs`` messages; after each run the agent
-reports the run's phase-timing ledger and its artifact cache counters
-the same way.
+from zero.  While a run executes, the child's phase transitions stream
+back as ``obs`` messages, throttled by the same
+:class:`~repro.engine.executor.PhaseNotifier` rule as the local pool's;
+after each run the agent reports its artifact cache counters the same
+way.  Each run's phase-timing ledger rides on the ``complete`` message,
+one ``phases`` dict per payload, so the supervisor records remote runs
+exactly like local ones.
 
 Network fault injection (``$REPRO_FAULT_PLAN``, per-agent): the verbs
 ``dead``/``drop``/``delay``/``corrupt`` match the agent's Nth granted
@@ -70,6 +73,7 @@ from typing import Optional
 
 from repro.cpu import checkpoint
 from repro.cpu.kernels.registry import BACKEND_ENV_VAR, KernelError
+from repro.obs import phases as obs_phases
 from repro.scale import Scale
 from repro.workloads import trace_store
 
@@ -83,46 +87,12 @@ from repro.engine.protocol import (
     parse_address,
 )
 
-#: Minimum interval between streamed same-phase obs events (matches the
-#: local pool's phase-event throttle).
-_PHASE_STREAM_MIN_S = 0.25
-
 #: Verification-failure re-fetch budget per artifact.
 _FETCH_ATTEMPTS = 3
 
 
 class _InjectedSever(RuntimeError):
     """An injected mid-fetch connection drop (``drop@N:fetch``)."""
-
-
-def _phase_notifier(pipe):
-    """A throttled obs-phase observer that streams phase starts to the
-    agent over ``pipe`` (same-phase events are rate-limited; a phase
-    *change* always emits)."""
-    state = {"t": 0.0, "phase": None}
-
-    def notify(phase: str, attrs: dict) -> None:
-        now = time.monotonic()
-        if phase == state["phase"] and now - state["t"] < _PHASE_STREAM_MIN_S:
-            return
-        state["t"], state["phase"] = now, phase
-        try:
-            pipe.send({"phase": phase, "attrs": dict(attrs or {})})
-        except Exception:
-            pass  # a full or broken pipe must never fail the run
-
-    return notify
-
-
-def _merged_phases(results) -> dict:
-    """Sum the per-result phase ledgers back into batch totals."""
-    merged: dict = {}
-    for result in results:
-        for name, entry in (getattr(result, "phase_times", None) or {}).items():
-            slot = merged.setdefault(name, {"seconds": 0.0, "instructions": 0})
-            slot["seconds"] += float(entry.get("seconds", 0.0))
-            slot["instructions"] += int(entry.get("instructions", 0))
-    return merged
 
 
 def _child_main(pipe, task, scale: Scale) -> None:
@@ -135,30 +105,21 @@ def _child_main(pipe, task, scale: Scale) -> None:
     """
     from repro.engine import executor as executor_mod
 
+    obs_phases.set_notifier(
+        executor_mod.PhaseNotifier(
+            lambda phase, attrs: pipe.send({"phase": phase, "attrs": attrs})
+        )
+    )
     try:
-        from repro.obs import phases as obs_phases
-
-        obs_phases.set_notifier(_phase_notifier(pipe))
-    except Exception:
-        pass
-    try:
-        payload = executor_mod._worker(task, scale)
-        if isinstance(task, executor_mod.BatchTask):
-            _, results, wall, reuse, resources = payload
-        else:
-            _, result, wall, reuse, resources = payload
-            results = [result]
+        _, results, wall, reuse, resources = executor_mod._worker(task, scale)
         pipe.send(
             {
                 "ok": True,
                 "payloads": [r.to_payload() for r in results],
+                "phases": [r.phase_times for r in results],
                 "wall_s": wall,
                 "reuse": {str(k): int(v) for k, v in dict(reuse).items()},
                 "resources": resources,
-                "phases": _merged_phases(results),
-                "family": str(
-                    getattr(results[0], "family", "") if results else ""
-                ),
             }
         )
     except KernelError as exc:
@@ -319,6 +280,7 @@ class WorkerAgent:
                     "lease": lease_id,
                     "key": key,
                     "payloads": doc["payloads"],
+                    "phases": doc["phases"],
                     "wall_s": doc["wall_s"],
                     "reuse": doc["reuse"],
                     "resources": doc.get("resources"),
@@ -344,13 +306,8 @@ class WorkerAgent:
                     }
                 )
                 self._log(f"failed {key[:12]}: {doc.get('error', '')!r}")
-            # Per-run observability: the run's phase-timing ledger plus
-            # any artifact cache counters accumulated since last report.
-            self._send_obs(
-                connection,
-                phases=doc.get("phases") or None,
-                family=str(doc.get("family", "") or ""),
-            )
+            # Artifact cache counters accumulated since the last report.
+            self._send_obs(connection)
 
     # -- execution -----------------------------------------------------------------
 
@@ -472,11 +429,9 @@ class WorkerAgent:
         connection: Connection,
         phase: str = "",
         events: Optional[list] = None,
-        phases: Optional[dict] = None,
-        family: str = "",
     ) -> None:
-        """One ``obs`` report: current phase, streamed events, a run's
-        phase ledger, and any pending artifact counter deltas."""
+        """One ``obs`` report: current phase, streamed events and any
+        pending artifact counter deltas."""
         message: dict = {"op": "obs"}
         if phase:
             message["phase"] = phase
@@ -488,9 +443,6 @@ class WorkerAgent:
                 }
                 for entry in events
             ]
-        if phases:
-            message["phases"] = phases
-            message["family"] = family
         artifacts = {k: v for k, v in self._artifact.items() if v}
         if artifacts:
             message["artifacts"] = artifacts

@@ -36,7 +36,7 @@ LIVE_SCHEMA_VERSION = 1
 class InflightTracker:
     """Thread-safe view of what the sweep is doing *right now*.
 
-    The executor (and the inline fallback path) mutate it; the
+    The executor (and its in-process runner) mutate it; the
     :class:`LiveMonitor` and :class:`ProgressReporter
     <repro.engine.metrics.ProgressReporter>` read it.
     """

@@ -25,7 +25,13 @@ from repro.cpu.checkpoint import (
     snapshot_machine,
     state_key,
 )
-from repro.cpu.config import ARCH_CONFIGS, BASELINE, NLP, ProcessorConfig
+from repro.cpu.config import (
+    ARCH_CONFIGS,
+    BASELINE,
+    NLP,
+    Enhancements,
+    ProcessorConfig,
+)
 from repro.cpu.functional import run_functional_warming, warm_prefix
 from repro.cpu.kernels.registry import BACKEND_NAMES
 from repro.cpu.machine import Machine
@@ -320,6 +326,12 @@ class TestTechniqueParity:
 
 _BASE = ProcessorConfig()
 _FIELDS = [f.name for f in dataclasses.fields(ProcessorConfig)]
+#: Every perturbable input: each ProcessorConfig field, then each
+#: Enhancements field (flipped from the baseline).
+_INPUTS = [pytest.param("config", name, id=name) for name in _FIELDS] + [
+    pytest.param("enhancements", f.name, id=f"enhancements.{f.name}")
+    for f in dataclasses.fields(Enhancements)
+]
 _GZIP = get_workload("gzip")
 _TINY = scale_from_profile("tiny")
 #: Prefix warmed to compare warm state across a perturbation.
@@ -348,8 +360,8 @@ def gzip_trace():
     return _GZIP.trace(_TINY)
 
 
-def _warm_state(config, trace):
-    machine = Machine(config, BASELINE, backend="python")
+def _warm_state(config, trace, enhancements=BASELINE):
+    machine = Machine(config, enhancements, backend="python")
     stats = run_functional_warming(machine, trace, 0, _WARM_PREFIX)
     return _stats_tuple(stats), _canonical(snapshot_machine(machine))
 
@@ -360,29 +372,42 @@ def base_warm_state(gzip_trace):
 
 
 class TestKeyCoverage:
-    @pytest.mark.parametrize("name", _FIELDS)
+    @pytest.mark.parametrize("kind,name", _INPUTS)
     def test_perturbation_moves_exactly_the_right_keys(
-        self, name, gzip_trace, base_warm_state
+        self, kind, name, gzip_trace, base_warm_state
     ):
-        """Every field reaches the result key; the checkpoint key moves
-        iff the field is geometry; and warming a gzip prefix changes
-        state iff the field is geometry -- so a structural field missing
-        from the fingerprint fails here rather than serving stale warm
-        state, and a fingerprint field that shapes nothing is flagged."""
-        other = _perturb(_BASE, name)
+        """Every config and enhancement field reaches the result key;
+        the checkpoint key moves iff the field is geometry; and warming
+        a gzip prefix changes state iff the field is geometry -- so a
+        structural field missing from the fingerprint fails here rather
+        than serving stale warm state, and a fingerprint field that
+        shapes nothing is flagged."""
+        config, enhancements = _BASE, BASELINE
+        if kind == "config":
+            config = _perturb(_BASE, name)
+        else:
+            enhancements = dataclasses.replace(
+                BASELINE, **{name: not getattr(BASELINE, name)}
+            )
 
-        def content_key(config):
-            request = RunRequest(ReferenceTechnique(), _GZIP, config)
+        def content_key(config, enhancements):
+            request = RunRequest(
+                ReferenceTechnique(), _GZIP, config, enhancements
+            )
             return request.content_key(_TINY)
 
-        assert content_key(other) != content_key(_BASE)
+        assert content_key(config, enhancements) != (
+            content_key(_BASE, BASELINE)
+        )
 
-        in_geometry = geometry_fingerprint(other, BASELINE) != (
+        in_geometry = geometry_fingerprint(config, enhancements) != (
             geometry_fingerprint(_BASE, BASELINE)
         )
-        key_moved = state_key(_GZIP, _TINY, other, BASELINE) != (
+        key_moved = state_key(_GZIP, _TINY, config, enhancements) != (
             state_key(_GZIP, _TINY, _BASE, BASELINE)
         )
         assert key_moved == in_geometry
-        state_moved = _warm_state(other, gzip_trace) != base_warm_state
+        state_moved = (
+            _warm_state(config, gzip_trace, enhancements) != base_warm_state
+        )
         assert state_moved == in_geometry

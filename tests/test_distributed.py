@@ -7,6 +7,7 @@ against an in-process engine listening on an ephemeral localhost port.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -26,6 +27,7 @@ from repro.engine.protocol import (
     LeaseLedger,
     LeaseServer,
     RemoteFailure,
+    _phase_ledgers,
     parse_address,
     payload_digest,
 )
@@ -230,10 +232,13 @@ class TestCompletionDedup:
         assert status == "ok"
         events = ledger.collect()
         assert [e[0] for e in events] == ["complete"]
-        _, task, payloads, wall, reuse, from_agent, resources = events[0]
+        _, task, payloads, wall, reuse, from_agent, resources, phases = (
+            events[0]
+        )
         assert task.key == "k1" and payloads == self.PAYLOADS
         assert from_agent == agent
         assert resources is None
+        assert phases == []
 
     def test_duplicate_completion_dedups_on_byte_parity(self):
         """At-least-once: the straggler's identical bytes are dropped."""
@@ -472,6 +477,9 @@ class TestBatchLeases:
 
 
 class TestLedgerObserve:
+    """``observe`` folds an agent's live phase and artifact counters;
+    run phase ledgers ride on ``complete`` (see TestRemotePhaseSamples)."""
+
     def test_observe_folds_phase_artifacts_and_ledgers(self):
         ledger, clock, supply = make_ledger()
         agent = ledger.join("a1")
@@ -480,8 +488,6 @@ class TestLedgerObserve:
             phase="timing_batch",
             artifacts={"hits": 2, "misses": 1, "fetches": 1,
                        "refetches": 0, "corrupt_chunks": 0},
-            phases={"timing": {"seconds": 1.5, "instructions": 100}},
-            family="Reference",
         )
         row = [r for r in ledger.agents_snapshot() if r["agent"] == agent][0]
         assert row["phase"] == "timing_batch"
@@ -490,10 +496,6 @@ class TestLedgerObserve:
         counters = ledger.consume_counters()
         assert counters["artifact_fetches"] == 1
         assert "artifact_refetches" not in counters
-        phases = ledger.consume_remote_phases()
-        assert phases["Reference"]["timing"]["seconds"] == pytest.approx(1.5)
-        assert phases["Reference"]["timing"]["instructions"] == 100
-        assert ledger.consume_remote_phases() == {}  # drained
 
     def test_observe_accumulates_across_reports(self):
         ledger, clock, supply = make_ledger()
@@ -502,17 +504,35 @@ class TestLedgerObserve:
             ledger.observe(
                 agent,
                 artifacts={"hits": 1, "fetches": 2, "corrupt_chunks": 1},
-                phases={"fast_forward": {"seconds": 0.5, "instructions": 7}},
-                family="RunZ",
             )
         row = [r for r in ledger.agents_snapshot() if r["agent"] == agent][0]
         assert row["artifact_hits"] == 2
         counters = ledger.consume_counters()
         assert counters["artifact_fetches"] == 4
         assert counters["artifact_corrupt_chunks"] == 2
-        phases = ledger.consume_remote_phases()
-        assert phases["RunZ"]["fast_forward"]["seconds"] == pytest.approx(1.0)
-        assert phases["RunZ"]["fast_forward"]["instructions"] == 14
+
+    def test_complete_carries_one_phase_ledger_per_payload(self):
+        ledger, clock, supply = make_ledger()
+        agent = ledger.join("a1")
+        supply.append(_batch(["k1", "k2"]))
+        lease, _ = ledger.grant(agent)
+        phases = [{"detailed": {"seconds": 0.5, "instructions": 7}}, {}]
+        ledger.complete(
+            agent, lease.lease_id, lease.key, [{"cpi": 1.0}, {"cpi": 2.0}],
+            0.2, {}, keys=["k1", "k2"], phases=phases,
+        )
+        (event,) = ledger.collect()
+        assert event[0] == "complete"
+        assert event[-1] == phases
+
+    def test_wire_phase_ledgers_are_validated(self):
+        good = {"detailed": {"seconds": 1, "instructions": "7"}}
+        assert _phase_ledgers(
+            [good, "junk", {"x": {"seconds": "nan?"}}, {"y": None}]
+        ) == [
+            {"detailed": {"seconds": 1.0, "instructions": 7}}, {}, {}, {},
+        ]
+        assert _phase_ledgers({"not": "a list"}) == []
 
 
 class TestLeaseServerClose:
@@ -1066,3 +1086,50 @@ class TestDistributedSweep:
                 agent.kill()
                 agent.wait()
             engine.close()
+
+
+def _family_phase_samples(engine) -> dict:
+    """``{family: (runs, {phase: samples})}`` from engine-stats.json."""
+    stats = json.loads(engine.write_stats().read_text())
+    return {
+        family: (
+            row["runs"],
+            {phase: entry["samples"] for phase, entry in row["phases"].items()},
+        )
+        for family, row in stats["per_family"].items()
+        if row["runs"]
+    }
+
+
+class TestRemotePhaseSamples:
+    def test_leased_runs_record_one_phase_sample_each(
+        self, tmp_path, distributed_engine
+    ):
+        """A leased run's phase ledger rides on its completion and is
+        recorded per run, exactly like a local run's."""
+        local = Engine(scale=SCALE, jobs=2, cache_dir=tmp_path / "local")
+        try:
+            local.run_many(_requests())
+            local_samples = _family_phase_samples(local)
+        finally:
+            local.close()
+
+        engine = distributed_engine(min_agents=1)
+        agent = None
+        try:
+            agent = _spawn_agent(engine.lease_server.port, "solo", tmp_path)
+            engine.run_many(_requests())
+            remote_samples = _family_phase_samples(engine)
+        finally:
+            engine.close()
+            if agent is not None:
+                try:
+                    agent.wait(timeout=15)
+                finally:
+                    agent.kill()
+
+        assert remote_samples.keys() == local_samples.keys()
+        for family, (runs, samples) in remote_samples.items():
+            assert max(samples.values()) == runs, (family, samples)
+            assert samples["detailed"] == local_samples[family][1]["detailed"]
+

@@ -691,10 +691,11 @@ class TestWorkloadStripping:
 
         request = RunRequest(RunZ(500), workload, ARCH_CONFIGS[0])
         task = RunTask(slot=3, request=request, key="k")
-        slot, result, wall, reuse, resources = _worker(
+        slots, results, wall, reuse, resources = _worker(
             _strip_workload(task), SCALE
         )
-        assert slot == 3
+        assert slots == [3]  # a singleton is a one-run batch
+        (result,) = results
         direct = RunZ(500).run(workload, ARCH_CONFIGS[0], SCALE)
         assert _result_fingerprint(result) == _result_fingerprint(direct)
         assert isinstance(reuse, dict)
