@@ -4,9 +4,9 @@ The engine is the single entry point for running simulation
 techniques.  Experiments enumerate :class:`RunRequest` batches; the
 engine deduplicates them (:mod:`repro.engine.planner`), answers what it
 can from its in-process memo and the content-addressed on-disk store
-(:mod:`repro.engine.store`), executes the rest across a supervised
-process pool (:mod:`repro.engine.executor`: per-run timeouts, backoff
-retries, poison-run quarantine, backend degradation), records every
+(:mod:`repro.engine.store`), executes the rest across supervised
+worker processes (:mod:`repro.engine.executor`: per-run timeouts,
+backoff retries, poison-run quarantine, backend degradation), records every
 run's fate in a crash-safe journal (:mod:`repro.engine.journal`) and
 accounts for everything in :mod:`repro.engine.metrics` /
 ``engine-stats.json``.  Failure paths are testable deterministically

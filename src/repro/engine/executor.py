@@ -1,13 +1,13 @@
 """Run execution: one supervision loop over three kinds of runner.
 
 :meth:`Executor.run` drives every task through one loop; only the
-runner behind it differs: a supervised ``ProcessPoolExecutor``, an
-in-process runner that hands back already-resolved futures (``jobs ==
-1``, or a lone task with no timeout to enforce), or none at all
-(``jobs == 0``: remote agents lease every task, see
-:mod:`repro.engine.protocol`).  Every task runs in one worker envelope
-(:func:`_worker`), and every completion, local or leased, is credited
-through one fan-out.
+runner behind it differs: ``min(jobs, tasks)`` supervised
+:class:`WorkerProcess` children, an in-process runner (``jobs == 1``,
+or a lone task with no timeout to enforce), or none at all (``jobs ==
+0``: remote agents lease every task, see :mod:`repro.engine.protocol`).
+Every task runs in one worker envelope (:func:`_worker`), and every
+completion, local or leased, is credited through one fan-out.  An
+agent runs each lease in a :class:`WorkerProcess` too.
 
 Workers receive pickled ``(technique, workload, config, enhancements,
 scale)`` tuples and return the finished :class:`TechniqueResult`, so a
@@ -25,40 +25,37 @@ retry:
 * every failure is classified into a :class:`RunError` kind --
   ``transient`` (a worker exception), ``deterministic`` (the same
   exception twice), ``timeout`` (reaped by the watchdog) or ``crash``
-  (the worker process died and broke the pool);
+  (the worker process died mid-run);
 * retries use bounded exponential backoff with deterministic jitter
   seeded from the run's content key, so two sweeps over the same plan
   retry on the same schedule;
 * a run that fails with an *identical* signature twice is a poison run:
   it is quarantined (no further retries, regardless of remaining
   budget) and reported instead of burning the fleet's time.  Crash
-  signatures are exempt: a pool breakage cannot be attributed to one
-  run with certainty, so identical crashes never quarantine -- the
-  retry budget is the backstop for a run that keeps killing workers;
-* a per-run wall-clock timeout (pool and leases only: a hang
-  in-process cannot be interrupted) is enforced by a watchdog that
-  kills the worker processes and rebuilds the pool.  The clock starts when the
-  run *begins executing* in a worker (workers report start/end events
-  to the parent), so time spent queued behind siblings never counts
-  against a run's budget; sibling in-flight runs are requeued without
-  being charged an attempt;
+  signatures are exempt: a worker can die for reasons outside its run,
+  so identical crashes never quarantine -- the retry budget is the
+  backstop for a run that keeps killing workers;
+* a per-run wall-clock timeout (worker processes and leases only: a
+  hang in-process cannot be interrupted) is enforced by a watchdog
+  that kills the hung run's worker and no other.  The clock starts
+  when the run *begins executing* (each worker reports a start message
+  on its pipe), so time spent queued behind siblings never counts
+  against a run's budget;
 * a failure raised from inside a simulation kernel
   (:class:`~repro.cpu.kernels.registry.KernelError`) degrades the run
   to the reference backend (numpy -> python) instead of consuming
   retry budget -- the backends' bit-identical-statistics contract
   makes the degraded result indistinguishable.
 
-When a pool breaks, only the in-flight runs that had actually started
-executing are charged a ``crash`` attempt; runs still queued inside
-the pool (or never submitted at all) are requeued as "never ran" --
-they are not charged a retry attempt and do not inflate the retry
-metric.
+A crash or a timeout touches one worker: only the run that worker had
+started is charged; the run waiting in its pipe never ran and is
+requeued uncharged, and every other worker keeps running undisturbed.
 
 Config batching (:class:`BatchTask`) composes with all of the above by
 keeping supervision strictly per-run: a batch wraps N single-run tasks
 whose technique serves them in one shared simulation pass, and *any*
 failure of the batched pass -- an exception, a kernel error, a watchdog
-timeout (a batch's deadline is ``timeout * N``) or a pool breakage --
+timeout (a batch's deadline is ``timeout * N``) or a worker crash --
 explodes the batch back into its member singleton tasks, requeued
 without being charged an attempt.  The members then retry, degrade or
 quarantine individually through the normal machinery, so a poisoned
@@ -71,18 +68,12 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
-import signal
+import pickle
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from functools import lru_cache
+from multiprocessing import connection
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu import checkpoint
@@ -98,22 +89,15 @@ from repro.techniques.simpoint import SimPointTechnique
 
 from repro.engine import faults
 from repro.engine.planner import RunRequest
+from repro.engine.protocol import RemoteFailure
 
-#: Upper bound on queued-but-unsubmitted work per worker; keeps the
-#: submission loop from pickling thousands of workloads up front.
-_BACKLOG_PER_WORKER = 4
+#: Tasks sent to one worker process at a time: the running one plus
+#: one waiting in its pipe.
+_TASKS_PER_WORKER = 2
 
-#: Grace period for draining futures off a broken pool.
-_BROKEN_DRAIN_S = 5.0
-
-#: How often the parent wakes to drain worker lifecycle events while a
-#: run timeout is armed (a run's deadline only becomes known once its
-#: start event arrives, so the parent cannot sleep indefinitely).
+#: How often the parent wakes to drain lease events while remote
+#: agents hold work.
 _EVENT_POLL_S = 0.25
-
-#: Cap on the parent's wait when live telemetry is attached, so phase
-#: updates reach ``live.json`` promptly even while no future completes.
-_TELEMETRY_POLL_S = 0.5
 
 #: Minimum spacing of a worker's phase-transition events to the parent
 #: (a warming loop alternates phases far faster than a live view needs).
@@ -188,7 +172,7 @@ class RunTask:
     workload_key: Optional[Tuple[str, str, int]] = None
     #: Human-readable run description for the live telemetry view.
     description: str = ""
-    #: ``time.monotonic()`` at pool submission (stamped by the parent;
+    #: ``time.monotonic()`` at submission (stamped by the parent;
     #: comparable across processes), feeding the queue-wait span.
     submitted: Optional[float] = None
 
@@ -316,38 +300,12 @@ def execute_request(
     )
 
 
-# Worker-side handle on the parent's lifecycle event queue, installed
-# by the pool initializer (None in the in-process runner and in an
-# agent's lease child).
-# Every event carries the pool generation so the parent can discard
-# stragglers written by workers of an already-killed pool.
-_worker_events = None
-_worker_generation = 0
-
-
-def _pool_init(event_queue, generation: int) -> None:
-    """Pool initializer: report this worker's PID to the parent (the
-    watchdog kills by these PIDs rather than executor internals) and
-    stash the event queue for :func:`_worker`."""
-    global _worker_events, _worker_generation
-    _worker_events = event_queue
-    _worker_generation = generation
-    # A forked worker inherits the parent's in-flight counter state;
-    # drain it so the deltas this worker reports are its own.  The
-    # phase ledger and notifier are likewise parent leftovers.
-    trace_store.consume_counters()
-    checkpoint.consume_counters()
-    obs_phases.drain()
-    obs_phases.set_notifier(None)
-    event_queue.put(("spawn", generation, os.getpid()))
-
-
 class PhaseNotifier:
     """Forwards a run's phase transitions to ``sink(phase, attrs)``,
     rate-limited: a repeat of the last forwarded phase is dropped, and
     so is any change within :data:`_PHASE_EVENT_MIN_S` of the last
-    forwarded event.  The pool worker's sink is the parent's event
-    queue; an agent's lease child's is its pipe to the agent."""
+    forwarded event.  A :class:`WorkerProcess` child's sink is its pipe
+    to the supervisor, be that the executor or an agent."""
 
     __slots__ = ("sink", "last", "sent_at")
 
@@ -409,22 +367,7 @@ def _worker(task, scale: Scale):
     including injected faults armed for *any* member slot -- propagates
     whole, and the parent explodes a failed batch back into singletons.
     """
-    events, generation = _worker_events, _worker_generation
     begun = time.monotonic()
-    if events is not None:
-        # Start event first: the run-timeout clock starts here, and a
-        # worker that dies mid-run (SIGKILL) must already have told the
-        # parent this run was executing so the crash is attributed.
-        events.put(
-            ("start", generation, task.slot, task.attempt, begun, os.getpid())
-        )
-        obs_phases.set_notifier(
-            PhaseNotifier(
-                lambda phase, attrs: events.put(
-                    ("phase", generation, task.slot, task.attempt, phase, attrs)
-                )
-            )
-        )
     attrs = _run_attrs(task)
     if isinstance(task, BatchTask):
         attrs["configs"] = len(task.members)
@@ -482,9 +425,6 @@ def _worker(task, scale: Scale):
         )
     finally:
         obs_trace.clear_context()
-        if events is not None:
-            obs_phases.set_notifier(None)
-            events.put(("end", generation, task.slot, task.attempt))
 
 
 def _live_entry(task) -> Dict[str, object]:
@@ -499,22 +439,144 @@ def _live_entry(task) -> Dict[str, object]:
     }
 
 
-class _InProcessRunner:
-    """Runs each submitted task to completion inside :meth:`submit`, in
-    this process, and hands back an already-resolved future.
+def _child_loop(conn, parent_end) -> None:
+    """A :class:`WorkerProcess` child: run each ``(task, scale)`` that
+    arrives on ``conn`` through :func:`_worker` until ``None`` (or EOF).
 
-    Used where a pool would only add overhead.  Unlike a pool worker it
-    never reports a spawn (so the watchdog's kill path can never
-    SIGKILL the supervisor) and never drains the parent's store
-    counters at start-up.  The loop cannot poll while a run executes
-    here, so the runner keeps that run's live view itself: its slot,
-    this process's PID and its current phase.
+    Per task it sends ``("start", monotonic)`` first -- the run-timeout
+    clock starts there, and a child SIGKILLed mid-run has thereby told
+    the supervisor which run it died in -- then throttled ``("phase",
+    (phase, attrs))`` messages, then ``("done", envelope)`` or
+    ``("error", exception)``.
+    """
+    # The inherited copy of the supervisor's end would hide its death:
+    # with it closed, a SIGKILLed supervisor means EOF and an exit.
+    parent_end.close()
+    # A forked child inherits the parent's in-flight counter state;
+    # drain it so the deltas this child reports are its own.  The
+    # phase ledger is likewise a parent leftover.
+    trace_store.consume_counters()
+    checkpoint.consume_counters()
+    obs_phases.drain()
+    try:
+        for task, scale in iter(conn.recv, None):
+            conn.send(("start", time.monotonic()))
+            conn.send(_child_run(conn, task, scale))
+    except (EOFError, OSError):
+        pass  # the supervisor is gone: exit quietly
+
+
+def _child_run(conn, task, scale: Scale) -> tuple:
+    """One task in a :func:`_child_loop`: its final message."""
+    obs_phases.set_notifier(PhaseNotifier(
+        lambda phase, attrs: conn.send(("phase", (phase, attrs)))
+    ))
+    try:
+        return ("done", _worker(task, scale))
+    except BaseException as exc:  # report, never die silently
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            # An exception that cannot cross the pipe travels as its
+            # signature, which is all the supervisor keys on.
+            exc = RemoteFailure("transient", *_signature(exc))
+        return ("error", exc)
+    finally:
+        obs_phases.set_notifier(None)
+
+
+class WorkerProcess:
+    """One supervised child process that executes tasks sent down its
+    pipe, for the executor's local workers and an agent's leases alike.
+
+    :meth:`submit` ships a task; :meth:`recv` reads the child's next
+    message as ``(kind, task, value)``: ``start`` (value: the start
+    time), ``phase`` (``(phase, attrs)``), ``done`` (the :func:`_worker`
+    envelope), ``error`` (the exception) or ``crash`` -- the pipe hit
+    EOF before a final message, so the child died; ``value`` is then
+    the crash failure and ``task`` the run it had started, or None.
+    The child is forked, so it inherits the parent's imports and
+    memoized state.
+    """
+
+    def __init__(self) -> None:
+        # Event files are line-buffered, but flush anyway so the child
+        # can never inherit half-written parent trace bytes.
+        obs_trace.flush()
+        context = multiprocessing.get_context("fork")
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_child_loop, args=(child, self.conn), daemon=True
+        )
+        self.process.start()
+        child.close()
+        self.pid = self.process.pid
+        #: Sent but unfinished tasks, the executing (or next) one first.
+        self.tasks: Deque = deque()
+        #: ``tasks[0]``'s reported start time; None until it starts.
+        self.started: Optional[float] = None
+        self.phase: Optional[str] = None
+        self.phase_attrs: dict = {}
+
+    def submit(self, task, scale: Scale) -> None:
+        self.tasks.append(task)
+        try:
+            # Tasks ship workloads by key, so they are small: a running
+            # task plus one waiting fit in the pipe without blocking.
+            self.conn.send((_strip_task(task), scale))
+        except OSError:
+            pass  # the child is dead: recv() reports it, nothing started
+
+    def recv(self) -> Tuple[str, object, object]:
+        try:
+            kind, value = self.conn.recv()
+        except (EOFError, OSError):
+            running = self.tasks[0] if self.started is not None else None
+            return "crash", running, _crash_failure()
+        task = self.tasks[0]
+        if kind == "start":
+            self.started, self.phase, self.phase_attrs = value, None, {}
+        elif kind == "phase":
+            self.phase, self.phase_attrs = value
+        else:
+            self.tasks.popleft()
+            self.started = None
+        return kind, task, value
+
+    def stop(self) -> List[object]:
+        """End the child and reap it; returns the tasks it still held.
+
+        An idle child exits on a sentinel; one holding tasks is
+        SIGKILLed, since a hung run never returns.
+        """
+        if self.tasks:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already gone
+        self.process.join()
+        self.conn.close()
+        tasks = list(self.tasks)
+        self.tasks.clear()
+        self.started = None
+        return tasks
+
+
+class _InProcessRunner:
+    """Runs one task to completion inside :meth:`run`, in this process.
+
+    Used where a worker process would only add overhead.  The loop
+    cannot poll while a run executes here, so the runner keeps that
+    run's live view itself: its slot, this process's PID and its
+    current phase.
     """
 
     def __init__(self, telemetry: Optional[InflightTracker]) -> None:
         self.telemetry = telemetry
 
-    def submit(self, fn, task, scale: Scale) -> Future:
+    def run(self, task, scale: Scale):
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.start(**_live_entry(task), pid=os.getpid())
@@ -523,76 +585,12 @@ class _InProcessRunner:
                     task.slot, phase, attrs
                 )
             )
-        future: Future = Future()
         try:
-            future.set_result(fn(task, scale))
-        except Exception as exc:
-            future.set_exception(exc)
+            return _worker(_strip_task(task), scale)
         finally:
             if telemetry is not None:
                 obs_phases.set_notifier(None)
                 telemetry.finish(task.slot)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass
-
-
-class _WorkerEvents:
-    """Parent-side view of the worker lifecycle event stream.
-
-    Tracks which PIDs belong to the current pool generation and which
-    ``(slot, attempt)`` runs are executing right now (with their start
-    times).  Killing a pool bumps the generation, which both resets the
-    state and makes the parent ignore straggler events still in the
-    pipe from the old pool's workers.
-    """
-
-    def __init__(self) -> None:
-        self.queue = multiprocessing.SimpleQueue()
-        self.generation = 0
-        self.pids: set = set()
-        #: (slot, attempt) -> the executing run's ``started``, ``pid``,
-        #: ``phase`` and ``phase_attrs``.
-        self.running: Dict[Tuple[int, int], dict] = {}
-
-    def drain(self) -> None:
-        # Single consumer: if empty() is False a get() cannot block.
-        while not self.queue.empty():
-            kind, generation, *event = self.queue.get()
-            if generation != self.generation:
-                continue
-            if kind == "spawn":
-                self.pids.add(event[0])
-            elif kind == "start":
-                slot, attempt, started, pid = event
-                self.running[(slot, attempt)] = {
-                    "started": started, "pid": pid,
-                    "phase": None, "phase_attrs": {},
-                }
-            elif kind == "phase":
-                slot, attempt, phase, attrs = event
-                run = self.running.get((slot, attempt))
-                if run is not None:
-                    run.update(phase=phase, phase_attrs=attrs)
-            elif kind == "end":
-                self.running.pop((event[0], event[1]), None)
-
-    def run(self, task: "RunTask") -> Optional[dict]:
-        """The executing run's record, or None if it has not started."""
-        return self.running.get((task.slot, task.attempt))
-
-    def start_time(self, task: "RunTask") -> Optional[float]:
-        run = self.run(task)
-        return run["started"] if run is not None else None
-
-    def new_generation(self) -> None:
-        self.generation += 1
-        self.pids.clear()
-        self.running.clear()
-
-    def close(self) -> None:
-        self.queue.close()
 
 
 class _WatchdogTimeout(Exception):
@@ -610,20 +608,23 @@ DegradeCallback = Callable[[int, str, str], None]
 BatchCallback = Callable[[int], None]
 
 
-#: Normalized signature for any pool breakage (messages vary by phase).
+#: Signature of a worker process that died mid-run, local or remote.
 _CRASH_SIGNATURE = ("WorkerCrash", "worker process died")
+
+
+def _crash_failure() -> RemoteFailure:
+    """The failure charged to a run whose worker process died."""
+    return RemoteFailure("crash", *_CRASH_SIGNATURE)
 
 
 def _signature(exc: BaseException) -> Tuple[str, str]:
     """Stable identity of a failure, for poison-run detection."""
     signature = getattr(exc, "signature", None)
     if signature is not None:
-        # Remote failures (repro.engine.protocol.RemoteFailure) carry a
-        # precomputed signature: a remote worker crash must match the
-        # local crash signature so it stays quarantine-exempt.
+        # Crashes and remote failures (RemoteFailure) carry a
+        # precomputed signature, so a crash reads the same wherever
+        # its worker ran and stays quarantine-exempt.
         return tuple(signature)
-    if isinstance(exc, BrokenExecutor):
-        return _CRASH_SIGNATURE
     return (type(exc).__name__, str(exc))
 
 
@@ -635,8 +636,6 @@ def classify_failure(exc: BaseException) -> str:
         return remote_kind
     if isinstance(exc, _WatchdogTimeout):
         return "timeout"
-    if isinstance(exc, BrokenExecutor):
-        return "crash"
     return "transient"
 
 
@@ -728,11 +727,11 @@ class Executor:
 
         kind = classify_failure(exc)
         sig = _signature(exc)
-        # A pool breakage is charged to every run that was executing
-        # when the worker died, so two identical crash signatures do
-        # not prove *this* run is the poison one -- crashes never
-        # quarantine; the retry budget backstops a genuine worker
-        # killer.
+        # A worker can die for reasons outside its run (the OOM
+        # killer, an operator's signal), so two identical crash
+        # signatures do not prove *this* run is the poison one --
+        # crashes never quarantine; the retry budget backstops a
+        # genuine worker killer.
         identical = (
             bool(sup.signatures)
             and sup.signatures[-1] == sig
@@ -790,20 +789,12 @@ class Executor:
         in_process = remote is None and (
             self.jobs == 1 or (len(tasks) <= 1 and self.timeout is None)
         )
-        workers = min(self.jobs, max(1, len(tasks)))
-        # The in-process runner finishes a task inside submit(), so it
-        # takes one at a time and each completes before the next runs.
-        backlog = 1 if in_process else workers * _BACKLOG_PER_WORKER
+        slots = min(self.jobs, max(1, len(tasks)))  # jobs=0: leases only
+        inline = _InProcessRunner(telemetry) if in_process else None
+        workers: List[WorkerProcess] = []
         pending: Deque = deque(tasks)
         waiting: List[Tuple[float, RunTask]] = []  # backoff: (ready_at, task)
         supervision: Dict[int, _Supervision] = {}
-        futures: Dict[object, object] = {}
-        events = _WorkerEvents()
-        if in_process:
-            new_runner = lambda: _InProcessRunner(telemetry)  # noqa: E731
-        else:
-            new_runner = lambda: self._new_pool(workers, events)  # noqa: E731
-        pool = new_runner() if workers else None  # jobs=0: leases only
         if remote is not None:
             # Connected agents lease tasks straight out of `pending`
             # (deque pops are atomic, so local submission and remote
@@ -811,30 +802,27 @@ class Executor:
             remote.begin_batch(pending)
 
         def sync_telemetry() -> None:
-            """Rebuild the live in-flight view from worker events."""
+            """Rebuild the live in-flight view from the workers' state."""
             if telemetry is None:
                 return
             running = []
-            submitted_unstarted = 0
-            for future, task in futures.items():
-                if future.done():
-                    continue  # finished: neither running nor queued
-                run = events.run(task)
-                if run is None:
-                    # Submitted but not yet executing: still queued work
-                    # (a batch still counts as its member runs).
-                    submitted_unstarted += len(_members(task))
-                    continue
-                running.append({**_live_entry(task), **run})
-            # Weight every pending unit by its member count: a BatchTask
-            # is one future but ``configs_per_batch`` pending runs, and
-            # an ETA that counted it as one run would be optimistic by
+            # Weight every queued unit by its member count: a BatchTask
+            # is one task but ``configs_per_batch`` pending runs, and an
+            # ETA that counted it as one run would be optimistic by
             # roughly that factor.
-            queued = (
-                sum(len(_members(t)) for t in pending)
-                + sum(len(_members(t)) for _, t in waiting)
-                + submitted_unstarted
+            queued = sum(len(_members(t)) for t in pending) + sum(
+                len(_members(t)) for _, t in waiting
             )
+            for worker in workers:
+                held = list(worker.tasks)
+                if held and worker.started is not None:
+                    running.append({
+                        **_live_entry(held.pop(0)),
+                        "started": worker.started, "pid": worker.pid,
+                        "phase": worker.phase,
+                        "phase_attrs": worker.phase_attrs,
+                    })
+                queued += sum(len(_members(t)) for t in held)
             telemetry.sync(running, queued)
 
         def handle_failure(task, exc: BaseException) -> None:
@@ -895,26 +883,27 @@ class Executor:
             if isinstance(task, BatchTask) and on_batch is not None:
                 on_batch(runs)
 
-        def handle_done_future(future, task) -> bool:
-            """Dispatch one completed future; True if the pool broke."""
-            try:
-                outcome = future.result()
-            except BrokenExecutor as exc:
-                # The breakage exception lands on *every* in-flight
-                # future, but only runs that had started executing can
-                # have killed (or been killed with) the worker; runs
-                # still queued inside the pool never ran and are
-                # requeued uncharged.
-                if events.start_time(task) is not None:
-                    handle_failure(task, exc)
-                else:
-                    pending.append(task)
-                return True
-            except Exception as exc:
-                handle_failure(task, exc)
-            else:
-                complete(task, outcome)
-            return False
+        def retire(worker: WorkerProcess, exc: BaseException) -> None:
+            """Stop a dead or hung worker: its started run is charged
+            ``exc``; every other task it held never ran, so it is
+            requeued uncharged.  Only this worker is touched."""
+            started = worker.started is not None
+            held = worker.stop()
+            workers.remove(worker)
+            if started:
+                handle_failure(held.pop(0), exc)
+            pending.extend(held)
+
+        def drain_worker(worker: WorkerProcess) -> None:
+            """Dispatch every message the worker has ready."""
+            while worker.tasks and worker.conn.poll():
+                kind, task, value = worker.recv()
+                if kind == "done":
+                    complete(task, value)
+                elif kind == "error":
+                    handle_failure(task, value)
+                elif kind == "crash":
+                    retire(worker, value)
 
         def drain_remote() -> None:
             """Fold the lease scheduler's events into the run loop."""
@@ -954,9 +943,17 @@ class Executor:
                         f"{key} from agent {agent}: {detail}"
                     )
 
+        def deadline(worker: WorkerProcess) -> Optional[float]:
+            """When the worker's run expires; None before it starts
+            (time queued behind siblings never counts against a run)."""
+            if self.timeout is None or worker.started is None:
+                return None
+            runs = len(_members(worker.tasks[0]))
+            return worker.started + self.timeout * runs
+
         try:
             while (
-                pending or waiting or futures
+                pending or waiting or any(w.tasks for w in workers)
                 or (remote is not None and remote.outstanding())
             ):
                 now = time.monotonic()
@@ -967,30 +964,36 @@ class Executor:
                 if remote is not None:
                     drain_remote()
 
-                pool_dead = False
-                while pool is not None and pending and len(futures) < backlog:
-                    try:
-                        task = pending.popleft()
-                    except IndexError:
-                        break  # a remote agent leased the last task
+                if inline is not None and pending:
+                    task = pending.popleft()
                     task.submitted = time.monotonic()
                     try:
-                        future = pool.submit(_worker, _strip_task(task), scale)
-                    except RuntimeError:
-                        # Pool broken or shut down mid-submission: this
-                        # task never ran, so it is requeued without
-                        # being charged an attempt.
-                        pending.appendleft(task)
-                        if futures:
-                            break  # drain in-flight first; rebuild below
-                        pool = self._replace_pool(pool, new_runner)
-                        pool_dead = True
-                        break
-                    futures[future] = task
-                if pool_dead:
+                        outcome = inline.run(task, scale)
+                    except Exception as exc:
+                        handle_failure(task, exc)
+                    else:
+                        complete(task, outcome)
+                    sync_telemetry()
                     continue
 
-                if not futures:
+                # Keep every worker fed: the first pass gives each
+                # worker a run, the second one more waiting in its pipe,
+                # so a worker never idles while the supervisor writes a
+                # finished run to the store.
+                while inline is None and len(workers) < slots and pending:
+                    workers.append(WorkerProcess())
+                for depth in range(1, _TASKS_PER_WORKER + 1):
+                    for worker in workers:
+                        if len(worker.tasks) < depth and pending:
+                            try:
+                                task = pending.popleft()
+                            except IndexError:
+                                break  # a remote agent leased the last task
+                            task.submitted = time.monotonic()
+                            worker.submit(task, scale)
+
+                busy = [w for w in workers if w.tasks]
+                if not busy:
                     sleeps = []
                     if waiting:
                         next_ready = min(ready for ready, _ in waiting)
@@ -1005,190 +1008,43 @@ class Executor:
                         time.sleep(max(0.0, min(sleeps)))
                     continue
 
-                # A run's deadline is measured from the start event its
-                # worker reported, never from submission: a run queued
-                # behind more than `timeout` of sibling work must not
-                # be reaped before it even begins.
-                events.drain()
                 sync_telemetry()
                 now = time.monotonic()
-                timeouts = []
-                if self.timeout is not None:
-                    # Wake periodically to pick up start events; a
-                    # not-yet-started run has no deadline to sleep on.
-                    timeouts.append(_EVENT_POLL_S)
-                    for task in futures.values():
-                        begun = events.start_time(task)
-                        if begun is not None:
-                            timeouts.append(
-                                begun
-                                + self.timeout * len(_members(task))
-                                - now
-                            )
-                if telemetry is not None:
-                    # Keep phase/queue updates flowing to the live view
-                    # even while no future completes.
-                    timeouts.append(_TELEMETRY_POLL_S)
+                timeouts = [
+                    expiry - now for expiry in map(deadline, busy)
+                    if expiry is not None
+                ]
                 if remote is not None:
                     # Lease events (and heartbeat expiry) must be
-                    # drained even while no local future completes.
+                    # drained even while no local run finishes.
                     timeouts.append(_EVENT_POLL_S)
                 if waiting:
                     timeouts.append(min(ready for ready, _ in waiting) - now)
                 wait_for = max(0.0, min(timeouts)) if timeouts else None
-                done, _ = wait(
-                    futures, timeout=wait_for, return_when=FIRST_COMPLETED
-                )
+                ready = connection.wait([w.conn for w in busy], wait_for)
+                for worker in busy:
+                    if worker.conn in ready:
+                        drain_worker(worker)
 
-                events.drain()
-                broken = False
-                for future in done:
-                    task = futures.pop(future)
-                    broken |= handle_done_future(future, task)
-                if broken:
-                    self._drain_broken(futures, pending, handle_done_future)
-                    pool = self._replace_pool(pool, new_runner)
-                    continue
-
-                if self.timeout is not None:
-                    pool = self._reap_expired(
-                        pool, new_runner, futures, pending, events,
-                        handle_failure, handle_done_future,
-                    )
+                # The watchdog: a run past its deadline is charged a
+                # timeout, and only its own worker is killed.
+                now = time.monotonic()
+                for worker in list(workers):
+                    expiry = deadline(worker)
+                    if (
+                        expiry is not None and now >= expiry
+                        and not worker.conn.poll()  # else it just finished
+                    ):
+                        retire(worker, _WatchdogTimeout(
+                            f"run exceeded {self.timeout:g}s wall-clock "
+                            "timeout"
+                        ))
         finally:
             try:
                 if remote is not None:
                     remote.end_batch()
-                if pool is None:
-                    pass
-                elif futures:
-                    # Bailing out with work in flight (error/interrupt):
-                    # a hung worker would block a graceful shutdown
-                    # forever.
-                    self._kill_pool(pool, events)
-                else:
-                    # Normal completion: wait for the pool's management
-                    # thread to wind down, or its atexit hook can race
-                    # the close of the wakeup pipe and spew EBADF on
-                    # exit.
-                    pool.shutdown(wait=True, cancel_futures=True)
             finally:
-                events.close()
+                for worker in workers:
+                    worker.stop()
                 if telemetry is not None:
                     telemetry.clear()
-
-    # -- pool internals -----------------------------------------------------------
-
-    @staticmethod
-    def _new_pool(workers: int, events: _WorkerEvents):
-        """Build a pool whose workers report lifecycle events.
-
-        Bumps the event generation first, so state from any previous
-        pool (worker PIDs, started runs, straggler events still in the
-        pipe) cannot leak into this one.
-        """
-        # Event files are line-buffered, but flush anyway so a forked
-        # worker can never inherit half-written parent trace bytes.
-        obs_trace.flush()
-        events.new_generation()
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(events.queue, events.generation),
-        )
-
-    @staticmethod
-    def _replace_pool(pool, new_runner: Callable[[], object]):
-        """Tear down a (possibly broken) pool and build a fresh one."""
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        return new_runner()
-
-    @staticmethod
-    def _drain_broken(futures, pending, handle_done_future) -> None:
-        """Resolve every future stranded on a broken pool.
-
-        Futures that resolve (normally ~immediately, with the pool's
-        breakage exception) are dispatched; any that do not are
-        abandoned and their tasks requeued uncharged.
-        """
-        remaining = list(futures.items())
-        futures.clear()
-        done, _ = wait([f for f, _ in remaining], timeout=_BROKEN_DRAIN_S)
-        for future, task in remaining:
-            if future in done:
-                handle_done_future(future, task)
-            else:
-                future.cancel()
-                pending.append(task)
-
-    def _reap_expired(
-        self, pool, new_runner, futures, pending, events,
-        handle_failure, handle_done_future,
-    ):
-        """Kill the pool if any in-flight run blew its deadline.
-
-        A run's deadline is its worker-reported start time plus the
-        timeout; runs that have not started yet have no deadline.  The
-        hung run is charged a ``timeout`` failure; sibling in-flight
-        runs are interrupted through no fault of their own, so they are
-        requeued without being charged an attempt.
-        """
-        events.drain()
-        now = time.monotonic()
-        raced: List[Tuple[object, RunTask]] = []
-        expired: List[RunTask] = []
-        interrupted: List[RunTask] = []
-        for future, task in futures.items():
-            begun = events.start_time(task)
-            if future.done():  # completed while we were deciding
-                raced.append((future, task))
-            elif begun is not None and now >= (
-                begun + self.timeout * len(_members(task))
-            ):
-                expired.append(task)
-            else:
-                interrupted.append(task)
-        if not expired:
-            return pool  # raced futures are picked up by the next wait()
-        futures.clear()
-        self._kill_pool(pool, events)
-        for future, task in raced:
-            handle_done_future(future, task)
-        for task in expired:
-            handle_failure(
-                task,
-                _WatchdogTimeout(
-                    f"run exceeded {self.timeout:g}s wall-clock timeout"
-                ),
-            )
-        pending.extend(interrupted)
-        return new_runner()
-
-    @staticmethod
-    def _kill_pool(pool, events: _WorkerEvents) -> None:
-        """Forcibly terminate a pool's worker processes (watchdog and
-        bail-out paths: a hung worker never returns, so a graceful
-        shutdown would wait forever).
-
-        Workers are killed by the PIDs they reported at spawn; the
-        executor's private ``_processes`` map is swept too, as a
-        belt-and-braces fallback on interpreters where it still exists.
-        """
-        events.drain()
-        for pid in list(events.pids):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass  # already dead (or PID recycled to another user)
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass

@@ -9,7 +9,7 @@ number, so the same plan always injects the same faults regardless of
 worker scheduling.
 
 Plans come from the ``REPRO_FAULT_PLAN`` environment variable (so they
-reach pool worker processes by inheritance) in either of two forms:
+reach worker processes by inheritance) in either of two forms:
 
 * compact  -- ``"exc@2,hang@5:30,kill@7,kernel@3:numpy,exc@4x9"``
   (``kind@slot[:arg][xN]``; ``xN`` fires on attempts 1..N, ``x*``
@@ -25,13 +25,14 @@ Fault kinds:
     the worker sleeps ``arg`` seconds (default 3600) -- reaped by the
     run-timeout watchdog;
 ``kill``
-    the worker SIGKILLs itself, breaking the process pool;
+    the worker process SIGKILLs itself: a ``crash`` charged to that
+    run alone, while every other worker keeps running;
 ``kernel``
     the simulation kernel of backend ``arg`` (default: any guarded
     backend) raises, triggering backend degradation.
 
 Network fault kinds (honored by remote worker agents,
-:mod:`repro.engine.worker`; ignored by local pool workers).  For these
+:mod:`repro.engine.worker`; ignored by local workers).  For these
 the ``@N`` operand is the *agent's Nth granted lease* (1-based), not a
 plan slot -- plans are per-process environment, so ``@N`` selects when
 the agent carrying the plan misbehaves, deterministically:
@@ -241,7 +242,7 @@ def deactivate() -> None:
 def network_fault(lease_ordinal: int) -> Optional[FaultSpec]:
     """The planned network fault for an agent's Nth lease (1-based).
 
-    Called by :mod:`repro.engine.worker` after each grant; local pool
+    Called by :mod:`repro.engine.worker` after each grant; local
     workers never consult this, and :func:`activate` ignores network
     kinds, so one plan string can mix worker-side and network faults.
     """

@@ -5,7 +5,7 @@ The supervisor side of multi-host sweeps.  Remote worker agents
 engine's pending queue; the :class:`LeaseLedger` tracks every
 outstanding lease and the :class:`LeaseServer` speaks the wire protocol
 on its behalf.  The executor treats the server as one more source of
-completed work next to its local process pool.
+completed work next to its local worker processes.
 
 Wire format: newline-delimited JSON messages, one request/one reply,
 over a plain TCP socket.  Tasks travel as pickled submission copies
@@ -22,8 +22,8 @@ Robustness model (the PR 3 taxonomy, extended across hosts):
   ``--run-timeout``, a wall-clock *deadline* derived from it;
 * a lease whose heartbeats stop is a dead or partitioned agent: the
   run never provably executed to completion, so it is requeued
-  **uncharged** -- exactly like a local run that was queued on a pool
-  that broke (only actually-executing runs get charged);
+  **uncharged** -- exactly like a local run waiting in the pipe of a
+  worker that died (only actually-executing runs get charged);
 * a lease whose deadline passes while heartbeats continue is a *slow
   run*, not a dead agent: it is charged a ``timeout`` failure, exactly
   like a local run reaped by the watchdog.  This is the
@@ -142,8 +142,9 @@ class ProtocolError(RuntimeError):
 
 
 class RemoteFailure(RuntimeError):
-    """A run failure reported by a remote agent, reconstructed for the
-    supervisor's failure taxonomy.
+    """A run failure reported from outside the supervisor's process,
+    reconstructed for its failure taxonomy: an agent's report, or a
+    worker process that died (local or remote).
 
     ``remote_kind`` feeds :func:`~repro.engine.executor.classify_failure`
     (``transient`` or ``crash``); ``signature`` feeds the quarantine
@@ -155,6 +156,9 @@ class RemoteFailure(RuntimeError):
         super().__init__(f"{type_name}: {message}")
         self.remote_kind = kind
         self.signature = (type_name, message)
+
+    def __reduce__(self):  # crosses a worker process's pipe
+        return (RemoteFailure, (self.remote_kind, *self.signature))
 
 
 def encode_task(task) -> str:
@@ -490,7 +494,7 @@ class LeaseLedger:
                 return None
             try:
                 # deque.popleft is atomic; the executor pops the same
-                # deque for its local pool, so contention resolves to
+                # deque for its local workers, so contention resolves to
                 # exactly one owner per task.
                 task = self._supply.popleft()
             except IndexError:
@@ -1151,10 +1155,9 @@ class LeaseServer:
 
             return KernelError(str(message.get("backend", "")), error)
         if kind == "crash":
-            from repro.engine.executor import _CRASH_SIGNATURE
+            from repro.engine.executor import _crash_failure
 
-            failure = RemoteFailure("crash", *_CRASH_SIGNATURE)
-            return failure
+            return _crash_failure()
         return RemoteFailure(
             "transient", str(message.get("type", "RemoteError")), error
         )

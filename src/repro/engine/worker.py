@@ -7,20 +7,23 @@ Usage::
 
 An agent connects to a supervisor started with ``--listen``, leases
 runs one at a time and executes them with the *same* worker function
-the local process pool uses (:func:`repro.engine.executor._worker`), so
+local worker processes use (:func:`repro.engine.executor._worker`), so
 a run's result cannot depend on where it executed.  Workloads arrive as
 compact registry keys; the agent materializes traces and warm-state
 checkpoints into its **own** local store (under ``--cache-dir``), so
 joining a host costs nothing but CPU.
 
-Each leased run executes in a child process.  While the child runs,
+Each leased run executes in a fresh
+:class:`~repro.engine.executor.WorkerProcess`, the same supervised
+child class the executor's local workers are.  While the child runs,
 the agent heartbeats at the cadence the supervisor announced (a third
 of the lease TTL); a ``cancel`` reply kills the child and abandons the
-run (the supervisor has already expired or reaped the lease).  A child
-that dies without reporting is a ``crash``; a
-:class:`~repro.cpu.kernels.registry.KernelError` is reported as a
-``kernel`` failure so the supervisor's backend-degradation path serves
-remote runs too; anything else is ``transient``.  Completed results
+run (the supervisor has already expired or reaped the lease).  The
+child's outcome maps to the wire ``kind``: a child that dies before
+reporting is a ``crash``, with the local crash signature; a
+:class:`~repro.cpu.kernels.registry.KernelError` is a ``kernel``
+failure, so the supervisor's backend-degradation path serves remote
+runs too; any other exception is ``transient``.  Completed results
 travel back as the exact JSON payload dicts the store persists, which
 is what makes distributed stores byte-identical to local ones.
 
@@ -35,7 +38,7 @@ the stores' atomic-rename discipline) -- so a fresh host costs one
 trace fetch + one checkpoint fetch instead of regenerating everything
 from zero.  While a run executes, the child's phase transitions stream
 back as ``obs`` messages, throttled by the same
-:class:`~repro.engine.executor.PhaseNotifier` rule as the local pool's;
+:class:`~repro.engine.executor.PhaseNotifier` rule as local workers';
 after each run the agent reports its artifact cache counters the same
 way.  Each run's phase-timing ledger rides on the ``complete`` message,
 one ``phases`` dict per payload, so the supervisor records remote runs
@@ -61,7 +64,6 @@ from __future__ import annotations
 import argparse
 import base64
 import hashlib
-import multiprocessing
 import os
 import signal
 import socket
@@ -73,11 +75,16 @@ from typing import Optional
 
 from repro.cpu import checkpoint
 from repro.cpu.kernels.registry import BACKEND_ENV_VAR, KernelError
-from repro.obs import phases as obs_phases
 from repro.scale import Scale
 from repro.workloads import trace_store
 
 from repro.engine import faults
+from repro.engine.executor import (
+    WorkerProcess,
+    _resolve_workload,
+    _signature,
+    classify_failure,
+)
 from repro.engine.planner import RESULTS_EPOCH
 from repro.engine.protocol import (
     ARTIFACT_CHUNK_BYTES,
@@ -93,53 +100,6 @@ _FETCH_ATTEMPTS = 3
 
 class _InjectedSever(RuntimeError):
     """An injected mid-fetch connection drop (``drop@N:fetch``)."""
-
-
-def _child_main(pipe, task, scale: Scale) -> None:
-    """Execute one leased task and report through ``pipe``.
-
-    Runs in a forked child so a hang or SIGKILL (injected or real)
-    never takes the agent's lease loop down; the agent turns a silent
-    child death into a ``crash`` report.  Interim ``{"phase": ...}``
-    messages precede the single final document.
-    """
-    from repro.engine import executor as executor_mod
-
-    obs_phases.set_notifier(
-        executor_mod.PhaseNotifier(
-            lambda phase, attrs: pipe.send({"phase": phase, "attrs": attrs})
-        )
-    )
-    try:
-        _, results, wall, reuse, resources = executor_mod._worker(task, scale)
-        pipe.send(
-            {
-                "ok": True,
-                "payloads": [r.to_payload() for r in results],
-                "phases": [r.phase_times for r in results],
-                "wall_s": wall,
-                "reuse": {str(k): int(v) for k, v in dict(reuse).items()},
-                "resources": resources,
-            }
-        )
-    except KernelError as exc:
-        pipe.send(
-            {
-                "ok": False,
-                "kind": "kernel",
-                "backend": exc.backend,
-                "error": str(exc),
-            }
-        )
-    except BaseException as exc:  # report, never crash silently
-        pipe.send(
-            {
-                "ok": False,
-                "kind": "transient",
-                "type": type(exc).__name__,
-                "error": str(exc),
-            }
-        )
 
 
 class WorkerAgent:
@@ -319,81 +279,64 @@ class WorkerAgent:
         scale: Scale,
         heartbeat_s: float,
     ) -> Optional[dict]:
-        """Run one task in a child, heartbeating; None when canceled.
+        """Run one task in a fresh worker process, heartbeating; None
+        when canceled.
 
-        The child's pipe carries interim ``{"phase": ...}`` progress
-        messages (forwarded to the supervisor as ``obs`` events) before
-        the single final ``{"ok": ...}`` document.
+        The child's phase messages are forwarded to the supervisor as
+        ``obs`` events; its outcome becomes the ``{"ok": ...}`` document.
         """
-        parent_end, child_end = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_child_main, args=(child_end, task, scale), daemon=True
-        )
-        process.start()
-        child_end.close()
-        doc = None
-        pipe_eof = False
-        next_beat = time.monotonic() + heartbeat_s
+        worker = WorkerProcess()
         try:
-            while doc is None and not pipe_eof:
-                alive = process.is_alive()
-                while parent_end.poll(0.05):
-                    try:
-                        message = parent_end.recv()
-                    except (EOFError, OSError):
-                        pipe_eof = True
-                        break
-                    if not isinstance(message, dict):
-                        continue
-                    if "ok" in message:
-                        doc = message
-                        break
-                    if "phase" in message:
-                        phase = str(message.get("phase", ""))
+            worker.submit(task, scale)
+            next_beat = time.monotonic() + heartbeat_s
+            while True:
+                if worker.conn.poll(max(0.0, next_beat - time.monotonic())):
+                    kind, _, value = worker.recv()
+                    if kind == "phase":
+                        phase, attrs = value
                         self._send_obs(
                             connection,
                             phase=phase,
-                            events=[{
-                                "phase": phase,
-                                "attrs": message.get("attrs") or {},
-                            }],
+                            events=[{"phase": phase, "attrs": attrs}],
                         )
-                    if time.monotonic() >= next_beat:
-                        break  # a chatty child must not starve heartbeats
-                if doc is not None or pipe_eof:
-                    break
-                if not alive and not parent_end.poll():
-                    break  # died without reporting
+                    elif kind != "start":
+                        break
                 if time.monotonic() >= next_beat:
                     reply = connection.request(
                         {"op": "heartbeat", "lease": lease_id}
                     )
                     if reply.get("status") != "ok":
                         self._log("lease canceled; abandoning run")
-                        process.kill()
-                        process.join()
                         return None
                     next_beat = time.monotonic() + heartbeat_s
-        except BaseException:
-            # Connection loss (or anything else): never leave a child
-            # simulating a run nobody is waiting for.
-            process.kill()
-            process.join()
-            raise
-        process.join(10.0)
-        if process.is_alive():
-            process.kill()
-            process.join()
-        parent_end.close()
-        if doc is None:
-            # Died without reporting: the remote twin of a pool crash.
-            doc = {
-                "ok": False,
-                "kind": "crash",
-                "type": "WorkerCrash",
-                "error": "worker process died",
+        finally:
+            # Never leave a child simulating a run nobody is waiting
+            # for (a cancel, or a lost connection).
+            worker.stop()
+        if kind == "done":
+            _, results, wall, reuse, resources = value
+            return {
+                "ok": True,
+                "payloads": [r.to_payload() for r in results],
+                "phases": [r.phase_times for r in results],
+                "wall_s": wall,
+                "reuse": {str(k): int(v) for k, v in dict(reuse).items()},
+                "resources": resources,
             }
-        return doc
+        if isinstance(value, KernelError):
+            return {
+                "ok": False,
+                "kind": "kernel",
+                "backend": value.backend,
+                "error": str(value),
+            }
+        type_name, error = _signature(value)
+        return {
+            "ok": False,
+            "kind": classify_failure(value),  # transient or crash
+            "type": type_name,
+            "error": error,
+        }
 
     def _delay(
         self,
@@ -469,8 +412,6 @@ class WorkerAgent:
         A miss the supervisor cannot serve either is not an error --
         the run then generates the artifact locally exactly as before.
         """
-        from repro.engine import executor as executor_mod
-
         trace_root = os.environ.get(trace_store.TRACE_DIR_ENV_VAR)
         if not trace_root:
             return
@@ -482,7 +423,7 @@ class WorkerAgent:
             request = member.request
             workload = request.workload
             if workload is None and member.workload_key is not None:
-                workload = executor_mod._resolve_workload(*member.workload_key)
+                workload = _resolve_workload(*member.workload_key)
             if workload is None:
                 continue
             trace_key = store.key_for(workload, scale)

@@ -4,7 +4,7 @@ The :class:`ExperimentContext` no longer simulates anything itself: it
 plans :class:`~repro.engine.RunRequest` batches and hands them to a
 :class:`~repro.engine.Engine`, which deduplicates, answers from its
 in-memory/persistent caches, and executes the remainder -- across a
-process pool when ``jobs > 1``.  ``run_many`` is the canonical batch
+worker processes when ``jobs > 1``.  ``run_many`` is the canonical batch
 entry point; ``run`` is a thin single-request wrapper kept for
 convenience and backwards compatibility.
 """

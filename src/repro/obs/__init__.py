@@ -46,8 +46,8 @@ modules iterate the registry instead of naming counters themselves.
     free of experiment dependencies).
 
 :mod:`repro.obs.dashboard`
-    A zero-dependency static HTML renderer for the history store, the
-    live snapshot and BENCH_*.json trajectories (imported on demand).
+    A zero-dependency static HTML renderer for the history store and
+    the live snapshot (imported on demand).
 """
 
 from repro.obs import history, phases, resources, trace

@@ -1,7 +1,7 @@
 """Zero-dependency static dashboard for the sweep-history store.
 
 ``python -m repro.experiments report dashboard --html OUT`` lands here.
-:func:`render_html` folds three data sources into one self-contained
+:func:`render_html` folds two data sources into one self-contained
 HTML file -- inline CSS, inline SVG sparklines, not a single external
 URL -- so the output renders from a file:// open on an air-gapped CI
 artifact browser:
@@ -10,8 +10,7 @@ artifact browser:
   CPU / peak-RSS trend lines and a recent-sweeps table;
 * the live snapshot (``<cache-dir>/v1/live.json``) left by the most
   recent (or still-running) sweep: progress, in-flight runs, queue
-  depth, connected agents, per-agent artifact hit rates;
-* ``BENCH_*.json`` benchmark reports sitting in ``--bench-dir``.
+  depth, connected agents, per-agent artifact hit rates.
 
 Everything is rendered server-side; the only script in the page is a
 few inline lines that stamp relative ages, and the page degrades to
@@ -24,7 +23,7 @@ import html
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.engine.metrics import AGENT_FIELDS, METRICS, artifact_hit_rate
 from repro.obs import history as obs_history
@@ -96,24 +95,6 @@ def _load_live(cache_dir: Path) -> Optional[dict]:
         return None
 
 
-def _bench_files(bench_dir: Optional[Path]) -> List[Tuple[str, dict]]:
-    if bench_dir is None:
-        bench_dir = Path(".")
-    reports: List[Tuple[str, dict]] = []
-    try:
-        paths = sorted(Path(bench_dir).glob("BENCH_*.json"))
-    except OSError:
-        return reports
-    for path in paths:
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if isinstance(doc, dict):
-            reports.append((path.name, doc))
-    return reports
-
-
 def _cell(value: object) -> str:
     """An escaped table cell; floats keep six significant digits."""
     return _esc(f"{value:.6g}" if isinstance(value, float) else value)
@@ -125,17 +106,6 @@ def _num(value: object) -> float:
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         return 0.0
-
-
-def _numeric_scalars(doc: dict) -> List[Tuple[str, float]]:
-    out = []
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out.append((key, float(value)))
-    return out
 
 
 def _history_section(records: List[dict]) -> str:
@@ -227,29 +197,6 @@ def _agents_section(records: List[dict], live: Optional[dict]) -> str:
     )
 
 
-def _bench_section(bench_dir: Optional[Path]) -> str:
-    file_benches = _bench_files(bench_dir)
-    if not file_benches:
-        return _section(
-            "Benchmark reports",
-            '<p class="muted">No BENCH_*.json reports found on disk.</p>',
-        )
-    rows = []
-    for name, doc in file_benches:
-        scalars = ", ".join(
-            f"{k}={v:g}" for k, v in _numeric_scalars(doc)[:6]
-        )
-        rows.append([
-            _esc(name),
-            _esc(str(doc.get("benchmark", "-"))[:90]),
-            _esc(scalars or "-"),
-        ])
-    return _section(
-        "Benchmark reports",
-        _table(("file", "benchmark", "headline scalars"), rows),
-    )
-
-
 def _strftime(unix: object) -> str:
     try:
         stamp = float(unix)  # type: ignore[arg-type]
@@ -291,11 +238,7 @@ for (const el of document.querySelectorAll('[data-unix]')) {
 """
 
 
-def render_html(
-    cache_dir: Path,
-    bench_dir: Optional[Path] = None,
-    now_unix: Optional[float] = None,
-) -> str:
+def render_html(cache_dir: Path, now_unix: Optional[float] = None) -> str:
     """One self-contained HTML page for ``cache_dir``'s observatory.
 
     The page embeds everything inline -- CSS, SVG, the few lines of
@@ -310,7 +253,6 @@ def render_html(
         _history_section(records),
         _live_section(live),
         _agents_section(records, live),
-        _bench_section(bench_dir),
     ])
     return (
         "<!DOCTYPE html>\n"

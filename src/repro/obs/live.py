@@ -99,7 +99,7 @@ class InflightTracker:
         """Replace the whole in-flight view (parallel-supervisor path).
 
         Rebuilding from scratch every poll keeps the view self-healing
-        across pool kills and requeues; each entry needs ``slot`` and
+        across worker kills and requeues; each entry needs ``slot`` and
         ``started`` plus whatever else is known.
         """
         with self._lock:

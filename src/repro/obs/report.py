@@ -561,16 +561,11 @@ def _dashboard_main(argv: List[str]) -> int:
         "--html", type=Path, required=True, metavar="OUT",
         help="output HTML path",
     )
-    parser.add_argument(
-        "--bench-dir", type=Path, default=None, metavar="DIR",
-        help="directory scanned for BENCH_*.json reports "
-        "(default: the current directory)",
-    )
     args = parser.parse_args(argv)
     cache_dir = _resolved_cache_dir(parser, args.cache_dir)
     from repro.obs.dashboard import render_html
 
-    text = render_html(cache_dir, bench_dir=args.bench_dir)
+    text = render_html(cache_dir)
     args.html.parent.mkdir(parents=True, exist_ok=True)
     args.html.write_text(text, encoding="utf-8")
     print(f"wrote dashboard ({len(text)} bytes) to {args.html}")

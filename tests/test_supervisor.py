@@ -333,12 +333,12 @@ class TestExecutorCallbacks:
 
 
 class TestCrashQuarantineExemption:
-    """A pool breakage cannot be attributed to one run with certainty,
-    so identical crash signatures must never trigger the poison-run
-    quarantine -- only the retry budget ends a repeat worker-killer."""
+    """A worker can die for reasons outside its run, so identical crash
+    signatures must never trigger the poison-run quarantine -- only the
+    retry budget ends a repeat worker-killer."""
 
     def test_identical_crash_signatures_do_not_quarantine(self, workload):
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.engine.executor import _crash_failure
 
         executor = Executor(jobs=2, retries=3, backoff_base=0.0)
         recorder = CallbackRecorder()
@@ -350,12 +350,12 @@ class TestCrashQuarantineExemption:
         supervision = {}
         for _ in range(3):  # three identical crashes: all within budget
             action = executor._after_failure(
-                task, BrokenProcessPool("pool died"), supervision,
+                task, _crash_failure(), supervision,
                 recorder.on_failure, recorder.on_retry, recorder.on_degrade,
             )
             assert action[0] == "requeue"
         action = executor._after_failure(  # fourth exceeds retries=3
-            task, BrokenProcessPool("pool died"), supervision,
+            task, _crash_failure(), supervision,
             recorder.on_failure, recorder.on_retry, recorder.on_degrade,
         )
         assert action[0] == "done"
