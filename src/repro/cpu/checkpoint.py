@@ -26,8 +26,8 @@ On-disk layout (one JSON file per checkpoint)::
 
     <root>/<key[:2]>/<key>-<position>.json
 
-Writes go through a temp file and an atomic ``os.replace``; an
-existing file is never rewritten (same key + position => same bytes by
+Writes go through :func:`repro.files.atomic_write`; an existing file
+is never rewritten (same key + position => same bytes by
 construction).  Corrupt or unreadable files are skipped, never
 trusted.
 
@@ -42,9 +42,10 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple
+
+from repro.files import atomic_write
 
 #: Bump when the snapshot content or file layout changes.
 CHECKPOINT_VERSION = 1
@@ -195,6 +196,9 @@ class CheckpointStore:
     ) -> Optional[Path]:
         """Persist a checkpoint (atomic; no-op if it already exists).
 
+        Returns None when the file cannot be written (a read-only or
+        full cache directory): checkpoints only ever save time.
+
         ``stats`` is the *cumulative* warming event count from trace
         position 0, so a resumed run reports bit-identical statistics.
         """
@@ -208,22 +212,9 @@ class CheckpointStore:
             "state": state,
         }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-            )
+            atomic_write(path, json.dumps(document, separators=(",", ":")))
         except OSError:
             return None
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, separators=(",", ":"))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         return path
 
 

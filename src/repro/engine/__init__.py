@@ -50,6 +50,7 @@ from repro.settings import (
     default_batch_configs,
     default_history,
     default_remote_batch_configs,
+    default_trace,
     resolve,
 )
 from repro.techniques.base import SimulationTechnique, TechniqueResult
@@ -67,7 +68,12 @@ from repro.engine.executor import (
     execute_request,
 )
 from repro.engine.faults import FAULT_PLAN_ENV_VAR, FaultSpec, InjectedFault
-from repro.engine.journal import JOURNAL_FILENAME, JournalState, SweepJournal
+from repro.engine.journal import (
+    JOURNAL_FILENAME,
+    JOURNAL_VERSION,
+    JournalState,
+    SweepJournal,
+)
 from repro.engine.metrics import EngineMetrics, ProgressReporter
 from repro.engine.planner import RESULTS_EPOCH, Plan, RunRequest
 from repro.engine.protocol import (
@@ -278,7 +284,7 @@ class Engine:
         self.checkpoint_interval_m = checkpoint_interval
         self.trace_cache = trace_cache
         if trace is None:
-            trace = obs_trace.default_enabled()
+            trace = default_trace()
         if trace and self.store is None:
             raise ValueError(
                 "tracing requires a cache_dir (events live under the store)"
@@ -359,8 +365,10 @@ class Engine:
                 # instead of destroying it.
                 os.replace(journal_path, journal_path.with_suffix(".jsonl.1"))
             self.journal = SweepJournal(journal_path)
-            self.journal.start(
-                self.scale.instructions_per_m, RESULTS_EPOCH, SCHEMA_VERSION
+            self.journal.record(
+                "start", version=JOURNAL_VERSION,
+                scale=self.scale.instructions_per_m, epoch=RESULTS_EPOCH,
+                schema=SCHEMA_VERSION,
             )
         elif resume:
             raise ValueError("resume requires a cache_dir (journal + store)")
@@ -419,6 +427,13 @@ class Engine:
                 (self.store.directory / name).unlink()
             except OSError:
                 pass
+
+    def _run_fact(self, event: str, key: str, **fields: object) -> None:
+        """Record one run-lifecycle fact: the journal record and, when
+        tracing, the trace point of the same name."""
+        if self.journal is not None:
+            self.journal.record(event, key=key, **fields)
+        obs_trace.event(event, run=key, **fields)
 
     @property
     def jobs(self) -> int:
@@ -534,7 +549,9 @@ class Engine:
         )
         if self.journal is not None:
             for task in tasks:
-                self.journal.planned(task.key, task.request.describe())
+                self.journal.record(
+                    "planned", key=task.key, run=task.request.describe()
+                )
 
         self.metrics.runs_launched += len(tasks)
         completed = plan.num_unique - len(tasks)
@@ -572,8 +589,9 @@ class Engine:
             if self.journal is not None:
                 # Journaled strictly after the store write: a crash
                 # between the two re-runs the run, never loses it.
-                self.journal.completed(
-                    key, wall, backend=info.backend, agent=info.agent
+                self.journal.record(
+                    "completed", key=key, wall_s=wall,
+                    backend=info.backend, agent=info.agent,
                 )
             self.metrics.record_execution(
                 result.family,
@@ -599,12 +617,10 @@ class Engine:
             nonlocal completed
             completed += 1
             errors[slot] = error
-            obs_trace.event(
-                "failed",
-                run=plan.keys[slot],
-                kind=error.kind,
-                attempts=error.attempts,
-                quarantined=error.quarantined,
+            self._run_fact(
+                "quarantined" if error.quarantined else "failed",
+                plan.keys[slot],
+                kind=error.kind, error=str(error), attempts=error.attempts,
             )
             self.metrics.record_failure(
                 request.describe(),
@@ -613,11 +629,6 @@ class Engine:
                 attempts=error.attempts,
                 quarantined=error.quarantined,
             )
-            if self.journal is not None:
-                self.journal.failed(
-                    plan.keys[slot], error.kind, str(error),
-                    quarantined=error.quarantined,
-                )
             progress_update()
 
         def on_retry(slot: int, exc: BaseException) -> None:
@@ -629,19 +640,16 @@ class Engine:
                 self.metrics.timeouts += 1
             elif kind == "crash":
                 self.metrics.crashes += 1
-            obs_trace.event("retry", run=plan.keys[slot], kind=kind)
+            self._run_fact("retry", plan.keys[slot], kind=kind)
 
         def on_degrade(slot: int, from_backend: str, to_backend: str) -> None:
             self.metrics.record_degradation(
                 plan.unique[slot].describe(), from_backend, to_backend
             )
-            obs_trace.event(
-                "degrade",
-                run=plan.keys[slot],
+            self._run_fact(
+                "degraded", plan.keys[slot],
                 **{"from": from_backend, "to": to_backend},
             )
-            if self.journal is not None:
-                self.journal.degraded(plan.keys[slot], from_backend, to_backend)
 
         def on_batch(members: int) -> None:
             self.metrics.batches += 1

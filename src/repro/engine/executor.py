@@ -500,9 +500,6 @@ class WorkerProcess:
     """
 
     def __init__(self) -> None:
-        # Event files are line-buffered, but flush anyway so the child
-        # can never inherit half-written parent trace bytes.
-        obs_trace.flush()
         context = multiprocessing.get_context("fork")
         self.conn, child = context.Pipe()
         self.process = context.Process(

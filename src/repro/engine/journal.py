@@ -8,22 +8,24 @@ re-executing, quarantined runs are skipped instead of re-poisoning the
 fleet, and the final output is bit-identical to an uninterrupted sweep
 because results are content-addressed.
 
-Crash safety comes from two properties:
+The journal is a durable :class:`repro.files.JsonlLog`, so crash
+safety comes from the shared log's two properties:
 
-* every event is one JSON line appended with ``flush`` + ``fsync``
-  before the engine acts on the run's result, so a kill can lose at
-  most the event being written;
-* replay tolerates a truncated final line (the partial write of the
-  crash itself) by ignoring it.
+* every event is one JSON line, synced to disk before the engine acts
+  on the run's result, so a kill can lose at most the event being
+  written;
+* replay reads through :func:`repro.files.read_jsonl`, which ignores
+  the truncated final line (the partial write of the crash itself).
 
-Events (all carry the run's content ``key``)::
+Events (all but ``start`` carry the run's content ``key``)::
 
     {"event": "start", "scale": ..., "epoch": ..., "schema": ...}
     {"event": "planned",     "key": k, "run": "<description>"}
-    {"event": "completed",   "key": k, "wall_s": ..., "backend": ..., "agent": ...}
-    {"event": "failed",      "key": k, "kind": ..., "error": ...}
-    {"event": "quarantined", "key": k, "kind": ..., "error": ...}
+    {"event": "retry",       "key": k, "kind": ...}
     {"event": "degraded",    "key": k, "from": ..., "to": ...}
+    {"event": "completed",   "key": k, "wall_s": ..., "backend": ..., "agent": ...}
+    {"event": "failed",      "key": k, "kind": ..., "error": ..., "attempts": ...}
+    {"event": "quarantined", "key": k, "kind": ..., "error": ..., "attempts": ...}
 
 Distributed sweeps add lease-lifecycle events (written by the lease
 server's connection threads -- appends are lock-serialized -- and
@@ -41,12 +43,11 @@ executed, and an expired lease never wrote a ``completed`` record.
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Optional, Set
+
+from repro.files import JsonlLog, read_jsonl
 
 #: Default journal filename inside a cache directory.
 JOURNAL_FILENAME = "journal.jsonl"
@@ -84,106 +85,17 @@ class JournalState:
             )
 
 
-class SweepJournal:
-    """Append-only JSONL journal with fsync'd atomic appends."""
+class SweepJournal(JsonlLog):
+    """The sweep's durable log: one synced JSONL line per record."""
 
     def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self._handle = None
-        # The lease server's connection threads journal lifecycle
-        # events concurrently with the engine's run records.
-        self._lock = threading.Lock()
+        super().__init__(path, durable=True)
 
-    # -- writing -----------------------------------------------------------------
-
-    def _append(self, document: dict) -> None:
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            line = json.dumps(document, sort_keys=True, separators=(",", ":"))
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def start(self, scale: float, epoch: int, schema: int) -> None:
-        self._append(
-            {
-                "event": "start",
-                "version": JOURNAL_VERSION,
-                "scale": scale,
-                "epoch": epoch,
-                "schema": schema,
-            }
-        )
-
-    def planned(self, key: str, description: str) -> None:
-        self._append({"event": "planned", "key": key, "run": description})
-
-    def completed(
-        self,
-        key: str,
-        wall_s: float,
-        backend: Optional[str] = None,
-        agent: Optional[str] = None,
-    ) -> None:
-        document = {"event": "completed", "key": key, "wall_s": wall_s}
-        if backend is not None:
-            document["backend"] = backend
-        if agent is not None:
-            document["agent"] = agent
-        self._append(document)
-
-    #: Lease-lifecycle event kinds the lease server may record.
-    LEASE_EVENTS = (
-        "agent_joined",
-        "agent_lost",
-        "leased",
-        "lease_expired",
-        "batch_exploded",
-    )
-
-    def lease_event(self, kind: str, fields: dict) -> None:
-        """Record one distributed-scheduling lifecycle event."""
-        if kind not in self.LEASE_EVENTS:
-            raise ValueError(f"unknown lease event kind {kind!r}")
-        document = {"event": kind}
-        document.update(fields)
-        self._append(document)
-
-    def failed(
-        self, key: str, kind: str, error: str, quarantined: bool = False
-    ) -> None:
-        self._append(
-            {
-                "event": "quarantined" if quarantined else "failed",
-                "key": key,
-                "kind": kind,
-                "error": error,
-            }
-        )
-
-    def degraded(self, key: str, from_backend: str, to_backend: str) -> None:
-        self._append(
-            {
-                "event": "degraded",
-                "key": key,
-                "from": from_backend,
-                "to": to_backend,
-            }
-        )
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def record(self, event: str, **fields) -> None:
+        """Append ``{"event": event, **fields}``, dropping None fields."""
+        document = {k: v for k, v in fields.items() if v is not None}
+        document["event"] = event
+        self.append(document)
 
     # -- replay ------------------------------------------------------------------
 
@@ -197,18 +109,7 @@ class SweepJournal:
         over the content-addressed store, never the source of truth.
         """
         state = JournalState()
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return state
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
+        for event in read_jsonl(path):
             kind = event.get("event")
             key = event.get("key")
             if kind == "start":

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, TextIO
 
-from repro.obs.trace import atomic_write
+from repro.files import atomic_write
 
 #: ``Metric.compare`` for counters that must match between two sweeps
 #: of the same grid (a mismatch is drift, not a regression).
@@ -501,7 +501,7 @@ class EngineMetrics:
     def write_json(self, path: Path, extra: Optional[Dict[str, object]] = None) -> None:
         """Write ``engine-stats.json`` (snapshot plus engine context).
 
-        The write is atomic (temp file + ``os.replace``): a kill
+        The write is atomic (:func:`repro.files.atomic_write`): a kill
         mid-write can never leave a truncated JSON document for the
         next resume to trip over.
         """

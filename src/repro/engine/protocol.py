@@ -845,7 +845,7 @@ class LeaseServer:
         if journal is None:
             return
         try:
-            journal.lease_event(kind, fields)
+            journal.record(kind, **fields)
         except Exception:
             pass  # lifecycle records must never take the sweep down
 

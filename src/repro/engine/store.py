@@ -18,7 +18,8 @@ crash from an older layout -- counts as a miss (the run regenerates)
 and increments the ``corrupt_entries`` counter that the engine
 surfaces as ``store_corrupt_entries``; it never crashes a sweep.
 Entries written before the checksum existed simply lack the field and
-are accepted as legacy.
+are accepted as legacy.  Writes go through
+:func:`repro.files.atomic_write`, so a reader never sees a torn entry.
 
 The result store's root doubles as the engine's cache directory; its
 full layout is::
@@ -42,10 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
+from repro.files import atomic_write
 from repro.techniques.base import TechniqueResult
 
 #: Version of the on-disk payload format.
@@ -138,24 +139,9 @@ class ResultStore:
         bytes are identical to the local ``put`` of the same result
         (both serialize the same canonical payload the same way).
         """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {k: v for k, v in payload.items() if k != CHECKSUM_FIELD}
         payload[CHECKSUM_FIELD] = _payload_checksum(payload)
-        text = json.dumps(payload, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path_for(key), json.dumps(payload, sort_keys=True))
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

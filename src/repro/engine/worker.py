@@ -75,6 +75,7 @@ from typing import Optional
 
 from repro.cpu import checkpoint
 from repro.cpu.kernels.registry import BACKEND_ENV_VAR, KernelError
+from repro.files import atomic_write
 from repro.scale import Scale
 from repro.workloads import trace_store
 
@@ -506,13 +507,7 @@ class WorkerAgent:
                 return False  # vanished server-side: generate locally
             if hashlib.sha256(data).hexdigest() == sha256_expected:
                 try:
-                    dest.parent.mkdir(parents=True, exist_ok=True)
-                    fd, tmp = tempfile.mkstemp(
-                        dir=str(dest.parent), prefix=".fetch-"
-                    )
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(data)
-                    os.replace(tmp, dest)
+                    atomic_write(dest, data)
                 except OSError:
                     return False
                 self._artifact["fetches"] += 1

@@ -74,12 +74,13 @@ from repro.engine import (
     default_jobs,
 )
 from repro.obs.live import METRICS_FILE_ENV_VAR
-from repro.obs.trace import TRACE_ENV_VAR, default_enabled as default_trace
 from repro.settings import (
     BATCH_CONFIGS_ENV_VAR,
     HISTORY_ENV_VAR,
     REMOTE_BATCH_CONFIGS_ENV_VAR,
+    TRACE_ENV_VAR,
     default_remote_batch_configs,
+    default_trace,
     resolve as resolve_setting,
 )
 from repro.experiments import figure1, figure2, figure3_4, figure5, figure6
@@ -372,7 +373,10 @@ def main(argv: list[str] | None = None) -> int:
             default_remote_batch_configs()
         except ValueError as exc:
             parser.error(str(exc))
-    trace = args.trace if args.trace is not None else default_trace()
+    try:
+        trace = args.trace if args.trace is not None else default_trace()
+    except ValueError as exc:
+        parser.error(str(exc))
     if trace and cache_dir is None:
         parser.error(
             "--trace requires a cache directory (--cache-dir): trace "

@@ -2,12 +2,12 @@
 
 Every sweep (local, batched, or distributed) appends one record at
 supervisor exit.  The store is sharded JSONL under
-``<cache-dir>/v1/history/``: a record is one JSON line appended with
-``O_APPEND`` to the shard named by the first two hex digits of its
+``<cache-dir>/v1/history/``: a record is one JSON line appended in a
+single write to the shard named by the first two hex digits of its
 content id, so concurrent sweeps sharing a cache directory never
 clobber each other -- at worst a crash leaves a truncated final line,
-which the reader skips exactly like the trace reader skips a killed
-worker's partial event.
+which the shared reader (:func:`repro.files.read_jsonl`, also used by
+the trace and the journal) skips.
 
 Records are content-addressed: ``id`` is the SHA-256 of the record's
 canonical JSON (sorted keys, ``id`` excluded).  The reader recomputes
@@ -41,14 +41,13 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.files import JsonlLog, read_jsonl
+
 #: Subdirectory of the store's versioned dir holding history shards.
 HISTORY_SUBDIR = "history"
 
 #: Version of the history record format.
 HISTORY_SCHEMA_VERSION = 1
-
-#: Enables history recording by default ("0"/"false"/... disable).
-HISTORY_ENV_VAR = "REPRO_HISTORY"
 
 
 def history_dir(cache_dir: os.PathLike) -> Path:
@@ -125,24 +124,17 @@ def append(cache_dir: os.PathLike, record: Dict) -> str:
     """Append ``record`` to the history store; returns its content id.
 
     The line lands in the shard named by the id's first two hex digits
-    via a single ``O_APPEND`` write, which the kernel serializes
-    against concurrent appenders on a local filesystem; a crash can
-    only truncate the final line, never interleave two records.
+    as one append-only write (:class:`repro.files.JsonlLog`), which the
+    kernel serializes against concurrent appenders on a local
+    filesystem; a crash can only truncate the final line, never
+    interleave two records.
     """
     record = dict(record)
     record.setdefault("schema", HISTORY_SCHEMA_VERSION)
     record["id"] = record_id(record)
-    directory = history_dir(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True, default=str) + "\n"
-    shard = directory / f"{record['id'][:2]}.jsonl"
-    fd = os.open(
-        shard, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-    )
-    try:
-        os.write(fd, line.encode("utf-8"))
-    finally:
-        os.close(fd)
+    shard = history_dir(cache_dir) / f"{record['id'][:2]}.jsonl"
+    with JsonlLog(shard) as log:
+        log.append(record)
     return record["id"]
 
 
@@ -153,25 +145,13 @@ def read_records(cache_dir: os.PathLike) -> List[Dict]:
     versions, and records whose recomputed digest no longer matches
     their claimed ``id`` (bit rot); duplicate ids collapse to one.
     """
-    directory = history_dir(cache_dir)
-    if not directory.is_dir():
-        return []
     seen: Dict[str, Dict] = {}
-    for shard in sorted(directory.glob("*.jsonl")):
+    for shard in sorted(history_dir(cache_dir).glob("*.jsonl")):
         try:
-            text = shard.read_text(encoding="utf-8")
+            records = read_jsonl(shard)
         except OSError:
             continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
+        for record in records:
             if record.get("schema") != HISTORY_SCHEMA_VERSION:
                 continue
             claimed = record.get("id")

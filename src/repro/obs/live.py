@@ -7,7 +7,7 @@ thread snapshots it -- along with the engine's counters -- to
 renders the counters as a Prometheus textfile (node_exporter's
 textfile collector format) for scrape-based monitoring.
 
-Both files are written with the temp-file + ``os.replace`` idiom, so a
+Both files are written with :func:`repro.files.atomic_write`, so a
 reader polling ``live.json`` never observes a torn write.
 """
 
@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.trace import atomic_write
+from repro.files import atomic_write
 
 #: Filename of the live snapshot under the store's versioned directory.
 LIVE_FILENAME = "live.json"

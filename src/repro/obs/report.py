@@ -9,7 +9,9 @@ sweep was killed before its supervisor could merge them):
   benchmark / phase / backend -- plus a coverage summary stating how
   much of the batch wall time the run spans account for;
 * ``--run KEY`` replays one run's full event history (every attempt,
-  queue wait, phase, retry and degradation) in time order;
+  queue wait, phase, retry and degradation) in time order; for a sweep
+  that was not traced it prints the run's journal records instead
+  (planned, leased, retry, degraded, completed, failed);
 * ``--chrome FILE`` writes a ``chrome://tracing`` / Perfetto-compatible
   JSON export (one timeline row per worker process; remote agents get
   their own rows, named by agent);
@@ -39,7 +41,9 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.journal import JOURNAL_FILENAME
 from repro.engine.metrics import EXACT, METRICS
+from repro.files import read_jsonl
 from repro.obs import history as obs_history
 from repro.obs import phases as obs_phases
 from repro.obs import trace as obs_trace
@@ -212,16 +216,26 @@ def replay_lines(events: List[dict], run_prefix: str) -> List[str]:
         attrs = dict(event.get("attrs") or {})
         attrs.pop("run", None)
         detail = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-        if event.get("event") == "span":
-            lines.append(
-                f"+{offset:9.3f}s  {event.get('worker', '?'):>12}  "
-                f"{event['name']:<18} {event.get('dur', 0.0):.3f}s  {detail}"
-            )
-        else:
-            lines.append(
-                f"+{offset:9.3f}s  {event.get('worker', '?'):>12}  "
-                f"{event['name']:<18} (event)  {detail}"
-            )
+        span = event.get("event") == "span"
+        duration = f"{event.get('dur', 0.0):.3f}s" if span else "(event)"
+        lines.append(
+            f"+{offset:9.3f}s  {event.get('worker', '?'):>12}  "
+            f"{event['name']:<18} {duration}  {detail}"
+        )
+    return lines
+
+
+def journal_lines(cache_dir: Path, run_prefix: str) -> List[str]:
+    """One run's ``journal.jsonl`` records, in the order written: what
+    ``--run`` shows for a sweep that was not traced."""
+    lines: List[str] = []
+    for record in read_jsonl(cache_dir / JOURNAL_FILENAME):
+        key = record.pop("key", None)
+        if not isinstance(key, str) or not key.startswith(run_prefix):
+            continue
+        event = record.pop("event", "?")
+        detail = " ".join(f"{k}={v}" for k, v in sorted(record.items()))
+        lines.append(f"{event:<18} {detail}")
     return lines
 
 
@@ -572,6 +586,16 @@ def _dashboard_main(argv: List[str]) -> int:
     return 0
 
 
+def _print_run(run_prefix: str, lines: List[str], title: str) -> int:
+    if not lines:
+        print(f"no events match run prefix {run_prefix!r}", file=sys.stderr)
+        return 1
+    print(f"run {run_prefix} {title}:")
+    for line in lines:
+        print(f"  {line}")
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -633,6 +657,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cache_dir is None:
         parser.error("--cache-dir (or $REPRO_CACHE_DIR) is required")
     events = load_trace(cache_dir)
+    if not events and args.run and not (args.check or args.chrome):
+        return _print_run(
+            args.run, journal_lines(cache_dir, args.run),
+            "journal history (sweep not traced)",
+        )
     if not events:
         print(
             f"no trace events under {cache_dir} -- was the sweep run "
@@ -668,14 +697,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     if args.run is not None:
-        lines = replay_lines(events, args.run)
-        if not lines:
-            print(f"no events match run prefix {args.run!r}", file=sys.stderr)
-            return 1
-        print(f"run {args.run} event history:")
-        for line in lines:
-            print(f"  {line}")
-        return 0
+        return _print_run(
+            args.run, replay_lines(events, args.run), "event history"
+        )
 
     if args.check or args.chrome is not None:
         return 0

@@ -14,8 +14,9 @@ the engine so pool workers inherit it) names the events directory.  A
 worker forked *after* the parent activated inherits the parent's
 tracer object; the first emit in the child notices the PID change and
 re-opens a fresh per-PID file, so two processes never interleave
-writes.  Files are line-buffered: one ``write`` syscall per event,
-nothing batched across a fork.
+writes.  Each file is a non-durable :class:`repro.files.JsonlLog`: one
+unbuffered ``write`` per event, nothing batched across a fork, and a
+kill can only truncate the final line, which the shared reader skips.
 
 Disabled (no activation, no environment), a span costs one global
 check and allocates nothing -- the hot simulation paths stay at
@@ -39,16 +40,13 @@ time for export.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-#: Enables tracing by default when truthy ("0"/"false"/"" disable).
-TRACE_ENV_VAR = "REPRO_TRACE"
+from repro.files import JsonlLog, atomic_write, dumps_line, read_jsonl
 
 #: Events directory exported by the engine; workers auto-activate from it.
 EVENTS_DIR_ENV_VAR = "REPRO_TRACE_EVENTS"
@@ -70,17 +68,11 @@ REQUIRED_KEYS = {
 }
 
 
-def default_enabled() -> bool:
-    """Tracing default from ``$REPRO_TRACE`` (unset/0/false = off)."""
-    value = os.environ.get(TRACE_ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
-
 class _Tracer:
-    """One process's tracer: an open line-buffered JSONL handle."""
+    """One process's tracer: its own append-only JSONL event log."""
 
     __slots__ = (
-        "directory", "worker", "pid", "handle", "seq", "ids",
+        "directory", "worker", "pid", "log", "seq", "ids",
         "context", "local", "lock",
     )
 
@@ -88,13 +80,9 @@ class _Tracer:
         self.directory = Path(directory)
         self.pid = os.getpid()
         self.worker = worker if worker is not None else f"w{self.pid}"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # Line-buffered: every event is one write() call, so a fork can
+        # Unbuffered: every event is one write() call, so a fork can
         # never duplicate half-flushed parent events into a child.
-        self.handle = open(
-            self.directory / f"{self.worker}.jsonl",
-            "a", buffering=1, encoding="utf-8",
-        )
+        self.log = JsonlLog(self.directory / f"{self.worker}.jsonl")
         self.seq = 0
         self.ids = 0
         self.context: Dict[str, object] = {}
@@ -119,17 +107,16 @@ class _Tracer:
             stack = self.local.stack = []
         return stack
 
-    def _write(self, document: dict) -> None:
+    def _write(self, document: dict, attrs: Optional[dict] = None) -> None:
+        merged = dict(self.context)
+        if attrs:
+            merged.update(attrs)
+        if merged:
+            document["attrs"] = merged
         with self.lock:
             document["seq"] = self.seq
             self.seq += 1
-            try:
-                self.handle.write(
-                    json.dumps(document, separators=(",", ":"), default=str)
-                    + "\n"
-                )
-            except ValueError:
-                pass  # handle already closed (late event at shutdown)
+            self.log.append(document)  # dropped once closed
 
     def new_id(self) -> int:
         with self.lock:
@@ -155,12 +142,7 @@ class _Tracer:
             "id": span_id if span_id is not None else self.new_id(),
             "parent": parent,
         }
-        merged = dict(self.context)
-        if attrs:
-            merged.update(attrs)
-        if merged:
-            document["attrs"] = merged
-        self._write(document)
+        self._write(document, attrs)
 
     def emit_point(self, name: str, attrs: Optional[dict] = None) -> None:
         stack = self._stack()
@@ -172,18 +154,7 @@ class _Tracer:
             "pid": self.pid,
             "parent": stack[-1] if stack else None,
         }
-        merged = dict(self.context)
-        if attrs:
-            merged.update(attrs)
-        if merged:
-            document["attrs"] = merged
-        self._write(document)
-
-    def close(self) -> None:
-        try:
-            self.handle.close()
-        except Exception:
-            pass
+        self._write(document, attrs)
 
 
 #: The process-wide tracer (None = inactive unless the env names a dir).
@@ -194,7 +165,7 @@ def activate(directory: os.PathLike, worker: Optional[str] = None) -> None:
     """Open this process's event file under ``directory``."""
     global _tracer
     if _tracer is not None:
-        _tracer.close()
+        _tracer.log.close()
     _tracer = _Tracer(Path(directory), worker)
 
 
@@ -202,7 +173,7 @@ def deactivate() -> None:
     """Close the event file and deactivate (safe to call repeatedly)."""
     global _tracer
     if _tracer is not None:
-        _tracer.close()
+        _tracer.log.close()
         _tracer = None
 
 
@@ -215,8 +186,8 @@ def _current() -> Optional[_Tracer]:
 
     Auto-activates from ``$REPRO_TRACE_EVENTS`` (how pool workers join
     a trace) and replaces a tracer inherited across ``fork`` with a
-    fresh per-PID one -- the inherited handle is abandoned unflushed
-    (it is line-buffered, so it holds nothing).
+    fresh per-PID one -- the inherited log is abandoned (it is
+    unbuffered, so it holds nothing).
     """
     global _tracer
     tracer = _tracer
@@ -312,45 +283,17 @@ def emit_span(name: str, start: float, duration: float, **attrs: object) -> None
 
 
 def event(name: str, **attrs: object) -> None:
-    """Record a point event (a state transition: retry, degrade, ...)."""
+    """Record a point event (a state transition: retry, degraded, ...)."""
     tracer = _current()
     if tracer is not None:
         tracer.emit_point(name, attrs)
 
 
-def flush() -> None:
-    """Flush this process's event file (line buffering makes this a
-    near no-op; kept for explicit sync points)."""
-    tracer = _tracer
-    if tracer is not None and tracer.pid == os.getpid():
-        try:
-            tracer.handle.flush()
-        except Exception:
-            pass
-
-
 # -- reading and merging ------------------------------------------------------
 
 
-def read_events(path: os.PathLike) -> List[dict]:
-    """Parse one JSONL event file, tolerating a truncated final line
-    (the partial write of a killed worker) and skipping garbage."""
-    events: List[dict] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return events
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(document, dict):
-            events.append(document)
-    return events
+#: One event file, skipping a killed worker's truncated final line.
+read_events = read_jsonl
 
 
 def _merge_key(event_doc: dict):
@@ -366,34 +309,11 @@ def _merge_key(event_doc: dict):
 
 def merge_events(events_dir: os.PathLike) -> List[dict]:
     """All worker files under ``events_dir``, merged and time-ordered."""
-    events: List[dict] = []
-    directory = Path(events_dir)
-    if not directory.is_dir():
-        return events
-    for path in sorted(directory.glob("*.jsonl")):
-        events.extend(read_events(path))
-    events.sort(key=_merge_key)
-    return events
-
-
-def atomic_write(path: os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and ``os.replace``, so
-    a reader (or a resume after a kill) never sees a torn file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
+    paths = sorted(Path(events_dir).glob("*.jsonl"))
+    return sorted(
+        (event for path in paths for event in read_jsonl(path)),
+        key=_merge_key,
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def merge(events_dir: os.PathLike, out_path: os.PathLike) -> int:
@@ -404,11 +324,7 @@ def merge(events_dir: os.PathLike, out_path: os.PathLike) -> int:
     distinguish "traced, nothing happened" from "not traced".
     """
     events = merge_events(events_dir)
-    payload = "".join(
-        json.dumps(event_doc, separators=(",", ":"), default=str) + "\n"
-        for event_doc in events
-    )
-    atomic_write(out_path, payload)
+    atomic_write(out_path, (dumps_line(event_doc) for event_doc in events))
     return len(events)
 
 

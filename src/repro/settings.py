@@ -36,6 +36,10 @@ REMOTE_BATCH_CONFIGS_ENV_VAR = "REPRO_REMOTE_BATCH_CONFIGS"
 #: ``no``/``off`` disable it.
 HISTORY_ENV_VAR = "REPRO_HISTORY"
 
+#: Structured run tracing (``--trace``/``--no-trace``); off by default.
+#: ``1``/``true``/``yes``/``on`` enable it.
+TRACE_ENV_VAR = "REPRO_TRACE"
+
 
 def resolve(
     flag: Optional[T],
@@ -115,3 +119,8 @@ def default_history() -> bool:
         None, HISTORY_ENV_VAR, True, _parse_bool, "a boolean (0/1)"
     )
 
+
+
+def default_trace() -> bool:
+    """Run tracing from ``$REPRO_TRACE`` (default off)."""
+    return resolve(None, TRACE_ENV_VAR, False, _parse_bool, "a boolean (0/1)")

@@ -24,10 +24,10 @@ scale, the trace length / block count and a per-column ``(name,
 dtype, offset, count)`` table.  Loads re-validate every identity
 field against what the caller asked for: a stale-epoch or
 wrong-scale file is treated as a miss (and overwritten by the
-regenerated trace), never trusted.  Writes go through a temp file and
-an atomic ``os.replace``, so concurrent workers racing to create the
-same trace converge on one intact file -- last rename wins, and both
-renames carry identical bytes.
+regenerated trace), never trusted.  Writes go through
+:func:`repro.files.atomic_write`, so concurrent workers racing to
+create the same trace converge on one intact file -- last rename
+wins, and both renames carry identical bytes.
 
 Activation follows the engine convention: an explicit
 :func:`activate` wins, otherwise ``$REPRO_TRACE_DIR`` (exported by
@@ -43,12 +43,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.files import atomic_write
 from repro.isa.trace import _COLUMN_NAMES, Trace
 
 #: Bump when the container format changes (header layout, magic).
@@ -170,13 +170,10 @@ class TraceStore:
 
         Concurrent savers race harmlessly: each writes a private temp
         file holding identical bytes (generation is deterministic) and
-        the final ``os.replace`` is atomic, so readers only ever see a
-        complete file.
+        the final rename is atomic, so readers only ever see a complete
+        file.
         """
-        key = self.key_for(workload, scale)
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-
+        path = self.path_for(self.key_for(workload, scale))
         header = dict(_workload_identity(workload, scale))
         header["length"] = len(trace)
         header["num_blocks"] = trace.num_blocks
@@ -197,24 +194,8 @@ class TraceStore:
             offset += column.nbytes
         header["columns"] = specs
         payload = json.dumps(header, sort_keys=True).encode("utf-8")
-
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(MAGIC)
-                handle.write(len(payload).to_bytes(_LEN_BYTES, "little"))
-                handle.write(payload)
-                for column in arrays:
-                    handle.write(column.tobytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        head = [MAGIC, len(payload).to_bytes(_LEN_BYTES, "little"), payload]
+        atomic_write(path, head + arrays)  # contiguous arrays write raw
         return path
 
     def __contains__(self, key: str) -> bool:

@@ -31,6 +31,7 @@ def _isolate_shared_store_env(monkeypatch):
     not close its engine would otherwise leak an active store into
     every later test in the process.
     """
+    from repro import settings
     from repro.cpu import checkpoint
     from repro.obs import live, phases, trace
     from repro.workloads import trace_store
@@ -39,7 +40,7 @@ def _isolate_shared_store_env(monkeypatch):
         trace_store.TRACE_DIR_ENV_VAR,
         checkpoint.CHECKPOINT_DIR_ENV_VAR,
         checkpoint.CHECKPOINT_INTERVAL_ENV_VAR,
-        trace.TRACE_ENV_VAR,
+        settings.TRACE_ENV_VAR,
         trace.EVENTS_DIR_ENV_VAR,
         live.METRICS_FILE_ENV_VAR,
     ):

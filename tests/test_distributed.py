@@ -31,6 +31,7 @@ from repro.engine.protocol import (
     parse_address,
     payload_digest,
 )
+from repro.engine.worker import WorkerAgent
 from repro.scale import Scale
 from repro.techniques.reference import ReferenceTechnique
 from repro.techniques.truncated import RunZ
@@ -651,6 +652,20 @@ class TestArtifactWire:
         )
         assert b64.b64decode(reply["data"]) == b"c"  # length clamped to 1
         assert not reply["eof"]
+
+
+class TestAgentFetchInstall:
+    def test_failed_install_leaves_no_temp_file(self, tmp_path):
+        data = b"verified artifact bytes"
+        agent = WorkerAgent("127.0.0.1:1", quiet=True)
+        agent._fetch_bytes = lambda *args: data
+        dest = tmp_path / "art"
+        dest.mkdir()  # the rename onto a directory must fail
+        assert not agent._fetch_file(
+            None, "lease-1", "trace", TRACE_KEY, None, dest,
+            hashlib.sha256(data).hexdigest(), 5.0, None,
+        )
+        assert list(dest.parent.iterdir()) == [dest]
 
 
 # -- end to end: real agents over localhost ----------------------------------------

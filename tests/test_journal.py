@@ -34,14 +34,22 @@ class TestJournalFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with SweepJournal(path) as journal:
-            journal.start(2.0, RESULTS_EPOCH, 1)
-            journal.planned("aaa", "run a")
-            journal.planned("bbb", "run b")
-            journal.completed("aaa", 0.5, backend=None)
-            journal.degraded("bbb", "numpy", "python")
-            journal.completed("bbb", 1.5, backend="python")
-            journal.failed("ccc", "timeout", "run exceeded 5s")
-            journal.failed("ddd", "deterministic", "boom", quarantined=True)
+            journal.record("start", scale=2.0, epoch=RESULTS_EPOCH, schema=1)
+            journal.record("planned", key="aaa", run="run a")
+            journal.record("planned", key="bbb", run="run b")
+            journal.record("completed", key="aaa", wall_s=0.5, backend=None)
+            journal.record(
+                "degraded", key="bbb", **{"from": "numpy", "to": "python"}
+            )
+            journal.record(
+                "completed", key="bbb", wall_s=1.5, backend="python"
+            )
+            journal.record(
+                "failed", key="ccc", kind="timeout", error="run exceeded 5s"
+            )
+            journal.record(
+                "quarantined", key="ddd", kind="deterministic", error="boom"
+            )
         state = SweepJournal.load(path)
         assert state.completed == {"aaa", "bbb"}
         assert state.planned == {"aaa", "bbb"}
@@ -54,8 +62,8 @@ class TestJournalFile:
     def test_completed_after_failure_wins(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with SweepJournal(path) as journal:
-            journal.failed("abc", "transient", "flake")
-            journal.completed("abc", 0.1)
+            journal.record("failed", key="abc", kind="transient", error="flake")
+            journal.record("completed", key="abc", wall_s=0.1)
         state = SweepJournal.load(path)
         assert "abc" in state.completed
         assert "abc" not in state.failed
@@ -63,8 +71,8 @@ class TestJournalFile:
     def test_truncated_tail_is_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with SweepJournal(path) as journal:
-            journal.start(2.0, RESULTS_EPOCH, 1)
-            journal.completed("aaa", 0.5)
+            journal.record("start", scale=2.0, epoch=RESULTS_EPOCH, schema=1)
+            journal.record("completed", key="aaa", wall_s=0.5)
         # Simulate a crash mid-append: a partial, non-JSON final line.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"event": "completed", "key": "bb')

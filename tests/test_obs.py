@@ -9,6 +9,7 @@ import pytest
 from repro.cpu.config import ARCH_CONFIGS
 from repro.engine import Engine, RunRequest
 from repro.engine.metrics import EngineMetrics, ProgressReporter, _percentile
+from repro.files import read_jsonl
 from repro.obs import live, phases, trace
 from repro.obs import report as obs_report
 from repro.scale import Scale
@@ -43,15 +44,6 @@ class TestTracer:
             pass
         trace.event("anything")
         trace.emit_span("anything", 0.0, 1.0)
-        trace.flush()
-
-    def test_default_enabled_parses_env(self, monkeypatch):
-        for value, expected in (
-            ("", False), ("0", False), ("false", False), ("off", False),
-            ("no", False), ("1", True), ("true", True), ("yes", True),
-        ):
-            monkeypatch.setenv(trace.TRACE_ENV_VAR, value)
-            assert trace.default_enabled() is expected
 
     def test_meta_line_first(self, tracer_dir):
         events = _events_for(tracer_dir)
@@ -800,6 +792,28 @@ class TestReportCli:
         ) == 0
         document = json.loads(out_file.read_text())
         assert document["traceEvents"]
+
+    def test_report_run_without_trace_reads_journal(
+        self, tmp_path, workload, monkeypatch, capsys
+    ):
+        from repro.engine.faults import FAULT_PLAN_ENV_VAR
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "exc@0")
+        _run_sweep(tmp_path, workload, False)
+        assert not obs_report.load_trace(tmp_path)
+        key = next(
+            record["key"]
+            for record in read_jsonl(tmp_path / "journal.jsonl")
+            if record["event"] == "retry"
+        )
+        assert main(
+            ["report", "--cache-dir", str(tmp_path), "--run", key[:8]]
+        ) == 0
+        out = capsys.readouterr().out
+        events = [line.split()[0] for line in out.splitlines()[1:]]
+        assert events == ["planned", "retry", "completed"], out
+        assert "wall_s=" in out
 
     def test_report_without_trace_fails(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

@@ -1,14 +1,17 @@
 """Unit tests for the flag > environment > default settings resolver.
 
 One test per precedence rule, plus the error contract for malformed
-environment values and the ``REPRO_BATCH_CONFIGS`` helper built on top.
+environment values and the ``REPRO_BATCH_CONFIGS`` and ``REPRO_TRACE``
+helpers built on top.
 """
 
 import pytest
 
 from repro.settings import (
     BATCH_CONFIGS_ENV_VAR,
+    TRACE_ENV_VAR,
     default_batch_configs,
+    default_trace,
     resolve,
 )
 
@@ -19,6 +22,7 @@ ENV_VAR = "REPRO_TEST_SETTING"
 def _clean_env(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     monkeypatch.delenv(BATCH_CONFIGS_ENV_VAR, raising=False)
+    monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
 
 
 class TestResolve:
@@ -81,3 +85,18 @@ class TestDefaultBatchConfigs:
         monkeypatch.setenv(BATCH_CONFIGS_ENV_VAR, "lots")
         with pytest.raises(ValueError, match="must be an integer"):
             default_batch_configs()
+
+
+class TestDefaultTrace:
+    def test_default_trace_parses_env(self, monkeypatch):
+        for value, expected in (
+            ("", False), ("0", False), ("false", False), ("off", False),
+            ("no", False), ("1", True), ("true", True), ("yes", True),
+        ):
+            monkeypatch.setenv(TRACE_ENV_VAR, value)
+            assert default_trace() is expected
+
+    def test_rejects_garbage(self, monkeypatch):
+        monkeypatch.setenv(TRACE_ENV_VAR, "maybe")
+        with pytest.raises(ValueError, match="must be a boolean"):
+            default_trace()
