@@ -7,7 +7,8 @@ cached across benches, mirroring how the study reused its simulations.
 Environment knobs:
 
 * ``REPRO_PROFILE``   = tiny | quick | full -- simulation scale,
-* ``REPRO_DEPTH``     = quick | standard | full -- permutations per family,
+* ``REPRO_DEPTH``     = quick | standard | full -- permutations per family
+  (default quick here),
 * ``REPRO_FULL``      = 1 -- run all ten benchmarks instead of four,
 * ``REPRO_JOBS``      = N -- engine worker processes (default serial),
 * ``REPRO_CACHE_DIR`` = DIR -- persist results across harness runs.
@@ -17,20 +18,20 @@ Each bench writes the regenerated table to ``results/<id>.txt``.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 from repro.experiments.common import ExperimentContext
+from repro.settings import value
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
-    depth = os.environ.get("REPRO_DEPTH", "quick")
-    return ExperimentContext(depth=depth)
+    # The benches default to quick depth; $REPRO_DEPTH still wins.
+    return ExperimentContext(depth=value("depth", default="quick"))
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ Quickstart::
     print(truth.cpi, estimate.cpi)
 """
 
-from repro.scale import PROFILES, Scale, default_scale, scale_from_profile
+from repro.scale import PROFILES, Scale, scale_from_profile
 from repro.cpu import (
     ARCH_CONFIGS,
     PB_PARAMETERS,
@@ -53,7 +53,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Scale",
     "PROFILES",
-    "default_scale",
     "scale_from_profile",
     "ProcessorConfig",
     "Enhancements",

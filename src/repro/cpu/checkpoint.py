@@ -31,9 +31,8 @@ is never rewritten (same key + position => same bytes by
 construction).  Corrupt or unreadable files are skipped, never
 trusted.
 
-Activation mirrors the trace store: explicit :func:`activate` wins,
-else ``$REPRO_CHECKPOINT_DIR`` (+ ``$REPRO_CHECKPOINT_INSTRUCTIONS``
-for the interval) exported by the engine so pool workers inherit it.
+Activation mirrors the trace store: the engine installs the store
+with :func:`activate` and forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -49,16 +48,6 @@ from repro.files import atomic_write
 
 #: Bump when the snapshot content or file layout changes.
 CHECKPOINT_VERSION = 1
-
-#: Engine-exported checkpoint root; workers resolve their store from this.
-CHECKPOINT_DIR_ENV_VAR = "REPRO_CHECKPOINT_DIR"
-
-#: Engine-exported checkpoint spacing in *instructions* (already scaled).
-CHECKPOINT_INTERVAL_ENV_VAR = "REPRO_CHECKPOINT_INSTRUCTIONS"
-
-#: Default checkpoint spacing in paper-M instructions (the engine
-#: converts to instructions at the active scale).
-DEFAULT_INTERVAL_M = 500.0
 
 #: The Machine attributes that make up the functional-warming state,
 #: in snapshot order.
@@ -218,36 +207,22 @@ class CheckpointStore:
         return path
 
 
-# -- activation (explicit override > environment > inactive) ------------------
+# -- activation ---------------------------------------------------------------
 
 _ACTIVE: Optional[CheckpointStore] = None
-_ENV_CACHE: tuple = (None, None)  # ((root, interval), CheckpointStore)
 
 
-def activate(store: Optional[CheckpointStore]) -> None:
-    """Install (or, with None, remove) an explicit process-wide store."""
+def activate(store: Optional[CheckpointStore]) -> Optional[CheckpointStore]:
+    """Install (or, with None, remove) the process-wide store; returns
+    the store it replaces, so the caller can restore it."""
     global _ACTIVE
-    _ACTIVE = store
+    previous, _ACTIVE = _ACTIVE, store
+    return previous
 
 
 def active_store() -> Optional[CheckpointStore]:
-    """The store in effect: explicit activation, else the environment."""
-    global _ENV_CACHE
-    if _ACTIVE is not None:
-        return _ACTIVE
-    root = os.environ.get(CHECKPOINT_DIR_ENV_VAR)
-    if not root:
-        return None
-    try:
-        interval = int(os.environ.get(CHECKPOINT_INTERVAL_ENV_VAR, "0"))
-    except ValueError:
-        return None
-    if interval <= 0:
-        return None
-    signature = (root, interval)
-    if _ENV_CACHE[0] != signature:
-        _ENV_CACHE = (signature, CheckpointStore(Path(root), interval))
-    return _ENV_CACHE[1]
+    """The store in effect, or None."""
+    return _ACTIVE
 
 
 # -- counters -----------------------------------------------------------------

@@ -15,12 +15,12 @@ Selection follows the engine convention: explicit argument > the
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Union
 
-#: Environment variable consulted when no explicit backend is given
-#: (flag > env > default, as for the PR-1 engine options).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+from repro.settings import SETTINGS, value
+
+#: Environment variable consulted when no explicit backend is given.
+BACKEND_ENV_VAR = SETTINGS["backend"].env
 
 #: Recognized backend names (``auto`` resolves to the default).
 BACKEND_NAMES = ("python", "numpy")
@@ -78,14 +78,13 @@ def default_backend_name() -> str:
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
     """Resolve a backend name: argument > ``$REPRO_BACKEND`` > default."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or "auto"
-    name = name.strip().lower()
+    source = "" if name is not None else f" (from ${BACKEND_ENV_VAR})"
+    name = value("backend", name).strip().lower()
     if name == "auto":
         return default_backend_name()
     if name not in BACKEND_NAMES:
         raise ValueError(
-            f"unknown simulation backend {name!r}; "
+            f"unknown simulation backend {name!r}{source}; "
             f"expected one of {BACKEND_NAMES + ('auto',)}"
         )
     return name

@@ -36,23 +36,9 @@ from repro.cpu.kernels.registry import default_backend_name, resolve_backend_nam
 from repro.obs import history as obs_history
 from repro.obs import phases as obs_phases
 from repro.obs import trace as obs_trace
-from repro.obs.live import (
-    LIVE_FILENAME,
-    METRICS_FILE_ENV_VAR,
-    InflightTracker,
-    LiveMonitor,
-)
-from repro.scale import Scale, default_scale
-from repro.settings import (
-    BATCH_CONFIGS_ENV_VAR,
-    HISTORY_ENV_VAR,
-    REMOTE_BATCH_CONFIGS_ENV_VAR,
-    default_batch_configs,
-    default_history,
-    default_remote_batch_configs,
-    default_trace,
-    resolve,
-)
+from repro.obs.live import LIVE_FILENAME, InflightTracker, LiveMonitor
+from repro.scale import Scale
+from repro.settings import value
 from repro.techniques.base import SimulationTechnique, TechniqueResult
 from repro.techniques.simpoint import SimPointTechnique
 from repro.workloads import trace_store
@@ -76,18 +62,10 @@ from repro.engine.journal import (
 )
 from repro.engine.metrics import EngineMetrics, ProgressReporter
 from repro.engine.planner import RESULTS_EPOCH, Plan, RunRequest
-from repro.engine.protocol import (
-    LEASE_TTL_ENV_VAR,
-    LeaseServer,
-    default_lease_ttl,
-    parse_address,
-)
+from repro.engine.protocol import LeaseServer, parse_address
 from repro.engine.store import SCHEMA_VERSION, ResultStore
 
 __all__ = [
-    "BATCH_CONFIGS_ENV_VAR",
-    "HISTORY_ENV_VAR",
-    "REMOTE_BATCH_CONFIGS_ENV_VAR",
     "BatchTask",
     "Engine",
     "EngineMetrics",
@@ -98,7 +76,6 @@ __all__ = [
     "InjectedFault",
     "JOURNAL_FILENAME",
     "JournalState",
-    "LEASE_TTL_ENV_VAR",
     "LeaseServer",
     "Plan",
     "ProgressReporter",
@@ -109,8 +86,6 @@ __all__ = [
     "RunRequest",
     "SCHEMA_VERSION",
     "SweepJournal",
-    "default_jobs",
-    "default_lease_ttl",
     "execute_request",
     "parse_address",
 ]
@@ -118,52 +93,9 @@ __all__ = [
 #: Name of the machine-readable stats file written next to the cache.
 STATS_FILENAME = "engine-stats.json"
 
-#: Environment fallbacks for the supervisor knobs (flag > env > default).
-RUN_TIMEOUT_ENV_VAR = "REPRO_RUN_TIMEOUT"
-MAX_RETRIES_ENV_VAR = "REPRO_MAX_RETRIES"
-
-#: Warm-state checkpoint spacing in paper-M instructions (flag > env >
-#: default; 0 disables checkpointing).
-CHECKPOINT_INTERVAL_ENV_VAR = "REPRO_CHECKPOINT_INTERVAL"
-
 #: Cache-dir subdirectories for the shared stores.
 TRACES_SUBDIR = "traces"
 CHECKPOINTS_SUBDIR = "checkpoints"
-
-
-def default_jobs() -> int:
-    """Worker count when none is requested: every available core."""
-    return os.cpu_count() or 1
-
-
-def default_run_timeout() -> Optional[float]:
-    """Per-run timeout from ``$REPRO_RUN_TIMEOUT`` (default: none)."""
-    return resolve(
-        None, RUN_TIMEOUT_ENV_VAR, None, float, "a number of seconds"
-    )
-
-
-def default_max_retries() -> int:
-    """Retry budget from ``$REPRO_MAX_RETRIES`` (default: 1)."""
-    return resolve(None, MAX_RETRIES_ENV_VAR, 1, int, "an integer")
-
-
-def default_checkpoint_interval() -> float:
-    """Checkpoint spacing in paper-M from ``$REPRO_CHECKPOINT_INTERVAL``
-    (default 500; 0 disables)."""
-    interval = resolve(
-        None,
-        CHECKPOINT_INTERVAL_ENV_VAR,
-        checkpoint.DEFAULT_INTERVAL_M,
-        float,
-        "a number of M-instructions",
-    )
-    if interval < 0:
-        raise ValueError(
-            f"${CHECKPOINT_INTERVAL_ENV_VAR} must be non-negative, "
-            f"got {interval!r}"
-        )
-    return interval
 
 
 class EngineRunError(RuntimeError):
@@ -184,6 +116,11 @@ class EngineRunError(RuntimeError):
 class Engine:
     """Job planner + supervised parallel executor + persistent store.
 
+    Each ``repro.settings.SETTINGS`` keyword left at None resolves
+    through :func:`repro.settings.value` (its environment variable,
+    else the table default) -- except ``cache_dir``: an engine without
+    one keeps results in memory.
+
     ``run_timeout`` bounds each run's wall clock (enforced when
     ``jobs > 1``); ``retries`` bounds re-executions per run.  With a
     ``cache_dir``, every run's fate is journaled to
@@ -191,35 +128,35 @@ class Engine:
     so a killed sweep skips its completed runs (and its quarantined
     poison runs) instead of starting over.
 
-    ``batch_configs`` (default 1 = off; ``$REPRO_BATCH_CONFIGS``) caps
-    how many same-geometry planned runs one config-batched simulation
-    pass may serve: runs grouped by ``technique.batch_key`` decode the
-    trace and advance the structures once and repeat only the
-    per-config timing, with results bit-identical to unbatched runs.
+    ``batch_configs`` (default 1 = off) caps how many same-geometry
+    planned runs one config-batched simulation pass may serve: runs
+    grouped by ``technique.batch_key`` decode the trace and advance the
+    structures once and repeat only the per-config timing, with
+    results bit-identical to unbatched runs.
     Batches journal, retry, degrade and quarantine per member run --
     any batched failure re-executes the members as singletons without
     charging their retry budgets.
 
     With ``listen=`` the same batches are leased whole to remote worker
     agents, capped at ``remote_batch_configs`` members per lease
-    (``$REPRO_REMOTE_BATCH_CONFIGS``; default: the local
-    ``batch_configs`` cap) -- agents prefetch missing traces and
-    checkpoints through the wire-level artifact cache and run one
-    batched pass instead of N cold singleton simulations.
+    (default: the local ``batch_configs`` cap) -- agents prefetch
+    missing traces and checkpoints through the wire-level artifact
+    cache and run one batched pass instead of N cold singleton
+    simulations.
     """
 
     def __init__(
         self,
         scale: Optional[Scale] = None,
-        jobs: int = 1,
+        jobs: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         progress: bool = False,
         retries: Optional[int] = None,
         run_timeout: Optional[float] = None,
-        resume: bool = False,
+        resume: Optional[bool] = None,
         backoff_base: float = 0.1,
         checkpoint_interval: Optional[float] = None,
-        trace_cache: bool = True,
+        trace_cache: Optional[bool] = None,
         trace: Optional[bool] = None,
         metrics_file: Optional[os.PathLike] = None,
         live_interval: float = 1.0,
@@ -227,102 +164,92 @@ class Engine:
         remote_batch_configs: Optional[int] = None,
         listen: Optional[str] = None,
         lease_ttl: Optional[float] = None,
-        min_agents: int = 0,
+        min_agents: Optional[int] = None,
         history: Optional[bool] = None,
     ) -> None:
-        self.scale = scale if scale is not None else default_scale()
-        if retries is None:
-            retries = default_max_retries()
-        if run_timeout is None:
-            run_timeout = default_run_timeout()
-        if jobs == 0 and listen is None:
-            raise ValueError(
-                "jobs=0 (no local workers) requires listen= so remote "
-                "worker agents can execute the sweep"
-            )
-        if min_agents < 0:
-            raise ValueError("min_agents must be non-negative")
-        if min_agents > 0 and listen is None:
-            raise ValueError("min_agents requires listen=")
-        if checkpoint_interval is None:
-            checkpoint_interval = default_checkpoint_interval()
-        elif checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be non-negative")
-        if batch_configs is None:
-            batch_configs = default_batch_configs()
-        elif batch_configs < 1:
-            raise ValueError("batch_configs must be >= 1")
-        self.batch_configs = batch_configs
-        if remote_batch_configs is None:
-            remote_batch_configs = default_remote_batch_configs()
-        elif remote_batch_configs < 1:
-            raise ValueError("remote_batch_configs must be >= 1")
-        # A remote lease carries at most this many batch members; the
-        # default mirrors the local grouping cap so a lease ships the
-        # same work a local worker would receive.
-        self.remote_batch_configs = (
-            remote_batch_configs
-            if remote_batch_configs is not None
-            else batch_configs
-        )
+        # Every setting resolves (repro.settings) and is checked before
+        # anything touches the disk or the process-wide stores.
+        self.scale = value("scale", scale)
         self.executor = Executor(
             jobs=jobs,
             retries=retries,
             timeout=run_timeout,
             backoff_base=backoff_base,
         )
+        resume = value("resume", resume)
+        self.checkpoint_interval_m = value(
+            "checkpoint_interval", checkpoint_interval
+        )
+        self.trace_cache = value("trace_cache", trace_cache)
+        self.trace = value("trace", trace)
+        history = value("history", history)
+        metrics_file = value("metrics_file", metrics_file)
+        self.metrics_file = Path(metrics_file) if metrics_file else None
+        self.batch_configs = value("batch_configs", batch_configs)
+        # A remote lease carries at most this many batch members; the
+        # default mirrors the local grouping cap so a lease ships the
+        # same work a local worker would receive.
+        self.remote_batch_configs = value(
+            "remote_batch_configs", remote_batch_configs,
+            default=self.batch_configs,
+        )
+        lease_ttl = value("lease_ttl", lease_ttl)
+        self.min_agents = value("min_agents", min_agents)
+        address = parse_address(listen) if listen is not None else None
+        if self.executor.jobs == 0 and listen is None:
+            raise ValueError(
+                "--jobs 0 (no local workers) requires --listen so remote "
+                "worker agents can execute the sweep"
+            )
+        if self.min_agents > 0 and listen is None:
+            raise ValueError("--workers-remote requires --listen")
+        for flag, wanted in (("--resume", resume), ("--trace", self.trace)):
+            if wanted and cache_dir is None:
+                raise ValueError(
+                    f"{flag} requires a cache directory (--cache-dir)"
+                )
+
         self.store = ResultStore(cache_dir) if cache_dir is not None else None
         # Sweep-history recording: append-only metadata beside the
         # store, so it only exists where there is a store to sit beside.
-        if history is None:
-            history = default_history()
-        self.history = bool(history) and self.store is not None
+        self.history = history and self.store is not None
         #: The id of the history record close() appended (None until
         #: then, or when recording is off / nothing ran).
         self.last_history_id: Optional[str] = None
         self._planned_keys: set = set()
-        self.checkpoint_interval_m = checkpoint_interval
-        self.trace_cache = trace_cache
-        if trace is None:
-            trace = default_trace()
-        if trace and self.store is None:
-            raise ValueError(
-                "tracing requires a cache_dir (events live under the store)"
+        # The shared stores are process-wide: forked workers inherit
+        # them, and close() reinstates whatever was active before.
+        checkpoint_instructions = 0
+        if self.checkpoint_interval_m > 0:
+            checkpoint_instructions = max(
+                1, self.scale.instructions(self.checkpoint_interval_m)
             )
-        self.trace = trace
-        if metrics_file is None:
-            env_metrics = os.environ.get(METRICS_FILE_ENV_VAR)
-            metrics_file = Path(env_metrics) if env_metrics else None
-        self.metrics_file = Path(metrics_file) if metrics_file else None
-        # The stores activate through the environment so pool workers
-        # inherit them (fork or spawn alike); close() restores it.
-        self._saved_env: Dict[str, Optional[str]] = {}
+        traces = checkpoints = None
         if self.store is not None:
-            if trace_cache:
-                self._export_env(
-                    trace_store.TRACE_DIR_ENV_VAR,
-                    str(self.store.root / TRACES_SUBDIR),
+            if self.trace_cache:
+                traces = trace_store.TraceStore(
+                    self.store.root / TRACES_SUBDIR
                 )
-            if checkpoint_interval > 0:
-                interval = max(1, self.scale.instructions(checkpoint_interval))
-                self._export_env(
-                    checkpoint.CHECKPOINT_DIR_ENV_VAR,
-                    str(self.store.root / CHECKPOINTS_SUBDIR),
+            if checkpoint_instructions:
+                checkpoints = checkpoint.CheckpointStore(
+                    self.store.root / CHECKPOINTS_SUBDIR,
+                    checkpoint_instructions,
                 )
-                self._export_env(
-                    checkpoint.CHECKPOINT_INTERVAL_ENV_VAR, str(interval)
-                )
+        self._previous_stores: Optional[tuple] = (
+            trace_store.activate(traces),
+            checkpoint.activate(checkpoints),
+        )
         self._events_dir: Optional[Path] = None
+        self._previous_tracer = None
         if self.trace:
             self._events_dir = self.store.directory / obs_trace.EVENTS_SUBDIR
             if not resume:
                 self._clear_stale_trace()
-            # Workers join the trace through the environment (fork or
-            # spawn alike); the supervisor gets a named event file.
-            self._export_env(obs_trace.EVENTS_DIR_ENV_VAR, str(self._events_dir))
-            obs_trace.activate(self._events_dir, worker="supervisor")
+            self._previous_tracer = obs_trace.activate(
+                self._events_dir, worker="supervisor"
+            )
         self.metrics = EngineMetrics()
-        self.reporter = ProgressReporter(enabled=progress, jobs=jobs)
+        self.reporter = ProgressReporter(enabled=progress, jobs=self.jobs)
         self.tracker = InflightTracker()
         self.monitor: Optional[LiveMonitor] = None
         live_path = (
@@ -370,29 +297,18 @@ class Engine:
                 scale=self.scale.instructions_per_m, epoch=RESULTS_EPOCH,
                 schema=SCHEMA_VERSION,
             )
-        elif resume:
-            raise ValueError("resume requires a cache_dir (journal + store)")
 
         self.lease_server: Optional[LeaseServer] = None
-        self.min_agents = min_agents
-        if listen is not None:
-            host, port = parse_address(listen)
-            checkpoint_instructions = 0
-            if self.checkpoint_interval_m > 0:
-                checkpoint_instructions = max(
-                    1, self.scale.instructions(self.checkpoint_interval_m)
+        if address is not None:
+            artifact_roots = {
+                kind: store.root
+                for kind, store in (
+                    ("trace", traces), ("checkpoint", checkpoints)
                 )
-            artifact_roots: Dict[str, Path] = {}
-            if self.store is not None:
-                if trace_cache:
-                    artifact_roots["trace"] = self.store.root / TRACES_SUBDIR
-                if checkpoint_interval > 0:
-                    artifact_roots["checkpoint"] = (
-                        self.store.root / CHECKPOINTS_SUBDIR
-                    )
+                if store is not None
+            }
             self.lease_server = LeaseServer(
-                host,
-                port,
+                *address,
                 scale_instructions_per_m=self.scale.instructions_per_m,
                 results_epoch=RESULTS_EPOCH,
                 run_timeout=self.executor.timeout,
@@ -406,12 +322,6 @@ class Engine:
             self.metrics.agents_source = self.lease_server.agents_snapshot
             if self.monitor is not None:
                 self.monitor.agents_source = self.lease_server.agents_snapshot
-
-    def _export_env(self, name: str, value: str) -> None:
-        """Set an environment variable, remembering what it replaced."""
-        if name not in self._saved_env:
-            self._saved_env[name] = os.environ.get(name)
-        os.environ[name] = value
 
     def _clear_stale_trace(self) -> None:
         """Drop a previous sweep's event files before a fresh traced
@@ -779,8 +689,8 @@ class Engine:
 
     def close(self) -> None:
         """Stop telemetry, merge the trace, release the journal handle
-        and restore the environment variables the store activation
-        exported (safe to call repeatedly)."""
+        and reinstate the stores and tracer that were active before
+        this engine (safe to call repeatedly)."""
         if self.history:
             # Before the lease server closes: the record captures the
             # listen address and lease TTL as part of sweep identity.
@@ -792,20 +702,20 @@ class Engine:
         if self.monitor is not None:
             self.monitor.stop()
             self.monitor = None
-        if self.trace and self._events_dir is not None:
-            obs_trace.deactivate()
+        events_dir, self._events_dir = self._events_dir, None
+        if events_dir is not None:
+            obs_trace.deactivate(self._previous_tracer)
             try:
-                obs_trace.merge(self._events_dir, self.merged_trace_path())
+                obs_trace.merge(events_dir, self.merged_trace_path())
             except OSError:
                 pass  # a read-only cache dir never fails shutdown
         if self.journal is not None:
             self.journal.close()
-        saved, self._saved_env = self._saved_env, {}
-        for name, previous in saved.items():
-            if previous is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = previous
+        if self._previous_stores is not None:
+            traces, checkpoints = self._previous_stores
+            trace_store.activate(traces)
+            checkpoint.activate(checkpoints)
+            self._previous_stores = None
 
     def __enter__(self) -> "Engine":
         return self

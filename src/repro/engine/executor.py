@@ -84,6 +84,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.live import InflightTracker
 from repro.workloads import trace_store
 from repro.scale import Scale
+from repro.settings import value
 from repro.techniques.base import TechniqueResult
 from repro.techniques.simpoint import SimPointTechnique
 
@@ -662,21 +663,15 @@ class Executor:
 
     def __init__(
         self,
-        jobs: int = 1,
-        retries: int = 1,
+        jobs: Optional[int] = None,
+        retries: Optional[int] = None,
         timeout: Optional[float] = None,
         backoff_base: float = 0.1,
         backoff_cap: float = 5.0,
     ) -> None:
-        if jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = remote agents only)")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        self.jobs = jobs
-        self.retries = retries
-        self.timeout = timeout
+        self.jobs = value("jobs", jobs)
+        self.retries = value("max_retries", retries)
+        self.timeout = value("run_timeout", timeout)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
 

@@ -84,13 +84,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import resources as obs_resources
-from repro.settings import resolve
-
-#: Environment fallback for ``--lease-ttl`` (flag > env > default).
-LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL"
-
-#: Default lease heartbeat-liveness budget, seconds.
-DEFAULT_LEASE_TTL = 10.0
+from repro.settings import value
 
 #: Version of the wire message format.
 PROTOCOL_VERSION = 1
@@ -108,17 +102,6 @@ _CANCEL_RETENTION_S = 600.0
 
 #: One ``artifact_fetch`` chunk (base64 inflates this ~4/3 on the wire).
 ARTIFACT_CHUNK_BYTES = 1024 * 1024
-
-
-def default_lease_ttl() -> float:
-    """Lease TTL from ``$REPRO_LEASE_TTL`` (default 10 seconds)."""
-    ttl = resolve(
-        None, LEASE_TTL_ENV_VAR, DEFAULT_LEASE_TTL, float,
-        "a number of seconds",
-    )
-    if ttl <= 0:
-        raise ValueError(f"${LEASE_TTL_ENV_VAR} must be positive, got {ttl!r}")
-    return ttl
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -313,18 +296,14 @@ class LeaseLedger:
 
     def __init__(
         self,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
+        lease_ttl: Optional[float] = None,
         run_timeout: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
         max_requeues: int = MAX_LEASE_REQUEUES,
         recorder: Optional[Callable[[str, dict], None]] = None,
         remote_batch_configs: Optional[int] = None,
     ) -> None:
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
-        if remote_batch_configs is not None and remote_batch_configs < 1:
-            raise ValueError("remote_batch_configs must be >= 1")
-        self.lease_ttl = lease_ttl
+        self.lease_ttl = value("lease_ttl", lease_ttl)
         self.run_timeout = run_timeout
         self.clock = clock
         self.max_requeues = max_requeues
@@ -785,14 +764,11 @@ class LeaseServer:
         remote_batch_configs: Optional[int] = None,
         artifact_roots: Optional[Dict[str, Path]] = None,
     ) -> None:
-        if lease_ttl is None:
-            lease_ttl = default_lease_ttl()
         self.scale_instructions_per_m = scale_instructions_per_m
         self.results_epoch = results_epoch
         self.backend = backend
         self.checkpoint_interval = checkpoint_interval
         self.journal = journal
-        self.lease_ttl = lease_ttl
         #: ``{"trace": dir, "checkpoint": dir}`` roots agents may fetch
         #: content-addressed artifacts from (absent kind = no serving).
         self.artifact_roots = {
@@ -807,6 +783,7 @@ class LeaseServer:
             recorder=self._record,
             remote_batch_configs=remote_batch_configs,
         )
+        self.lease_ttl = self.ledger.lease_ttl
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))

@@ -413,11 +413,10 @@ class WorkerAgent:
         A miss the supervisor cannot serve either is not an error --
         the run then generates the artifact locally exactly as before.
         """
-        trace_root = os.environ.get(trace_store.TRACE_DIR_ENV_VAR)
-        if not trace_root:
+        store = trace_store.active_store()
+        if store is None:
             return
-        store = trace_store.TraceStore(trace_root)
-        checkpoint_root = os.environ.get(checkpoint.CHECKPOINT_DIR_ENV_VAR)
+        checkpoints = checkpoint.active_store()
         members = getattr(task, "members", None)
         seen_traces, seen_states = set(), set()
         for member in (members if members is not None else [task]):
@@ -433,14 +432,14 @@ class WorkerAgent:
                 self._ensure_trace(
                     connection, lease_id, store, trace_key, heartbeat_s, spec
                 )
-            if checkpoint_root:
+            if checkpoints is not None:
                 state = checkpoint.state_key(
                     workload, scale, request.config, request.enhancements
                 )
                 if state not in seen_states:
                     seen_states.add(state)
                     self._ensure_checkpoints(
-                        connection, lease_id, Path(checkpoint_root), state,
+                        connection, lease_id, checkpoints.root, state,
                         heartbeat_s, spec,
                     )
 
@@ -565,8 +564,9 @@ class WorkerAgent:
     # -- environment ---------------------------------------------------------------
 
     def _apply_environment(self, welcome: dict) -> None:
-        """Point the stores at this agent's local cache and adopt the
-        supervisor's backend/checkpoint settings (flags win)."""
+        """Activate this agent's local stores and adopt the supervisor's
+        backend/checkpoint settings (flags win); the per-lease workers
+        it forks inherit all of it."""
         if self._env_applied:
             return
         self._env_applied = True
@@ -578,15 +578,12 @@ class WorkerAgent:
         backend = self.backend or welcome.get("backend")
         if backend:
             os.environ[BACKEND_ENV_VAR] = str(backend)
-        os.environ[trace_store.TRACE_DIR_ENV_VAR] = str(
-            self.cache_dir / "traces"
-        )
+        trace_store.activate(trace_store.TraceStore(self.cache_dir / "traces"))
         interval = int(welcome.get("checkpoint_interval", 0) or 0)
         if interval > 0:
-            os.environ[checkpoint.CHECKPOINT_DIR_ENV_VAR] = str(
-                self.cache_dir / "checkpoints"
-            )
-            os.environ[checkpoint.CHECKPOINT_INTERVAL_ENV_VAR] = str(interval)
+            checkpoint.activate(checkpoint.CheckpointStore(
+                self.cache_dir / "checkpoints", interval
+            ))
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -11,59 +11,27 @@ convenience and backwards compatibility.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import BASELINE, Enhancements, ProcessorConfig
 from repro.engine import Engine, RunRequest
-from repro.scale import Scale, default_scale
-from repro.settings import resolve as resolve_setting
+from repro.scale import Scale
+from repro.settings import value
 from repro.techniques.base import SimulationTechnique, TechniqueResult
 from repro.techniques.reference import ReferenceTechnique
 from repro.techniques.registry import FAMILIES, permutations
 from repro.workloads.inputs import Workload
 from repro.workloads.spec import BENCHMARK_NAMES, get_workload
 
-#: Environment variable requesting the full 10-benchmark sweep
-#: (fallback for the ``--full`` CLI flag; the flag wins).
-FULL_ENV_VAR = "REPRO_FULL"
-
-#: Environment fallbacks for the engine CLI flags (flag > env > default).
-JOBS_ENV_VAR = "REPRO_JOBS"
-CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
-DEPTH_ENV_VAR = "REPRO_DEPTH"
-
 #: Benchmarks used by default (the paper's most-discussed cases).
 DEFAULT_BENCHMARKS = ("gzip", "gcc", "art", "mcf")
 
 
 def default_benchmarks(full: Optional[bool] = None) -> Tuple[str, ...]:
-    """The benchmark tuple: all ten when ``full`` (or $REPRO_FULL)."""
-    if full is None:
-        full = bool(os.environ.get(FULL_ENV_VAR))
-    return BENCHMARK_NAMES if full else DEFAULT_BENCHMARKS
-
-
-def default_depth() -> str:
-    """Permutation depth from ``$REPRO_DEPTH`` (default ``standard``)."""
-    return os.environ.get(DEPTH_ENV_VAR, "standard")
-
-
-def default_cache_dir() -> Optional[Path]:
-    """Persistent cache directory from ``$REPRO_CACHE_DIR``, if set."""
-    value = os.environ.get(CACHE_DIR_ENV_VAR)
-    return Path(value) if value else None
-
-
-def default_context_jobs() -> int:
-    """Worker processes from ``$REPRO_JOBS`` (default 1 = serial).
-
-    Library contexts stay serial unless asked; the CLI defaults to all
-    cores instead (see :mod:`repro.experiments.__main__`).
-    """
-    return resolve_setting(None, JOBS_ENV_VAR, 1, int, "an integer")
+    """The benchmark tuple: all ten when ``full`` (``--full``)."""
+    return BENCHMARK_NAMES if value("full", full) else DEFAULT_BENCHMARKS
 
 
 @dataclass
@@ -74,46 +42,34 @@ class ExperimentContext:
     simulated: ``quick`` uses one representative permutation per
     family, ``standard`` a small spread, ``full`` all of Table 1.
     ``jobs`` sets the engine's worker-process count and ``cache_dir``
-    its persistent result store (None = in-memory caching only).
+    its persistent result store (None = in-memory caching only).  Each
+    setting left at None resolves through :func:`repro.settings.value`
+    (its environment variable, else the ``SETTINGS`` default).
     """
 
-    scale: Scale = field(default_factory=default_scale)
-    benchmarks: Tuple[str, ...] = field(default_factory=default_benchmarks)
-    depth: str = field(default_factory=default_depth)
+    scale: Optional[Scale] = None
+    benchmarks: Optional[Tuple[str, ...]] = None
+    depth: Optional[str] = None
     seed: int = 1234
-    jobs: int = field(default_factory=default_context_jobs)
-    cache_dir: Optional[Path] = field(default_factory=default_cache_dir)
+    jobs: Optional[int] = None
+    #: None means no persistent cache; left out, ``$REPRO_CACHE_DIR``.
+    cache_dir: Optional[Path] = field(
+        default_factory=lambda: value("cache_dir")
+    )
     progress: bool = False
-    #: Per-run wall-clock timeout in seconds (None: $REPRO_RUN_TIMEOUT
-    #: or unbounded) and retry budget (None: $REPRO_MAX_RETRIES or 1).
+    #: These go to the engine, which resolves each one left at None.
     run_timeout: Optional[float] = None
     max_retries: Optional[int] = None
-    #: Resume an interrupted sweep from <cache_dir>/journal.jsonl.
-    resume: bool = False
-    #: Warm-state checkpoint spacing in paper-M instructions (None:
-    #: $REPRO_CHECKPOINT_INTERVAL or 500; 0 disables) and whether
-    #: traces are shared through <cache_dir>/traces.
+    resume: Optional[bool] = None
     checkpoint_interval: Optional[float] = None
-    trace_cache: bool = True
-    #: Structured run tracing (None: $REPRO_TRACE; needs a cache_dir)
-    #: and an optional Prometheus textfile to export live counters to.
+    trace_cache: Optional[bool] = None
     trace: Optional[bool] = None
     metrics_file: Optional[Path] = None
-    #: Config-batching width (None: $REPRO_BATCH_CONFIGS or 1 = off):
-    #: how many same-geometry runs one batched pass may serve.
     batch_configs: Optional[int] = None
-    #: Per-lease batching width for remote agents (None:
-    #: $REPRO_REMOTE_BATCH_CONFIGS or the batch_configs cap).
     remote_batch_configs: Optional[int] = None
-    #: Distributed sweeps: HOST:PORT to accept remote worker agents on
-    #: (None = single host), lease heartbeat budget in seconds (None:
-    #: $REPRO_LEASE_TTL or 10) and how many agents to wait for before
-    #: launching runs (with jobs=0 the sweep is remote-only).
     listen: Optional[str] = None
     lease_ttl: Optional[float] = None
-    min_agents: int = 0
-    #: Sweep-history recording (None: $REPRO_HISTORY or on): append one
-    #: record per sweep to <cache_dir>/v1/history/ at engine close.
+    min_agents: Optional[int] = None
     history: Optional[bool] = None
 
     #: The engine executing this context's runs; built from the fields
@@ -121,8 +77,10 @@ class ExperimentContext:
     engine: Optional[Engine] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.depth not in ("quick", "standard", "full"):
-            raise ValueError("depth must be quick, standard or full")
+        self.scale = value("scale", self.scale)
+        self.benchmarks = self.benchmarks or default_benchmarks()
+        self.depth = value("depth", self.depth)
+        self.jobs = value("jobs", self.jobs)
         if self.engine is None:
             self.engine = Engine(
                 scale=self.scale,

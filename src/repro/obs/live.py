@@ -26,9 +26,6 @@ from repro.files import atomic_write
 #: Filename of the live snapshot under the store's versioned directory.
 LIVE_FILENAME = "live.json"
 
-#: Environment fallback for ``--metrics-file``.
-METRICS_FILE_ENV_VAR = "REPRO_METRICS_FILE"
-
 #: Version of the live.json document format.
 LIVE_SCHEMA_VERSION = 1
 

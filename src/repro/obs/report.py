@@ -47,6 +47,7 @@ from repro.files import read_jsonl
 from repro.obs import history as obs_history
 from repro.obs import phases as obs_phases
 from repro.obs import trace as obs_trace
+from repro.settings import SETTINGS, value
 
 #: Span names that represent per-run simulation phases (the attribution
 #: table rows); lifecycle/engine spans are summarized separately.
@@ -422,30 +423,30 @@ def compare_records(base: dict, cand: dict) -> dict:
     return {"rows": rows, "regressions": regressions, "aligned": not drift}
 
 
-def _resolved_cache_dir(parser, value) -> Path:
-    import os
+def _cache_dir_flag(parser) -> None:
+    parser.add_argument(
+        "--cache-dir", type=Path, default=None,
+        help=f"sweep cache directory (default: ${SETTINGS['cache_dir'].env})",
+    )
 
-    from repro.experiments.common import CACHE_DIR_ENV_VAR
 
-    if value is not None:
-        return Path(value)
-    env = os.environ.get(CACHE_DIR_ENV_VAR)
-    if env:
-        return Path(env)
-    parser.error("--cache-dir (or $REPRO_CACHE_DIR) is required")
+def _resolved_cache_dir(parser, given) -> Path:
+    cache_dir = value("cache_dir", given)
+    if cache_dir is None:
+        parser.error(
+            f"--cache-dir (or ${SETTINGS['cache_dir'].env}) is required"
+        )
+    return cache_dir
 
 
 def _history_main(argv: List[str]) -> int:
-    from repro.experiments.common import CACHE_DIR_ENV_VAR, format_table
+    from repro.experiments.common import format_table
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments report history",
         description="List recorded sweeps from the sweep-history store.",
     )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help=f"sweep cache directory (default: ${CACHE_DIR_ENV_VAR})",
-    )
+    _cache_dir_flag(parser)
     parser.add_argument(
         "--backend", default=None, help="only sweeps on this backend"
     )
@@ -485,7 +486,7 @@ def _history_main(argv: List[str]) -> int:
 
 
 def _compare_main(argv: List[str]) -> int:
-    from repro.experiments.common import CACHE_DIR_ENV_VAR, format_table
+    from repro.experiments.common import format_table
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments report compare",
@@ -498,10 +499,7 @@ def _compare_main(argv: List[str]) -> int:
     parser.add_argument(
         "candidate", help="candidate record: id prefix, or -N (e.g. -1)"
     )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help=f"sweep cache directory (default: ${CACHE_DIR_ENV_VAR})",
-    )
+    _cache_dir_flag(parser)
     parser.add_argument(
         "--check", action="store_true",
         help="exit 1 when any regression is flagged",
@@ -560,17 +558,12 @@ def _compare_main(argv: List[str]) -> int:
 
 
 def _dashboard_main(argv: List[str]) -> int:
-    from repro.experiments.common import CACHE_DIR_ENV_VAR
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments report dashboard",
         description="Render the sweep history, live state and BENCH "
         "trajectory as one self-contained static HTML file.",
     )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help=f"sweep cache directory (default: ${CACHE_DIR_ENV_VAR})",
-    )
+    _cache_dir_flag(parser)
     parser.add_argument(
         "--html", type=Path, required=True, metavar="OUT",
         help="output HTML path",
@@ -607,19 +600,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "dashboard":
         return _dashboard_main(argv[1:])
 
-    from repro.experiments.common import CACHE_DIR_ENV_VAR, format_table
+    from repro.experiments.common import format_table
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments report",
         description="Render a traced sweep's trace.jsonl: wall-time "
         "attribution, per-run replay, Chrome/Perfetto export.",
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help=f"sweep cache directory (default: ${CACHE_DIR_ENV_VAR})",
-    )
+    _cache_dir_flag(parser)
     parser.add_argument(
         "--run",
         metavar="KEY",
@@ -648,14 +636,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    import os
-
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        value = os.environ.get(CACHE_DIR_ENV_VAR)
-        cache_dir = Path(value) if value else None
-    if cache_dir is None:
-        parser.error("--cache-dir (or $REPRO_CACHE_DIR) is required")
+    cache_dir = _resolved_cache_dir(parser, args.cache_dir)
     events = load_trace(cache_dir)
     if not events and args.run and not (args.check or args.chrome):
         return _print_run(

@@ -8,18 +8,16 @@ file under the events directory, so concurrent workers never contend
 on a shared handle.  The supervisor merges the per-worker files into
 one ``trace.jsonl`` with :func:`merge`, ordered by span start time.
 
-Activation follows the engine convention: an explicit
-:func:`activate` wins, otherwise ``$REPRO_TRACE_EVENTS`` (exported by
-the engine so pool workers inherit it) names the events directory.  A
-worker forked *after* the parent activated inherits the parent's
+The engine opens the tracer for its process with :func:`activate`.
+A worker forked *after* the parent activated inherits the parent's
 tracer object; the first emit in the child notices the PID change and
 re-opens a fresh per-PID file, so two processes never interleave
 writes.  Each file is a non-durable :class:`repro.files.JsonlLog`: one
 unbuffered ``write`` per event, nothing batched across a fork, and a
 kill can only truncate the final line, which the shared reader skips.
 
-Disabled (no activation, no environment), a span costs one global
-check and allocates nothing -- the hot simulation paths stay at
+Disabled (not activated), a span costs one global check and
+allocates nothing -- the hot simulation paths stay at
 reference speed.
 
 Record shapes (one JSON object per line)::
@@ -47,9 +45,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.files import JsonlLog, atomic_write, dumps_line, read_jsonl
-
-#: Events directory exported by the engine; workers auto-activate from it.
-EVENTS_DIR_ENV_VAR = "REPRO_TRACE_EVENTS"
 
 #: Filename of the merged, time-ordered event stream.
 MERGED_FILENAME = "trace.jsonl"
@@ -157,24 +152,27 @@ class _Tracer:
         self._write(document, attrs)
 
 
-#: The process-wide tracer (None = inactive unless the env names a dir).
+#: The process-wide tracer (None = tracing off).
 _tracer: Optional[_Tracer] = None
 
 
-def activate(directory: os.PathLike, worker: Optional[str] = None) -> None:
-    """Open this process's event file under ``directory``."""
+def activate(
+    directory: os.PathLike, worker: Optional[str] = None
+) -> Optional[_Tracer]:
+    """Open this process's event file under ``directory``; returns the
+    tracer it replaces, for :func:`deactivate` to reinstate."""
+    global _tracer
+    previous, _tracer = _tracer, _Tracer(Path(directory), worker)
+    return previous
+
+
+def deactivate(previous: Optional[_Tracer] = None) -> None:
+    """Close the event file and reinstate ``previous`` (None: tracing
+    off; safe to call repeatedly)."""
     global _tracer
     if _tracer is not None:
         _tracer.log.close()
-    _tracer = _Tracer(Path(directory), worker)
-
-
-def deactivate() -> None:
-    """Close the event file and deactivate (safe to call repeatedly)."""
-    global _tracer
-    if _tracer is not None:
-        _tracer.log.close()
-        _tracer = None
+    _tracer = previous
 
 
 def active() -> bool:
@@ -184,19 +182,13 @@ def active() -> bool:
 def _current() -> Optional[_Tracer]:
     """The live tracer for *this* process, or None.
 
-    Auto-activates from ``$REPRO_TRACE_EVENTS`` (how pool workers join
-    a trace) and replaces a tracer inherited across ``fork`` with a
-    fresh per-PID one -- the inherited log is abandoned (it is
-    unbuffered, so it holds nothing).
+    A tracer inherited across ``fork`` is replaced with a fresh per-PID
+    one -- the inherited log is abandoned (it is unbuffered, so it holds
+    nothing).
     """
     global _tracer
     tracer = _tracer
-    if tracer is None:
-        directory = os.environ.get(EVENTS_DIR_ENV_VAR)
-        if not directory:
-            return None
-        tracer = _tracer = _Tracer(Path(directory))
-    elif tracer.pid != os.getpid():
+    if tracer is not None and tracer.pid != os.getpid():
         tracer = _tracer = _Tracer(tracer.directory)
     return tracer
 

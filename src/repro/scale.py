@@ -10,7 +10,6 @@ skipped, sampled, or warmed) is preserved at any scale.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 #: Named profiles: simulated instructions per paper-M.
@@ -19,9 +18,6 @@ PROFILES = {
     "quick": 100,
     "full": 500,
 }
-
-#: Environment variable consulted by :func:`default_scale`.
-PROFILE_ENV_VAR = "REPRO_PROFILE"
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,3 @@ def scale_from_profile(profile: str) -> Scale:
         raise ValueError(
             f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}"
         ) from None
-
-
-def default_scale() -> Scale:
-    """The scale selected by ``REPRO_PROFILE`` (default ``tiny``)."""
-    return scale_from_profile(os.environ.get(PROFILE_ENV_VAR, "tiny"))

@@ -29,12 +29,11 @@ regenerated trace), never trusted.  Writes go through
 create the same trace converge on one intact file -- last rename
 wins, and both renames carry identical bytes.
 
-Activation follows the engine convention: an explicit
-:func:`activate` wins, otherwise ``$REPRO_TRACE_DIR`` (exported by
-the engine so pool workers inherit it) names the store root.  Hit and
-miss counts accumulate module-wide and are drained with
-:func:`consume_counters` -- workers report them to the parent, which
-folds them into the engine metrics.
+The engine installs the store for its process with :func:`activate`;
+forked workers inherit the activation.  Hit and miss counts
+accumulate module-wide and are drained with :func:`consume_counters`
+-- workers report them to the parent, which folds them into the
+engine metrics.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ STORE_VERSION = 1
 
 #: File magic; doubles as the format version tag in the first 8 bytes.
 MAGIC = b"RPTRACE1"
-
-#: Engine-exported store root; workers resolve their store from this.
-TRACE_DIR_ENV_VAR = "REPRO_TRACE_DIR"
 
 #: Filename suffix for serialized traces ("numpy trace").
 _SUFFIX = ".npt"
@@ -202,29 +198,22 @@ class TraceStore:
         return self.path_for(key).exists()
 
 
-# -- activation (explicit override > $REPRO_TRACE_DIR > inactive) ------------
+# -- activation ---------------------------------------------------------------
 
 _ACTIVE: Optional[TraceStore] = None
-_ENV_CACHE: tuple = (None, None)  # (root string, TraceStore)
 
 
-def activate(store: Optional[TraceStore]) -> None:
-    """Install (or, with None, remove) an explicit process-wide store."""
+def activate(store: Optional[TraceStore]) -> Optional[TraceStore]:
+    """Install (or, with None, remove) the process-wide store; returns
+    the store it replaces, so the caller can restore it."""
     global _ACTIVE
-    _ACTIVE = store
+    previous, _ACTIVE = _ACTIVE, store
+    return previous
 
 
 def active_store() -> Optional[TraceStore]:
-    """The store in effect: explicit activation, else ``$REPRO_TRACE_DIR``."""
-    global _ENV_CACHE
-    if _ACTIVE is not None:
-        return _ACTIVE
-    root = os.environ.get(TRACE_DIR_ENV_VAR)
-    if not root:
-        return None
-    if _ENV_CACHE[0] != root:
-        _ENV_CACHE = (root, TraceStore(Path(root)))
-    return _ENV_CACHE[1]
+    """The store in effect, or None."""
+    return _ACTIVE
 
 
 # -- counters ----------------------------------------------------------------

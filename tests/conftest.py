@@ -23,32 +23,30 @@ TEST_SCALE = Scale(5)
 
 
 @pytest.fixture(autouse=True)
-def _isolate_shared_store_env(monkeypatch):
-    """Start every test without inherited trace/checkpoint stores.
+def _isolate_process_state(monkeypatch):
+    """Start and end every test with no active trace store, checkpoint
+    store or tracer, and without the user-level trace/metrics settings.
 
-    An engine with a cache dir exports the store locations through the
-    environment (so its pool workers inherit them); a test that does
-    not close its engine would otherwise leak an active store into
-    every later test in the process.
+    An engine activates its stores process-wide (so its forked workers
+    inherit them); a test that does not close its engine, or that
+    activates a store itself and fails before cleaning up, would
+    otherwise leak an active store into every later test.
     """
-    from repro import settings
     from repro.cpu import checkpoint
-    from repro.obs import live, phases, trace
+    from repro.obs import phases, trace
+    from repro.settings import SETTINGS
     from repro.workloads import trace_store
 
-    for var in (
-        trace_store.TRACE_DIR_ENV_VAR,
-        checkpoint.CHECKPOINT_DIR_ENV_VAR,
-        checkpoint.CHECKPOINT_INTERVAL_ENV_VAR,
-        settings.TRACE_ENV_VAR,
-        trace.EVENTS_DIR_ENV_VAR,
-        live.METRICS_FILE_ENV_VAR,
-    ):
-        monkeypatch.delenv(var, raising=False)
+    def reset() -> None:
+        trace_store.activate(None)
+        checkpoint.activate(None)
+        trace.deactivate()
+
+    for name in ("trace", "metrics_file"):
+        monkeypatch.delenv(SETTINGS[name].env, raising=False)
+    reset()
     yield
-    # A test that activates the tracer or phase ledger and fails before
-    # cleaning up must not leak spans into every later test.
-    trace.deactivate()
+    reset()
     phases.set_notifier(None)
     phases.drain()
 

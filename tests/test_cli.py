@@ -240,3 +240,115 @@ class TestBatchingOptions:
             main(["table3"])
         assert "--batch-configs must be >= 1" in capsys.readouterr().err
 
+
+
+class _Spy:
+    """Stands in for an experiment driver and keeps the context it got."""
+
+    def __call__(self, context):
+        self.context = context
+        return self
+
+    def render(self):
+        return "spy"
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("raw", ["0", "false", "off"])
+    def test_env_full_off_runs_the_default_benchmarks(
+        self, raw, monkeypatch, capsys
+    ):
+        from repro.experiments.common import DEFAULT_BENCHMARKS
+
+        spy = _Spy()
+        monkeypatch.setitem(EXPERIMENTS, "table3", spy)
+        monkeypatch.setenv("REPRO_FULL", raw)
+        assert main(["table3"]) == 0
+        assert spy.context.benchmarks == DEFAULT_BENCHMARKS
+
+    def test_env_full_on_runs_all_ten(self, monkeypatch, capsys):
+        from repro.workloads.spec import BENCHMARK_NAMES
+
+        spy = _Spy()
+        monkeypatch.setitem(EXPERIMENTS, "table3", spy)
+        monkeypatch.setenv("REPRO_FULL", "1")
+        assert main(["table3"]) == 0
+        assert spy.context.benchmarks == BENCHMARK_NAMES
+
+    def test_help_lists_every_flag_variable_and_default(self, capsys):
+        from repro.settings import SETTINGS
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for setting in SETTINGS.values():
+            for flag in setting.flag.split("/"):
+                assert flag in out
+            shown = " ".join(setting.shown.split())
+            if setting.env is not None:
+                assert f"${setting.env} or {shown}" in out
+            else:
+                assert f"(default: {shown})" in out
+
+
+#: A malformed value, then an out-of-range one where the setting has a
+#: range check, for every ``SETTINGS`` variable.
+BAD_ENV_VALUES = {
+    "REPRO_PROFILE": ["bogus"],
+    "REPRO_DEPTH": ["bogus"],
+    "REPRO_FULL": ["maybe"],
+    "REPRO_JOBS": ["abc", "-1"],
+    "REPRO_RUN_TIMEOUT": ["soon", "0"],
+    "REPRO_MAX_RETRIES": ["many", "-1"],
+    "REPRO_CHECKPOINT_INTERVAL": ["often", "-1"],
+    "REPRO_BACKEND": ["numba"],
+    "REPRO_TRACE": ["maybe"],
+    "REPRO_HISTORY": ["maybe"],
+    "REPRO_BATCH_CONFIGS": ["many", "0"],
+    "REPRO_REMOTE_BATCH_CONFIGS": ["many", "0"],
+    "REPRO_LEASE_TTL": ["long", "0"],
+}
+
+#: Path-valued settings: every string is a well-formed path.
+PATH_ENV_VARS = {"REPRO_CACHE_DIR", "REPRO_METRICS_FILE"}
+
+
+def _env_cases():
+    from repro.settings import SETTINGS
+
+    for setting in SETTINGS.values():
+        for raw in BAD_ENV_VALUES.get(setting.env, []):
+            yield pytest.param(setting.env, raw, id=f"{setting.env}={raw}")
+
+
+class TestEnvironmentErrors:
+    def test_every_variable_has_bad_values(self):
+        from repro.settings import SETTINGS
+
+        variables = {s.env for s in SETTINGS.values() if s.env}
+        assert variables == set(BAD_ENV_VALUES) | PATH_ENV_VARS
+        for setting in SETTINGS.values():
+            numeric = setting.parse in (int, float)
+            if setting.env and setting.check is not None and numeric:
+                # A numeric range: one unparseable, one out-of-range.
+                assert len(BAD_ENV_VALUES[setting.env]) == 2
+
+    @pytest.mark.parametrize("variable, raw", list(_env_cases()))
+    def test_bad_value_is_a_clean_usage_error(
+        self, variable, raw, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert variable in err
+        assert "Traceback" not in err
+
+    def test_lease_ttl_zero_with_listen(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_LEASE_TTL", "0")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3", "--listen", "127.0.0.1:0", "--jobs", "0"])
+        assert excinfo.value.code == 2
+        assert "REPRO_LEASE_TTL" in capsys.readouterr().err

@@ -478,23 +478,52 @@ class TestSharedStores:
         for a, b in zip(results, resumed):
             assert _result_fingerprint(a) == _result_fingerprint(b)
 
-    def test_close_restores_environment(self, tmp_path, workload):
+    def test_close_restores_activation(self, tmp_path, workload):
         from repro.cpu import checkpoint
+        from repro.obs import trace as obs_trace
         from repro.workloads import trace_store
 
         engine = Engine(
             scale=SCALE, jobs=1, cache_dir=tmp_path, checkpoint_interval=100.0
         )
-        assert os.environ[trace_store.TRACE_DIR_ENV_VAR] == str(
-            tmp_path / "traces"
-        )
-        assert os.environ[checkpoint.CHECKPOINT_DIR_ENV_VAR] == str(
-            tmp_path / "checkpoints"
-        )
+        assert trace_store.active_store().root == tmp_path / "traces"
+        assert checkpoint.active_store().root == tmp_path / "checkpoints"
+        assert checkpoint.active_store().interval == SCALE.instructions(100.0)
         engine.close()
-        assert trace_store.TRACE_DIR_ENV_VAR not in os.environ
-        assert checkpoint.CHECKPOINT_DIR_ENV_VAR not in os.environ
-        assert checkpoint.CHECKPOINT_INTERVAL_ENV_VAR not in os.environ
+        assert trace_store.active_store() is None
+        assert checkpoint.active_store() is None
+        assert not obs_trace.active()
+
+    def test_nested_engines_restore_the_outer_activation(self, tmp_path):
+        from repro.cpu import checkpoint
+        from repro.obs import trace as obs_trace
+        from repro.workloads import trace_store
+
+        outer = Engine(
+            scale=SCALE, jobs=1, cache_dir=tmp_path / "a", trace=True
+        )
+        try:
+            outer_tracer = obs_trace._current()
+            inner = Engine(
+                scale=SCALE, jobs=1, cache_dir=tmp_path / "b", trace=True
+            )
+            assert trace_store.active_store().root == tmp_path / "b" / "traces"
+            assert checkpoint.active_store().root == (
+                tmp_path / "b" / "checkpoints"
+            )
+            assert obs_trace._current() is not outer_tracer
+            inner.close()
+            inner.close()  # idempotent: the outer activation survives
+            assert trace_store.active_store().root == tmp_path / "a" / "traces"
+            assert checkpoint.active_store().root == (
+                tmp_path / "a" / "checkpoints"
+            )
+            assert obs_trace._current() is outer_tracer
+        finally:
+            outer.close()
+        assert trace_store.active_store() is None
+        assert checkpoint.active_store() is None
+        assert not obs_trace.active()
 
     def test_knob_gating(self, tmp_path):
         from repro.cpu import checkpoint
@@ -505,8 +534,8 @@ class TestSharedStores:
             checkpoint_interval=0.0, trace_cache=False,
         )
         try:
-            assert trace_store.TRACE_DIR_ENV_VAR not in os.environ
-            assert checkpoint.CHECKPOINT_DIR_ENV_VAR not in os.environ
+            assert trace_store.active_store() is None
+            assert checkpoint.active_store() is None
         finally:
             engine.close()
         with pytest.raises(ValueError):

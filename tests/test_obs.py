@@ -91,18 +91,30 @@ class TestTracer:
         }
         assert "attrs" not in spans["later"]
 
-    def test_env_auto_activation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace.EVENTS_DIR_ENV_VAR, str(tmp_path))
-        assert trace.active()
-        with trace.span("auto"):
+    def test_explicit_activation_and_restore(self, tmp_path):
+        outer = trace.activate(tmp_path / "outer", worker="outer")
+        assert outer is None
+        outer_tracer = trace._current()
+        previous = trace.activate(tmp_path / "inner", worker="inner")
+        assert previous is outer_tracer
+        with trace.span("inner-span"):
+            pass
+        trace.deactivate(previous)
+        assert trace._current() is outer_tracer
+        with trace.span("outer-span"):
             pass
         trace.deactivate()
-        files = list(tmp_path.glob("*.jsonl"))
-        assert len(files) == 1
-        assert any(
-            e["event"] == "span" and e["name"] == "auto"
-            for e in trace.read_events(files[0])
-        )
+        assert not trace.active()
+
+        def spans(worker):
+            path = tmp_path / worker / f"{worker}.jsonl"
+            return [
+                e["name"] for e in trace.read_events(path)
+                if e["event"] == "span"
+            ]
+
+        assert spans("outer") == ["outer-span"]
+        assert spans("inner") == ["inner-span"]
 
     def test_sequence_numbers_monotonic(self, tracer_dir):
         for index in range(5):

@@ -13,12 +13,15 @@ import pytest
 from repro.cpu.config import ARCH_CONFIGS
 from repro.engine import Engine, RunRequest
 from repro.engine import executor
-from repro.engine.executor import Executor, RunTask
+from repro.engine.executor import Executor, RunTask, WorkerProcess
 from repro.engine.faults import FAULT_PLAN_ENV_VAR
 from repro.engine.worker import WorkerAgent
+from repro.cpu import checkpoint
 from repro.obs import phases as obs_phases
+from repro.obs import trace as obs_trace
 from repro.obs.live import InflightTracker
 from repro.techniques.base import SimulationTechnique
+from repro.workloads import trace_store
 from repro.workloads.spec import get_workload
 
 from tests.test_engine import SCALE, StubTechnique, _stub_result
@@ -104,6 +107,23 @@ class SnapshotTechnique(SimulationTechnique):
         with obs_phases.measured("warming"):
             self.seen = self.tracker.snapshot()
         return _stub_result(workload, config, "snapshot")
+
+
+class ActivationTechnique(SimulationTechnique):
+    """Reports, as its result's permutation, the stores and tracer
+    active in whichever process runs it."""
+
+    family = "Stub"
+    permutation = "activation"
+
+    def run(self, workload, config, scale, enhancements=None):
+        traces = trace_store.active_store()
+        checkpoints = checkpoint.active_store()
+        seen = (
+            f"{traces.root}|{checkpoints.root}|{checkpoints.interval}|"
+            f"{obs_trace.active()}|{os.getpid()}"
+        )
+        return _stub_result(workload, config, seen)
 
 
 def _task(technique, slot=0):
@@ -245,6 +265,26 @@ class TestOneWorkerPerFailure:
         assert engine.metrics.timeouts == 1
         assert engine.metrics.retries == 1
         assert engine.metrics.failures == 0
+
+
+class TestForkedActivation:
+    def test_worker_process_sees_the_parent_activation(self, tmp_path):
+        trace_store.activate(trace_store.TraceStore(tmp_path / "traces"))
+        checkpoint.activate(checkpoint.CheckpointStore(tmp_path / "cp", 700))
+        obs_trace.activate(tmp_path / "events", worker="parent")
+        worker = WorkerProcess()
+        try:
+            worker.submit(_task(ActivationTechnique()), SCALE)
+            kind = "start"
+            while kind in ("start", "phase"):
+                kind, _, value = worker.recv()
+        finally:
+            worker.stop()
+        assert kind == "done"
+        seen = value[1][0].permutation
+        assert seen == (
+            f"{tmp_path / 'traces'}|{tmp_path / 'cp'}|700|True|{worker.pid}"
+        )
 
 
 class TestWorkerLifetime:

@@ -4,13 +4,10 @@ import os
 
 import pytest
 
-from repro.scale import (
-    PROFILE_ENV_VAR,
-    PROFILES,
-    Scale,
-    default_scale,
-    scale_from_profile,
-)
+from repro.scale import PROFILES, Scale, scale_from_profile
+from repro.settings import SETTINGS, value
+
+PROFILE_ENV_VAR = SETTINGS["scale"].env
 
 
 class TestScale:
@@ -58,9 +55,9 @@ class TestProfiles:
 
     def test_default_scale_env(self, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV_VAR, "quick")
-        assert default_scale().instructions_per_m == PROFILES["quick"]
+        assert value("scale").instructions_per_m == PROFILES["quick"]
         monkeypatch.delenv(PROFILE_ENV_VAR)
-        assert default_scale().instructions_per_m == PROFILES["tiny"]
+        assert value("scale").instructions_per_m == PROFILES["tiny"]
 
     def test_profiles_ordered(self):
         assert PROFILES["tiny"] < PROFILES["quick"] < PROFILES["full"]

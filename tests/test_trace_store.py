@@ -176,12 +176,15 @@ class TestActivation:
         finally:
             trace_store.activate(None)
 
-    def test_env_activation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_store.TRACE_DIR_ENV_VAR, str(tmp_path / "t"))
+    def test_activation_returns_the_store_it_replaces(self, tmp_path):
+        first = TraceStore(tmp_path / "t")
+        assert trace_store.activate(first) is None
         active = trace_store.active_store()
         assert active is not None
         assert active.root == tmp_path / "t"
-        monkeypatch.delenv(trace_store.TRACE_DIR_ENV_VAR)
+        assert trace_store.activate(TraceStore(tmp_path / "u")) is first
+        assert trace_store.activate(first).root == tmp_path / "u"
+        assert trace_store.activate(None) is first
         assert trace_store.active_store() is None
 
     def test_mmap_loaded_trace_simulates_identically(self, store):
