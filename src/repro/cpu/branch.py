@@ -6,108 +6,107 @@ chooser table of 2-bit counters.  Predictors expose a single
 ``predict_update(pc, taken)`` call that returns whether the prediction
 was correct and trains the tables -- one call per branch keeps the hot
 loop cheap.
+
+Like the caches (:mod:`repro.cpu.cache`), every structure here holds
+its state in flat lists that the kernels index directly; the BTB uses
+the same MRU-first set layout with ``-1`` marking an invalid way.
 """
 
 from __future__ import annotations
 
-from typing import List
+from repro.cpu.cache import STAT_HITS, STAT_MISSES
+
+# Branch-predictor kind codes shared with the kernels.
+PRED_BIMODAL = 0
+PRED_GSHARE = 1
+PRED_COMBINED = 2
+PRED_TAKEN = 3
+PRED_PERFECT = 4
+
+PREDICTOR_KINDS = {
+    "bimodal": PRED_BIMODAL,
+    "gshare": PRED_GSHARE,
+    "combined": PRED_COMBINED,
+    "taken": PRED_TAKEN,
+    "perfect": PRED_PERFECT,
+}
 
 
-def _table(entries: int, init: int = 1) -> List[int]:
-    """A table of 2-bit saturating counters (weakly not-taken)."""
-    return [init] * entries
+class Predictor:
+    """Branch direction predictor of any configured kind.
 
+    ``kind`` is one of :data:`PREDICTOR_KINDS`: per-PC 2-bit counters
+    (``bimodal``), PC xor global history (``gshare``), both arbitrated
+    by a chooser table (``combined``, SimpleScalar ``comb``), always
+    taken (``taken``) or an oracle (``perfect``).  Counters start
+    weakly not-taken; the chooser starts with a slight gshare bias.
 
-class BimodalPredictor:
-    """Per-PC 2-bit saturating counters."""
+    ``state[0]`` holds the global history register so kernels can read
+    and write it in place; unused component tables are single-slot
+    dummies so one uniform signature covers every predictor kind.
+    """
 
-    def __init__(self, entries: int) -> None:
+    def __init__(self, kind: str, entries: int) -> None:
+        try:
+            self.kind = PREDICTOR_KINDS[kind]
+        except KeyError:
+            raise ValueError(f"unknown predictor kind {kind!r}") from None
+        self.kind_name = kind
         if entries <= 0:
             raise ValueError("entries must be positive")
+        self.entries = entries
         self.mask = entries - 1
-        if entries & self.mask:
-            raise ValueError("entries must be a power of two")
-        self.table = _table(entries)
+        if self.kind in (PRED_BIMODAL, PRED_GSHARE, PRED_COMBINED):
+            if entries & self.mask:
+                raise ValueError("entries must be a power of two")
+        table = entries if self.kind in (PRED_BIMODAL, PRED_COMBINED) else 1
+        gtable = entries if self.kind in (PRED_GSHARE, PRED_COMBINED) else 1
+        ctable = entries if self.kind == PRED_COMBINED else 1
+        self.bimodal = [1] * table
+        self.gshare = [1] * gtable
+        self.chooser = [2] * ctable
+        self.state = [0]
+
+    @property
+    def history(self) -> int:
+        return int(self.state[0])
 
     def predict_update(self, pc: int, taken: bool) -> bool:
-        index = (pc >> 2) & self.mask
-        counter = self.table[index]
-        prediction = counter >= 2
-        if taken:
-            if counter < 3:
-                self.table[index] = counter + 1
-        elif counter > 0:
-            self.table[index] = counter - 1
-        return prediction == taken
-
-    def warm_state(self) -> dict:
-        """Canonical warm-state snapshot (shared with the kernel
-        predictor, so snapshots restore across backends)."""
-        return {"bimodal": list(self.table)}
-
-    def restore_warm_state(self, state: dict) -> None:
-        self.table = [int(v) for v in state["bimodal"]]
-
-
-class GsharePredictor:
-    """Global-history predictor: PC xor history indexes a counter table."""
-
-    def __init__(self, entries: int) -> None:
-        if entries <= 0:
-            raise ValueError("entries must be positive")
-        self.mask = entries - 1
-        if entries & self.mask:
-            raise ValueError("entries must be a power of two")
-        self.table = _table(entries)
-        self.history = 0
-
-    def predict_update(self, pc: int, taken: bool) -> bool:
-        index = ((pc >> 2) ^ self.history) & self.mask
-        counter = self.table[index]
-        prediction = counter >= 2
-        if taken:
-            if counter < 3:
-                self.table[index] = counter + 1
-        elif counter > 0:
-            self.table[index] = counter - 1
-        self.history = ((self.history << 1) | (1 if taken else 0)) & self.mask
-        return prediction == taken
-
-    def warm_state(self) -> dict:
-        return {"gshare": list(self.table), "history": self.history}
-
-    def restore_warm_state(self, state: dict) -> None:
-        self.table = [int(v) for v in state["gshare"]]
-        self.history = int(state["history"])
-
-
-class CombinedPredictor:
-    """Bimodal + gshare with a chooser table (SimpleScalar ``comb``)."""
-
-    def __init__(self, entries: int) -> None:
-        if entries <= 0:
-            raise ValueError("entries must be positive")
-        self.mask = entries - 1
-        if entries & self.mask:
-            raise ValueError("entries must be a power of two")
-        self.bimodal = _table(entries)
-        self.gshare = _table(entries)
-        self.chooser = _table(entries, init=2)  # slight initial gshare bias
-        self.history = 0
-
-    def predict_update(self, pc: int, taken: bool) -> bool:
+        kind = self.kind
+        if kind == PRED_TAKEN:
+            return taken
+        if kind == PRED_PERFECT:
+            return True
         mask = self.mask
         base_index = (pc >> 2) & mask
-        gs_index = (base_index ^ self.history) & mask
-
+        if kind == PRED_BIMODAL:
+            counter = self.bimodal[base_index]
+            prediction = counter >= 2
+            if taken:
+                if counter < 3:
+                    self.bimodal[base_index] = counter + 1
+            elif counter > 0:
+                self.bimodal[base_index] = counter - 1
+            return prediction == taken
+        if kind == PRED_GSHARE:
+            index = (base_index ^ self.state[0]) & mask
+            counter = self.gshare[index]
+            prediction = counter >= 2
+            if taken:
+                if counter < 3:
+                    self.gshare[index] = counter + 1
+            elif counter > 0:
+                self.gshare[index] = counter - 1
+            self.state[0] = ((self.state[0] << 1) | (1 if taken else 0)) & mask
+            return prediction == taken
+        # combined
+        gs_index = (base_index ^ self.state[0]) & mask
         b_counter = self.bimodal[base_index]
         g_counter = self.gshare[gs_index]
         b_pred = b_counter >= 2
         g_pred = g_counter >= 2
         choose_gshare = self.chooser[base_index] >= 2
         prediction = g_pred if choose_gshare else b_pred
-
-        # Train both components.
         if taken:
             if b_counter < 3:
                 self.bimodal[base_index] = b_counter + 1
@@ -118,8 +117,6 @@ class CombinedPredictor:
                 self.bimodal[base_index] = b_counter - 1
             if g_counter > 0:
                 self.gshare[gs_index] = g_counter - 1
-
-        # Train the chooser toward whichever component was right.
         if b_pred != g_pred:
             chooser = self.chooser[base_index]
             if g_pred == taken:
@@ -127,73 +124,41 @@ class CombinedPredictor:
                     self.chooser[base_index] = chooser + 1
             elif chooser > 0:
                 self.chooser[base_index] = chooser - 1
-
-        self.history = ((self.history << 1) | (1 if taken else 0)) & mask
+        self.state[0] = ((self.state[0] << 1) | (1 if taken else 0)) & mask
         return prediction == taken
 
     def warm_state(self) -> dict:
-        return {
-            "bimodal": list(self.bimodal),
-            "gshare": list(self.gshare),
-            "chooser": list(self.chooser),
-            "history": self.history,
-        }
+        """Canonical snapshot: the tables this kind uses (and the
+        history register, if it has one)."""
+        kind = self.kind
+        if kind == PRED_BIMODAL:
+            return {"bimodal": [int(v) for v in self.bimodal]}
+        if kind == PRED_GSHARE:
+            return {
+                "gshare": [int(v) for v in self.gshare],
+                "history": int(self.state[0]),
+            }
+        if kind == PRED_COMBINED:
+            return {
+                "bimodal": [int(v) for v in self.bimodal],
+                "gshare": [int(v) for v in self.gshare],
+                "chooser": [int(v) for v in self.chooser],
+                "history": int(self.state[0]),
+            }
+        return {}  # taken / perfect hold no state
 
     def restore_warm_state(self, state: dict) -> None:
-        self.bimodal = [int(v) for v in state["bimodal"]]
-        self.gshare = [int(v) for v in state["gshare"]]
-        self.chooser = [int(v) for v in state["chooser"]]
-        self.history = int(state["history"])
-
-
-class StaticTakenPredictor:
-    """Always predicts taken (a degenerate baseline)."""
-
-    def __init__(self, entries: int = 1) -> None:
-        self.entries = entries
-
-    def predict_update(self, pc: int, taken: bool) -> bool:
-        return taken
-
-    def warm_state(self) -> dict:
-        return {}
-
-    def restore_warm_state(self, state: dict) -> None:
-        pass
-
-
-class PerfectPredictor:
-    """Oracle direction prediction (upper-bound studies)."""
-
-    def __init__(self, entries: int = 1) -> None:
-        self.entries = entries
-
-    def predict_update(self, pc: int, taken: bool) -> bool:
-        return True
-
-    def warm_state(self) -> dict:
-        return {}
-
-    def restore_warm_state(self, state: dict) -> None:
-        pass
-
-
-PREDICTORS = {
-    "bimodal": BimodalPredictor,
-    "gshare": GsharePredictor,
-    "combined": CombinedPredictor,
-    "taken": StaticTakenPredictor,
-    "perfect": PerfectPredictor,
-}
-
-
-def make_predictor(kind: str, entries: int):
-    """Instantiate a direction predictor by config name."""
-    try:
-        cls = PREDICTORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown predictor kind {kind!r}") from None
-    return cls(entries)
+        kind = self.kind
+        if kind in (PRED_BIMODAL, PRED_COMBINED):
+            for i, value in enumerate(state["bimodal"]):
+                self.bimodal[i] = int(value)
+        if kind in (PRED_GSHARE, PRED_COMBINED):
+            for i, value in enumerate(state["gshare"]):
+                self.gshare[i] = int(value)
+            self.state[0] = int(state["history"])
+        if kind == PRED_COMBINED:
+            for i, value in enumerate(state["chooser"]):
+                self.chooser[i] = int(value)
 
 
 class BranchTargetBuffer:
@@ -207,9 +172,18 @@ class BranchTargetBuffer:
         num_sets = 1 << (num_sets.bit_length() - 1)
         self.assoc = max(1, entries // num_sets)
         self.set_mask = num_sets - 1
-        self.sets: List[List[List[int]]] = [[] for _ in range(num_sets)]
-        self.hits = 0
-        self.misses = 0
+        self.num_sets = num_sets
+        self.keys = [-1] * (num_sets * self.assoc)
+        self.targets = [0] * (num_sets * self.assoc)
+        self.stats = [0] * 2
+
+    @property
+    def hits(self) -> int:
+        return int(self.stats[STAT_HITS])
+
+    @property
+    def misses(self) -> int:
+        return int(self.stats[STAT_MISSES])
 
     def lookup_update(self, pc: int, target: int) -> bool:
         """Look up ``pc``; train with the actual ``target``.
@@ -218,92 +192,109 @@ class BranchTargetBuffer:
         front end would have fetched down the right path).
         """
         key = pc >> 2
-        ways = self.sets[key & self.set_mask]
-        for entry in ways:
-            if entry[0] == key:
-                correct = entry[1] == target
-                entry[1] = target
-                if ways[0] is not entry:
-                    ways.remove(entry)
-                    ways.insert(0, entry)
+        assoc = self.assoc
+        base = (key & self.set_mask) * assoc
+        keys = self.keys
+        targets = self.targets
+        for way in range(assoc):
+            if keys[base + way] == key:
+                correct = targets[base + way] == target
+                for shift in range(way, 0, -1):
+                    keys[base + shift] = keys[base + shift - 1]
+                    targets[base + shift] = targets[base + shift - 1]
+                keys[base] = key
+                targets[base] = target
                 if correct:
-                    self.hits += 1
+                    self.stats[STAT_HITS] += 1
                 else:
-                    self.misses += 1
-                return correct
-        self.misses += 1
-        ways.insert(0, [key, target])
-        if len(ways) > self.assoc:
-            ways.pop()
+                    self.stats[STAT_MISSES] += 1
+                return bool(correct)
+        self.stats[STAT_MISSES] += 1
+        for shift in range(assoc - 1, 0, -1):
+            keys[base + shift] = keys[base + shift - 1]
+            targets[base + shift] = targets[base + shift - 1]
+        keys[base] = key
+        targets[base] = target
         return False
 
     def warm_state(self) -> dict:
         """Canonical snapshot: per-set ``[key, target]`` pairs (MRU
         first) plus counters -- the BTB *does* count during functional
         warming, so its counters are part of the warm state."""
-        return {
-            "sets": [
-                [[int(entry[0]), int(entry[1])] for entry in ways]
-                for ways in self.sets
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+        sets = []
+        for index in range(self.num_sets):
+            base = index * self.assoc
+            ways = []
+            for way in range(self.assoc):
+                key = int(self.keys[base + way])
+                if key == -1:
+                    break
+                ways.append([key, int(self.targets[base + way])])
+            sets.append(ways)
+        return {"sets": sets, "hits": self.hits, "misses": self.misses}
 
     def restore_warm_state(self, state: dict) -> None:
         sets = state["sets"]
-        if len(sets) != len(self.sets):
+        if len(sets) != self.num_sets:
             raise ValueError(
                 f"BTB snapshot has {len(sets)} sets, structure has "
-                f"{len(self.sets)}"
+                f"{self.num_sets}"
             )
-        self.sets = [
-            [[int(entry[0]), int(entry[1])] for entry in ways] for ways in sets
-        ]
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
+        for index, ways in enumerate(sets):
+            base = index * self.assoc
+            for way in range(self.assoc):
+                if way < len(ways):
+                    self.keys[base + way] = int(ways[way][0])
+                    self.targets[base + way] = int(ways[way][1])
+                else:
+                    self.keys[base + way] = -1
+                    self.targets[base + way] = 0
+        self.stats[STAT_HITS] = int(state["hits"])
+        self.stats[STAT_MISSES] = int(state["misses"])
 
 
 class ReturnAddressStack:
-    """Return-address stack modeled by depth tracking.
+    """Counter-based return-address stack.
 
     The synthetic ISA pairs calls and returns dynamically, so target
     values are always consistent; the RAS therefore mispredicts exactly
     when its finite depth was exceeded between the push and the pop
     (the classic overflow failure mode), or on pop of an empty stack.
+    A crushed (overflowed) entry is dropped, not kept, so the stack
+    only ever holds valid entries and its observable state reduces to
+    a depth counter: ``state`` holds ``[depth, overflows]``.
     """
 
     def __init__(self, entries: int) -> None:
         if entries <= 0:
             raise ValueError("RAS entries must be positive")
         self.entries = entries
-        self._stack: List[bool] = []  # True = entry still valid
-        self.overflows = 0
-
-    def push(self) -> None:
-        self._stack.append(True)
-        if len(self._stack) > self.entries:
-            # The oldest entry is crushed.
-            self._stack[0] = False
-            del self._stack[0]
-            self.overflows += 1
-
-    def pop(self) -> bool:
-        """Pop for a return; returns ``True`` if predicted correctly."""
-        if not self._stack:
-            return False
-        return self._stack.pop()
+        self.state = [0, 0]
 
     @property
     def depth(self) -> int:
-        return len(self._stack)
+        return int(self.state[0])
+
+    @property
+    def overflows(self) -> int:
+        return int(self.state[1])
+
+    def push(self) -> None:
+        if self.state[0] >= self.entries:
+            self.state[1] += 1
+        else:
+            self.state[0] += 1
+
+    def pop(self) -> bool:
+        """Pop for a return; returns ``True`` if predicted correctly."""
+        if self.state[0] <= 0:
+            return False
+        self.state[0] -= 1
+        return True
 
     def warm_state(self) -> dict:
-        """Canonical snapshot: the stack only ever holds valid entries
-        (a crushed entry is deleted), so depth + overflow count is the
-        complete observable state."""
         return {"depth": self.depth, "overflows": self.overflows}
 
     def restore_warm_state(self, state: dict) -> None:
-        self._stack = [True] * int(state["depth"])
-        self.overflows = int(state["overflows"])
+        self.state[0] = int(state["depth"])
+        self.state[1] = int(state["overflows"])

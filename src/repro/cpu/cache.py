@@ -1,15 +1,32 @@
 """Set-associative caches, TLBs and the main-memory latency model.
 
-Caches are write-back/write-allocate with true LRU replacement (each
-set is a most-recently-used-first list).  ``access`` returns the full
-latency of the access including lower levels of the hierarchy;
-``warm`` updates state without computing latency (used by fast
-functional warming).
+Caches are write-back/write-allocate with true LRU replacement.
+``access`` returns the full latency of the access including lower
+levels of the hierarchy; ``warm`` updates state without computing
+latency (used by fast functional warming).
+
+Every backend uses these classes.  Their state lives in one
+preallocated flat list per table, which the vectorized passes of
+:mod:`repro.cpu.kernels.numpy_impl` and the generated loops of
+:mod:`repro.cpu.kernels.codegen` index directly, while the reference
+interpreter loops call the per-access methods below.  Layout:
+
+* a set occupies ``assoc`` consecutive slots starting at
+  ``set_index * assoc``, most-recently-used first;
+* ``-1`` marks an invalid way (addresses and page ids are always
+  non-negative, so ``-1`` never aliases a real tag);
+* counters live in small integer lists (``stats``) so the kernels can
+  update them in place.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
+
+# Indices into cache ``stats`` vectors.
+STAT_HITS = 0
+STAT_MISSES = 1
+STAT_PREFETCHES = 2
 
 
 class MainMemory:
@@ -17,16 +34,22 @@ class MainMemory:
 
     A block fill costs ``latency_first`` for the first ``bus_width``
     bytes plus ``latency_next`` per additional bus beat, SimpleScalar
-    style.
+    style.  ``stats`` holds ``[accesses]``.
     """
 
-    def __init__(self, latency_first: int, latency_next: int, bus_width: int) -> None:
+    def __init__(
+        self, latency_first: int, latency_next: int, bus_width: int
+    ) -> None:
         if latency_first <= 0 or latency_next <= 0 or bus_width <= 0:
             raise ValueError("memory latencies and bus width must be positive")
         self.latency_first = latency_first
         self.latency_next = latency_next
         self.bus_width = bus_width
-        self.accesses = 0
+        self.stats = [0]
+
+    @property
+    def accesses(self) -> int:
+        return int(self.stats[0])
 
     def fill_latency(self, block_bytes: int) -> int:
         """Latency to transfer one block of ``block_bytes``."""
@@ -34,15 +57,44 @@ class MainMemory:
         return self.latency_first + (beats - 1) * self.latency_next
 
     def access(self, block_bytes: int) -> int:
-        self.accesses += 1
+        self.stats[0] += 1
         return self.fill_latency(block_bytes)
 
     def warm_state(self) -> dict:
         """Canonical (backend-independent) warm-state snapshot."""
-        return {"accesses": int(self.accesses)}
+        return {"accesses": int(self.stats[0])}
 
     def restore_warm_state(self, state: dict) -> None:
-        self.accesses = int(state["accesses"])
+        self.stats[0] = int(state["accesses"])
+
+
+def _sets_from_flat(tags, num_sets: int, assoc: int):
+    """Per-set valid-prefix tag lists from a flat MRU-first tag array.
+
+    Insertion always shifts within the set, so invalid (``-1``) slots
+    stay at the tail of each set: the valid prefix *is* the set's MRU
+    list.  Checkpoints store this per-set form, so their bytes do not
+    depend on the flat layout.
+    """
+    sets = []
+    for index in range(num_sets):
+        base = index * assoc
+        ways = []
+        for way in range(assoc):
+            tag = int(tags[base + way])
+            if tag == -1:
+                break
+            ways.append(tag)
+        sets.append(ways)
+    return sets
+
+
+def _sets_to_flat(tags, sets, assoc: int) -> None:
+    """Write per-set MRU lists back into a flat tag array in place."""
+    for index, ways in enumerate(sets):
+        base = index * assoc
+        for way in range(assoc):
+            tags[base + way] = int(ways[way]) if way < len(ways) else -1
 
 
 class Cache:
@@ -102,12 +154,22 @@ class Cache:
         self.parent = parent
         self.memory = memory
         self.next_line_prefetch = next_line_prefetch
-        self.sets: List[List[int]] = [[] for _ in range(num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.prefetches = 0
+        self.tags = [-1] * (num_sets * assoc)
+        self.stats = [0] * 3
 
-    # -- queries -------------------------------------------------------------
+    # -- counters ------------------------------------------------------------
+
+    @property
+    def hits(self) -> int:
+        return int(self.stats[STAT_HITS])
+
+    @property
+    def misses(self) -> int:
+        return int(self.stats[STAT_MISSES])
+
+    @property
+    def prefetches(self) -> int:
+        return int(self.stats[STAT_PREFETCHES])
 
     @property
     def accesses(self) -> int:
@@ -123,34 +185,48 @@ class Cache:
         total = self.accesses
         return self.hits / total if total else 0.0
 
+    def reset_stats(self) -> None:
+        self.stats[STAT_HITS] = 0
+        self.stats[STAT_MISSES] = 0
+        self.stats[STAT_PREFETCHES] = 0
+
+    # -- queries -------------------------------------------------------------
+
     def contains(self, addr: int) -> bool:
         """Whether the block holding ``addr`` is resident (no update)."""
         block = addr >> self.block_shift
-        return block in self.sets[block & self.set_mask]
+        base = (block & self.set_mask) * self.assoc
+        for way in range(self.assoc):
+            if self.tags[base + way] == block:
+                return True
+        return False
 
-    # -- access paths ----------------------------------------------------------
+    # -- per-access paths (the interpreter loops) -----------------------------
 
     def access(self, addr: int) -> int:
         """Access ``addr``; returns total latency including fills."""
         block = addr >> self.block_shift
-        ways = self.sets[block & self.set_mask]
-        if ways and ways[0] == block:
-            self.hits += 1
+        assoc = self.assoc
+        base = (block & self.set_mask) * assoc
+        tags = self.tags
+        if tags[base] == block:
+            self.stats[STAT_HITS] += 1
             return self.hit_latency
-        if block in ways:
-            ways.remove(block)
-            ways.insert(0, block)
-            self.hits += 1
-            return self.hit_latency
-        # Miss: fill from below.
-        self.misses += 1
+        for way in range(1, assoc):
+            if tags[base + way] == block:
+                for shift in range(way, 0, -1):
+                    tags[base + shift] = tags[base + shift - 1]
+                tags[base] = block
+                self.stats[STAT_HITS] += 1
+                return self.hit_latency
+        self.stats[STAT_MISSES] += 1
         if self.parent is not None:
             latency = self.hit_latency + self.parent.access(addr)
         else:
             latency = self.hit_latency + self.memory.access(self.block_bytes)
-        ways.insert(0, block)
-        if len(ways) > self.assoc:
-            ways.pop()
+        for shift in range(assoc - 1, 0, -1):
+            tags[base + shift] = tags[base + shift - 1]
+        tags[base] = block
         if self.next_line_prefetch:
             self._prefetch(block + 1)
         return latency
@@ -158,53 +234,52 @@ class Cache:
     def warm(self, addr: int) -> None:
         """State-only access (functional warming): no latency computed."""
         block = addr >> self.block_shift
-        ways = self.sets[block & self.set_mask]
-        if ways and ways[0] == block:
+        assoc = self.assoc
+        base = (block & self.set_mask) * assoc
+        tags = self.tags
+        if tags[base] == block:
             return
-        if block in ways:
-            ways.remove(block)
-            ways.insert(0, block)
-            return
+        for way in range(1, assoc):
+            if tags[base + way] == block:
+                for shift in range(way, 0, -1):
+                    tags[base + shift] = tags[base + shift - 1]
+                tags[base] = block
+                return
         if self.parent is not None:
             self.parent.warm(addr)
-        ways.insert(0, block)
-        if len(ways) > self.assoc:
-            ways.pop()
+        for shift in range(assoc - 1, 0, -1):
+            tags[base + shift] = tags[base + shift - 1]
+        tags[base] = block
         if self.next_line_prefetch:
             self._warm_insert(block + 1)
 
     def _prefetch(self, block: int) -> None:
         """Insert the given block (and propagate to the parent) without
         charging latency -- the prefetch overlaps execution."""
-        self.prefetches += 1
+        self.stats[STAT_PREFETCHES] += 1
         addr = block << self.block_shift
         if self.parent is not None:
             self.parent.warm(addr)
         self._warm_insert(block)
 
     def _warm_insert(self, block: int) -> None:
-        ways = self.sets[block & self.set_mask]
-        if block in ways:
-            ways.remove(block)
-        ways.insert(0, block)
-        if len(ways) > self.assoc:
-            ways.pop()
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.prefetches = 0
+        assoc = self.assoc
+        base = (block & self.set_mask) * assoc
+        tags = self.tags
+        found = assoc - 1
+        for way in range(assoc):
+            if tags[base + way] == block:
+                found = way
+                break
+        for shift in range(found, 0, -1):
+            tags[base + shift] = tags[base + shift - 1]
+        tags[base] = block
 
     def warm_state(self) -> dict:
         """Canonical warm-state snapshot: per-set resident tags
-        (most-recently-used first) plus counters.
-
-        The same dict shape is produced by the flat kernel structures
-        (:mod:`repro.cpu.kernels.state`), so a snapshot taken under one
-        backend restores bit-identically under any other.
-        """
+        (most-recently-used first) plus counters."""
         return {
-            "sets": [list(map(int, ways)) for ways in self.sets],
+            "sets": _sets_from_flat(self.tags, self.num_sets, self.assoc),
             "hits": self.hits,
             "misses": self.misses,
             "prefetches": self.prefetches,
@@ -217,50 +292,67 @@ class Cache:
                 f"{self.name}: snapshot has {len(sets)} sets, "
                 f"cache has {self.num_sets}"
             )
-        self.sets = [list(ways) for ways in sets]
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-        self.prefetches = int(state["prefetches"])
+        _sets_to_flat(self.tags, sets, self.assoc)
+        self.stats[STAT_HITS] = int(state["hits"])
+        self.stats[STAT_MISSES] = int(state["misses"])
+        self.stats[STAT_PREFETCHES] = int(state["prefetches"])
 
 
 class TLB:
-    """A translation lookaside buffer: fully configured like a tiny
-    cache of page-granular entries with a fixed miss (walk) latency."""
+    """A translation lookaside buffer: configured like a tiny cache of
+    page-granular entries with a fixed miss (walk) latency."""
 
     PAGE_BYTES = 4096
 
-    def __init__(self, name: str, entries: int, miss_latency: int, assoc: int = 4) -> None:
+    def __init__(
+        self, name: str, entries: int, miss_latency: int, assoc: int = 4
+    ) -> None:
         if entries <= 0 or miss_latency <= 0:
             raise ValueError("TLB entries and miss latency must be positive")
         assoc = min(assoc, entries)
         num_sets = max(1, entries // assoc)
-        # Round the set count down to a power of two.
         num_sets = 1 << (num_sets.bit_length() - 1)
         self.name = name
         self.assoc = max(1, entries // num_sets)
         self.set_mask = num_sets - 1
+        self.num_sets = num_sets
         self.page_shift = self.PAGE_BYTES.bit_length() - 1
         self.miss_latency = miss_latency
-        self.sets: List[List[int]] = [[] for _ in range(num_sets)]
-        self.hits = 0
-        self.misses = 0
+        self.tags = [-1] * (num_sets * self.assoc)
+        self.stats = [0] * 2
+
+    @property
+    def hits(self) -> int:
+        return int(self.stats[STAT_HITS])
+
+    @property
+    def misses(self) -> int:
+        return int(self.stats[STAT_MISSES])
+
+    def reset_stats(self) -> None:
+        self.stats[STAT_HITS] = 0
+        self.stats[STAT_MISSES] = 0
 
     def access(self, addr: int) -> int:
         """Translate ``addr``; returns 0 on a hit, the walk latency on a miss."""
         page = addr >> self.page_shift
-        ways = self.sets[page & self.set_mask]
-        if ways and ways[0] == page:
-            self.hits += 1
+        assoc = self.assoc
+        base = (page & self.set_mask) * assoc
+        tags = self.tags
+        if tags[base] == page:
+            self.stats[STAT_HITS] += 1
             return 0
-        if page in ways:
-            ways.remove(page)
-            ways.insert(0, page)
-            self.hits += 1
-            return 0
-        self.misses += 1
-        ways.insert(0, page)
-        if len(ways) > self.assoc:
-            ways.pop()
+        for way in range(1, assoc):
+            if tags[base + way] == page:
+                for shift in range(way, 0, -1):
+                    tags[base + shift] = tags[base + shift - 1]
+                tags[base] = page
+                self.stats[STAT_HITS] += 1
+                return 0
+        self.stats[STAT_MISSES] += 1
+        for shift in range(assoc - 1, 0, -1):
+            tags[base + shift] = tags[base + shift - 1]
+        tags[base] = page
         return self.miss_latency
 
     def warm(self, addr: int) -> None:
@@ -271,36 +363,36 @@ class TLB:
         polluting its statistics.
         """
         page = addr >> self.page_shift
-        ways = self.sets[page & self.set_mask]
-        if ways and ways[0] == page:
+        assoc = self.assoc
+        base = (page & self.set_mask) * assoc
+        tags = self.tags
+        if tags[base] == page:
             return
-        if page in ways:
-            ways.remove(page)
-            ways.insert(0, page)
-            return
-        ways.insert(0, page)
-        if len(ways) > self.assoc:
-            ways.pop()
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
+        for way in range(1, assoc):
+            if tags[base + way] == page:
+                for shift in range(way, 0, -1):
+                    tags[base + shift] = tags[base + shift - 1]
+                tags[base] = page
+                return
+        for shift in range(assoc - 1, 0, -1):
+            tags[base + shift] = tags[base + shift - 1]
+        tags[base] = page
 
     def warm_state(self) -> dict:
         """Canonical warm-state snapshot (see :meth:`Cache.warm_state`)."""
         return {
-            "sets": [list(map(int, ways)) for ways in self.sets],
+            "sets": _sets_from_flat(self.tags, self.num_sets, self.assoc),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def restore_warm_state(self, state: dict) -> None:
         sets = state["sets"]
-        if len(sets) != len(self.sets):
+        if len(sets) != self.num_sets:
             raise ValueError(
                 f"{self.name}: snapshot has {len(sets)} sets, "
-                f"TLB has {len(self.sets)}"
+                f"TLB has {self.num_sets}"
             )
-        self.sets = [list(ways) for ways in sets]
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
+        _sets_to_flat(self.tags, sets, self.assoc)
+        self.stats[STAT_HITS] = int(state["hits"])
+        self.stats[STAT_MISSES] = int(state["misses"])

@@ -12,9 +12,10 @@ the cumulative warming event counts -- every ``interval`` instructions
 along the prefix.  A later run resumes from the nearest checkpoint at
 or below its warm-start and warms only the remainder, so prefix
 warming costs O(interval) instead of O(X).  Snapshots are *canonical*
-(backend-independent content, not object dumps): a checkpoint written
-under the numpy backend restores bit-identically under the python one
-and vice versa.
+(each structure's ``warm_state()``, in its per-set form, not object
+dumps), and every backend drives the same structures, so a checkpoint
+written under the numpy backend restores bit-identically under the
+python one and vice versa.
 
 Checkpoints are keyed by the trace identity (benchmark, input-set
 content, seed, scale, generator epoch) plus the *geometry fingerprint*

@@ -157,7 +157,8 @@ def lru_grouped(assoc: int) -> Callable:
 def _btb_source(assoc: int) -> str:
     """Source of an unrolled BTB lookup/update loop.
 
-    Mirrors :meth:`repro.cpu.branch.BranchTargetBuffer.lookup_update`:
+    Unrolls :meth:`repro.cpu.branch.BranchTargetBuffer.lookup_update`
+    over the same flat ``keys``/``targets`` lists the method updates:
     a way-0 hit updates the target in place (no reorder); deeper hits
     move the (retargeted) entry to the front; a miss inserts at the
     front, evicting the LRU way.  A wrong-target hit counts as a miss,

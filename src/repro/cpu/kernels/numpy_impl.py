@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cpu.branch import PRED_BIMODAL, PRED_GSHARE, PRED_PERFECT, PRED_TAKEN
+from repro.cpu.cache import STAT_HITS, STAT_MISSES
 from repro.cpu.kernels.codegen import (
     btb_events,
     cond_combined_events,
@@ -36,15 +38,7 @@ from repro.cpu.kernels.codegen import (
     timing_loop_for,
     timing_loops_for,
 )
-from repro.cpu.kernels.state import (
-    PRED_BIMODAL,
-    PRED_GSHARE,
-    PRED_PERFECT,
-    PRED_TAKEN,
-    STAT_HITS,
-    STAT_MISSES,
-    LatencyTable,
-)
+from repro.cpu.kernels.state import LatencyTable
 from repro.isa.trace import BK_CALL, BK_COND, BK_RETURN, BK_UNCOND
 from repro.obs import phases as obs_phases
 
@@ -716,7 +710,7 @@ def _resolve_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx):
     event streams (a dl1 miss also warms ``block + 1`` through the
     shared L2), so the per-structure replay is no longer valid; fall
     back to walking the merged fetch/memory event stream through the
-    structures' reference access methods.  Still much faster than the
+    structures' per-access methods.  Still much faster than the
     reference loop: only events are visited, not every instruction.
     """
     il1 = machine.il1

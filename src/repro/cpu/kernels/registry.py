@@ -1,16 +1,19 @@
 """Backend registry: pluggable simulation kernels.
 
-Two backends share one contract -- bit-identical statistics:
+Two backends drive the one structure set (:mod:`repro.cpu.cache`,
+:mod:`repro.cpu.branch`) and share one contract -- bit-identical
+statistics:
 
-* ``python``  -- the reference per-instruction interpreter loops over
-  per-set Python-list structures (:mod:`repro.cpu.pipeline`,
-  :mod:`repro.cpu.functional`);
-* ``numpy``   -- flat-array state, vectorized functional warming and a
-  split-phase detailed model (resolve caches/predictors over
-  pre-filtered indices, then run a lean timing loop).
+* ``python``  -- the reference per-instruction interpreter loops
+  (:mod:`repro.cpu.pipeline`, :mod:`repro.cpu.functional`), which call
+  the structures' per-access methods;
+* ``numpy``   -- vectorized functional warming and a split-phase
+  detailed model (resolve caches/predictors over pre-filtered indices
+  by indexing the structures' flat state, then run a lean timing loop).
 
-Selection follows the engine convention: explicit argument > the
-``REPRO_BACKEND`` environment variable > default (``numpy``).
+Selection: explicit argument > the process default installed with
+:func:`activate` > the ``REPRO_BACKEND`` environment variable > default
+(``numpy``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class KernelError(RuntimeError):
 
 
 _faults = None
+_ACTIVE: Optional[str] = None
 
 
 def _kernel_guard_check(backend_name: str) -> None:
@@ -76,8 +80,20 @@ def default_backend_name() -> str:
     return "numpy"
 
 
+def activate(name: Optional[str]) -> Optional[str]:
+    """Install (or, with None, remove) the process-wide default backend;
+    returns the one it replaces, so the caller can restore it.  Forked
+    workers inherit it."""
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, name
+    return previous
+
+
 def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Resolve a backend name: argument > ``$REPRO_BACKEND`` > default."""
+    """Resolve a backend name: argument > activated > ``$REPRO_BACKEND``
+    > default."""
+    if name is None:
+        name = _ACTIVE
     source = "" if name is not None else f" (from ${BACKEND_ENV_VAR})"
     name = value("backend", name).strip().lower()
     if name == "auto":
@@ -91,7 +107,7 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 class Backend:
-    """One simulation backend: structure layout plus kernel entry points."""
+    """One simulation backend: the kernel entry points."""
 
     #: Subclasses set this.
     name = "abstract"
@@ -100,10 +116,6 @@ class Backend:
     #: (``Simulator.run_regions``, the engine's batching pass) consult
     #: this and fall back to per-config runs when it is False.
     supports_config_batching = False
-
-    def build_structures(self, config, enhancements) -> Optional[Dict[str, object]]:
-        """Flat structures for a Machine, or None for the reference set."""
-        return None
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
         """Advance the detailed timing model over ``trace[start:end)``."""
@@ -131,7 +143,7 @@ class Backend:
 
 
 class PythonBackend(Backend):
-    """The reference interpreter loops over Python-list structures."""
+    """The reference interpreter loops (per-access structure methods)."""
 
     name = "python"
 
@@ -147,7 +159,7 @@ class PythonBackend(Backend):
 
 
 class NumpyBackend(Backend):
-    """Flat-list state + vectorized warming + split-phase timing.
+    """Vectorized warming + split-phase timing over the flat state.
 
     Kernel dispatch is guarded: a failure inside the kernels surfaces
     as :class:`KernelError` so the engine can degrade to ``python``.
@@ -155,11 +167,6 @@ class NumpyBackend(Backend):
 
     name = "numpy"
     supports_config_batching = True
-
-    def build_structures(self, config, enhancements):
-        from repro.cpu.kernels.state import build_structures
-
-        return build_structures(config, enhancements)
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
         try:
@@ -204,7 +211,7 @@ _BACKENDS: Dict[str, Backend] = {}
 
 
 def get_backend(name: Union[str, Backend, None] = None) -> Backend:
-    """The backend instance for ``name`` (resolving flag > env > default)."""
+    """The backend instance for ``name`` (see :func:`resolve_backend_name`)."""
     if isinstance(name, Backend):
         return name
     resolved = resolve_backend_name(name)

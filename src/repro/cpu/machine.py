@@ -8,7 +8,7 @@ microarchitectural state, exactly as in the paper's techniques.
 
 from __future__ import annotations
 
-from repro.cpu.branch import BranchTargetBuffer, ReturnAddressStack, make_predictor
+from repro.cpu.branch import BranchTargetBuffer, Predictor, ReturnAddressStack
 from repro.cpu.cache import Cache, MainMemory, TLB
 from repro.cpu.config import Enhancements, ProcessorConfig
 from repro.cpu.kernels.registry import Backend, get_backend
@@ -17,10 +17,10 @@ from repro.cpu.kernels.registry import Backend, get_backend
 class Machine:
     """All stateful microarchitectural structures for one config.
 
-    ``backend`` selects the simulation kernels (and with them the
-    layout of the structures): the default follows the registry's
-    flag > ``$REPRO_BACKEND`` > ``numpy`` rule.
-    Every backend holds bit-identical state and statistics.
+    ``backend`` selects the simulation kernels that advance the
+    structures: the default follows the registry's flag > activated >
+    ``$REPRO_BACKEND`` > ``numpy`` rule.  Every backend drives the same
+    structure classes, so state and statistics are bit-identical.
     """
 
     def __init__(
@@ -32,19 +32,6 @@ class Machine:
         self.config = config
         self.enhancements = enhancements or Enhancements()
         self.backend = get_backend(backend)
-
-        structures = self.backend.build_structures(config, self.enhancements)
-        if structures is not None:
-            self.memory = structures["memory"]
-            self.l2 = structures["l2"]
-            self.il1 = structures["il1"]
-            self.dl1 = structures["dl1"]
-            self.itlb = structures["itlb"]
-            self.dtlb = structures["dtlb"]
-            self.predictor = structures["predictor"]
-            self.btb = structures["btb"]
-            self.ras = structures["ras"]
-            return
 
         self.memory = MainMemory(
             config.mem_latency_first, config.mem_latency_next, config.mem_bus_width
@@ -76,7 +63,7 @@ class Machine:
         )
         self.itlb = TLB("itlb", config.itlb_entries, config.tlb_miss_latency)
         self.dtlb = TLB("dtlb", config.dtlb_entries, config.tlb_miss_latency)
-        self.predictor = make_predictor(config.branch_predictor, config.bht_entries)
+        self.predictor = Predictor(config.branch_predictor, config.bht_entries)
         self.btb = BranchTargetBuffer(config.btb_entries, config.btb_assoc)
         self.ras = ReturnAddressStack(config.ras_entries)
 

@@ -77,7 +77,7 @@ from multiprocessing import connection
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu import checkpoint
-from repro.cpu.kernels.registry import BACKEND_ENV_VAR, KernelError
+from repro.cpu.kernels.registry import KernelError, activate as activate_backend
 from repro.obs import phases as obs_phases
 from repro.obs import resources as obs_resources
 from repro.obs import trace as obs_trace
@@ -386,9 +386,8 @@ def _worker(task, scale: Scale):
     try:
         members = [_rebind_workload(member) for member in _members(task)]
         faults.activate_many([(m.slot, m.attempt) for m in members])
-        previous = os.environ.get(BACKEND_ENV_VAR)
         if task.backend is not None:
-            os.environ[BACKEND_ENV_VAR] = task.backend
+            previous_backend = activate_backend(task.backend)
         started = time.perf_counter()
         try:
             with obs_trace.span("run", **attrs):
@@ -407,10 +406,7 @@ def _worker(task, scale: Scale):
         finally:
             faults.deactivate()
             if task.backend is not None:
-                if previous is None:
-                    os.environ.pop(BACKEND_ENV_VAR, None)
-                else:
-                    os.environ[BACKEND_ENV_VAR] = previous
+                activate_backend(previous_backend)
         wall = time.perf_counter() - started
         phases = obs_phases.drain()
         for result in results:

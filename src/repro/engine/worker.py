@@ -74,7 +74,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.cpu import checkpoint
-from repro.cpu.kernels.registry import BACKEND_ENV_VAR, KernelError
+from repro.cpu.kernels.registry import KernelError, activate as activate_backend
 from repro.files import atomic_write
 from repro.scale import Scale
 from repro.workloads import trace_store
@@ -577,7 +577,7 @@ class WorkerAgent:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         backend = self.backend or welcome.get("backend")
         if backend:
-            os.environ[BACKEND_ENV_VAR] = str(backend)
+            activate_backend(str(backend))
         trace_store.activate(trace_store.TraceStore(self.cache_dir / "traces"))
         interval = int(welcome.get("checkpoint_interval", 0) or 0)
         if interval > 0:

@@ -42,7 +42,10 @@ import argparse
 import os
 import sys
 
-from repro.cpu.kernels.registry import BACKEND_ENV_VAR, resolve_backend_name
+from repro.cpu.kernels.registry import (
+    activate as activate_backend,
+    resolve_backend_name,
+)
 from repro.experiments import figure1, figure2, figure3_4, figure5, figure6
 from repro.experiments import figure7, latency_sweep, section52, survey, tables
 from repro.experiments.common import ExperimentContext, default_benchmarks
@@ -122,13 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     settings = {name: getattr(args, name) for name in SETTINGS}
 
-    # Resolve once (flag > env > default) and export the result so the
-    # engine's worker processes inherit the same backend choice.
+    # Resolve once (flag > env > default) and activate the result as the
+    # process default; the engine's forked workers inherit it.
     try:
         backend = resolve_backend_name(settings.pop("backend"))
     except ValueError as exc:
         parser.error(str(exc))
-    os.environ[BACKEND_ENV_VAR] = backend
+    activate_backend(backend)
 
     if args.experiments == ["list"]:
         for name in EXPERIMENTS:

@@ -25,7 +25,8 @@ TEST_SCALE = Scale(5)
 @pytest.fixture(autouse=True)
 def _isolate_process_state(monkeypatch):
     """Start and end every test with no active trace store, checkpoint
-    store or tracer, and without the user-level trace/metrics settings.
+    store, tracer or backend, and without the user-level trace/metrics
+    settings.
 
     An engine activates its stores process-wide (so its forked workers
     inherit them); a test that does not close its engine, or that
@@ -33,6 +34,7 @@ def _isolate_process_state(monkeypatch):
     otherwise leak an active store into every later test.
     """
     from repro.cpu import checkpoint
+    from repro.cpu.kernels import registry
     from repro.obs import phases, trace
     from repro.settings import SETTINGS
     from repro.workloads import trace_store
@@ -41,6 +43,7 @@ def _isolate_process_state(monkeypatch):
         trace_store.activate(None)
         checkpoint.activate(None)
         trace.deactivate()
+        registry.activate(None)
 
     for name in ("trace", "metrics_file"):
         monkeypatch.delenv(SETTINGS[name].env, raising=False)

@@ -2,38 +2,29 @@
 
 import pytest
 
-from repro.cpu.branch import (
-    BimodalPredictor,
-    BranchTargetBuffer,
-    CombinedPredictor,
-    GsharePredictor,
-    PerfectPredictor,
-    ReturnAddressStack,
-    StaticTakenPredictor,
-    make_predictor,
-)
+from repro.cpu.branch import BranchTargetBuffer, Predictor, ReturnAddressStack
 
 
 class TestBimodal:
     def test_learns_biased_branch(self):
-        predictor = BimodalPredictor(256)
+        predictor = Predictor("bimodal", 256)
         pc = 0x400100
         for _ in range(4):
             predictor.predict_update(pc, True)
         assert predictor.predict_update(pc, True)
 
     def test_initial_weakly_not_taken(self):
-        predictor = BimodalPredictor(256)
+        predictor = Predictor("bimodal", 256)
         # Counter starts at 1 (weakly not-taken): first taken branch
         # mispredicts.
         assert not predictor.predict_update(0x400100, True)
 
     def test_entries_power_of_two(self):
         with pytest.raises(ValueError):
-            BimodalPredictor(100)
+            Predictor("bimodal", 100)
 
     def test_accuracy_on_biased_stream(self):
-        predictor = BimodalPredictor(1024)
+        predictor = Predictor("bimodal", 1024)
         import random
         rng = random.Random(42)
         correct = 0
@@ -46,7 +37,7 @@ class TestBimodal:
 
 class TestGshare:
     def test_learns_alternating_pattern(self):
-        predictor = GsharePredictor(1024)
+        predictor = Predictor("gshare", 1024)
         outcomes = [True, False] * 200
         correct = 0
         for taken in outcomes:
@@ -55,7 +46,7 @@ class TestGshare:
         assert correct / len(outcomes) > 0.8
 
     def test_history_updates(self):
-        predictor = GsharePredictor(256)
+        predictor = Predictor("gshare", 256)
         predictor.predict_update(0, True)
         assert predictor.history & 1 == 1
         predictor.predict_update(0, False)
@@ -67,7 +58,7 @@ class TestCombined:
         import random
         rng = random.Random(7)
         streams = [(0x100, 0.95), (0x200, 0.05)]
-        combined = CombinedPredictor(1024)
+        combined = Predictor("combined", 1024)
         correct = 0
         trials = 3000
         for _ in range(trials):
@@ -77,7 +68,7 @@ class TestCombined:
         assert correct / trials > 0.85
 
     def test_alternating_learned(self):
-        combined = CombinedPredictor(1024)
+        combined = Predictor("combined", 1024)
         correct = sum(
             combined.predict_update(0x400, taken)
             for taken in [True, False] * 300
@@ -87,21 +78,21 @@ class TestCombined:
 
 class TestDegeneratePredictors:
     def test_static_taken(self):
-        predictor = StaticTakenPredictor()
+        predictor = Predictor("taken", 1)
         assert predictor.predict_update(0, True)
         assert not predictor.predict_update(0, False)
 
     def test_perfect(self):
-        predictor = PerfectPredictor()
+        predictor = Predictor("perfect", 1)
         assert predictor.predict_update(0, True)
         assert predictor.predict_update(0, False)
 
     def test_factory(self):
-        assert isinstance(make_predictor("combined", 64), CombinedPredictor)
-        assert isinstance(make_predictor("bimodal", 64), BimodalPredictor)
-        assert isinstance(make_predictor("gshare", 64), GsharePredictor)
+        assert Predictor("combined", 64).kind_name == "combined"
+        assert Predictor("bimodal", 64).kind_name == "bimodal"
+        assert Predictor("gshare", 64).kind_name == "gshare"
         with pytest.raises(ValueError):
-            make_predictor("neural", 64)
+            Predictor("neural", 64)
 
 
 class TestBTB:

@@ -8,17 +8,22 @@ and warm-up/measure splits.
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.config import Enhancements, ProcessorConfig
 from repro.cpu.functional import run_functional_warming
+from repro.cpu.kernels.numpy_impl import RegionResolution, resolve_region
 from repro.cpu.kernels.registry import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
     NumpyBackend,
     PythonBackend,
+    activate,
     get_backend,
     resolve_backend_name,
 )
@@ -82,16 +87,25 @@ class TestRegistry:
     def test_get_backend_caches_by_name(self):
         assert get_backend("numpy") is get_backend("numpy")
 
-    def test_cli_flag_exports_backend(self, monkeypatch, capsys):
+    def test_cli_flag_activates_backend(self, monkeypatch, capsys):
         from repro.experiments.__main__ import main
 
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
         assert main(["list", "--backend", "python"]) == 0
-        # The flag wins over the environment and is exported so worker
-        # processes inherit the resolved choice.
-        import os
+        # The flag wins over the environment and is activated as the
+        # process default (forked workers inherit it); nothing is
+        # exported through the environment.
+        assert activate(None) == "python"
+        assert os.environ[BACKEND_ENV_VAR] == "numpy"
 
-        assert os.environ[BACKEND_ENV_VAR] == "python"
+    def test_activation_beats_env(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        assert activate("python") is None
+        assert resolve_backend_name() == "python"
+        assert Machine(ProcessorConfig()).backend.name == "python"
+        assert resolve_backend_name("numpy") == "numpy"  # argument wins
+        assert activate(None) == "python"
+        assert resolve_backend_name() == "numpy"
 
     def test_cli_rejects_unknown_env_backend(self, monkeypatch, capsys):
         from repro.experiments.__main__ import main
@@ -420,6 +434,50 @@ class TestBatchedHypothesisParity:
         )
         assert batched == per_run
         assert [r.stats for r in batched] == [r.stats for r in reference]
+
+
+def _resolution_fields(res):
+    """A resolved region's outcome fields as plain comparable values."""
+    fields = {}
+    for name in RegionResolution.__slots__:
+        value = getattr(res, name)
+        if isinstance(value, np.ndarray):
+            value = (str(value.dtype), value.tolist())
+        fields[name] = value
+    return fields
+
+
+class TestResolveInvariant:
+    """The invariant config batching rests on: every latency/width-only
+    variant of one geometry resolves a region to the same structural
+    outcomes and leaves the structures in the same warm state."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(scenario=batch_scenarios())
+    def test_resolution_latency_independent(self, trace, scenario):
+        members, warm_frac, _ = scenario
+        start = int(len(trace) * warm_frac)
+        count_trivial = any(e.trivial_computation for _, e in members)
+        resolutions, warm_states = [], []
+        for config, _ in members:
+            machine = Machine(config, backend="numpy")
+            run_functional_warming(machine, trace, 0, start)
+            res = resolve_region(
+                machine, trace, start, len(trace), -1, -1,
+                count_trivial=count_trivial,
+            )
+            resolutions.append(_resolution_fields(res))
+            warm_states.append([
+                getattr(machine, name).warm_state()
+                for name in ("memory", "l2", "il1", "dl1", "itlb", "dtlb",
+                             "predictor", "btb", "ras")
+            ])
+        assert all(r == resolutions[0] for r in resolutions[1:])
+        assert all(w == warm_states[0] for w in warm_states[1:])
 
 
 @st.composite

@@ -21,13 +21,21 @@ class TestMachine:
 
     def test_predictor_kind(self):
         config = ProcessorConfig(branch_predictor="bimodal")
-        # The reference backend builds the reference predictor classes.
         machine = Machine(config, backend="python")
-        from repro.cpu.branch import BimodalPredictor
-        assert isinstance(machine.predictor, BimodalPredictor)
-        # Kernel backends carry the same kind in flat form.
+        assert machine.predictor.kind_name == "bimodal"
         machine = Machine(config, backend="numpy")
         assert machine.predictor.kind_name == "bimodal"
+
+    def test_one_structure_set_for_every_backend(self):
+        # Both backends drive the same structure classes; only the
+        # kernels that advance them differ.
+        config = ProcessorConfig()
+        python, numpy = (
+            Machine(config, backend=name) for name in ("python", "numpy")
+        )
+        for name in ("memory", "l2", "il1", "dl1", "itlb", "dtlb",
+                     "predictor", "btb", "ras"):
+            assert type(getattr(python, name)) is type(getattr(numpy, name))
 
     def test_nlp_enables_dl1_prefetch_only(self):
         machine = Machine(ProcessorConfig(), NLP)

@@ -431,6 +431,21 @@ class TestDegradation:
         assert engine.metrics.degradations == 1
         _check_accounting(engine.metrics)
 
+    def test_inline_degradation_restores_activated_backend(
+        self, monkeypatch, workload
+    ):
+        from repro.cpu.kernels import registry
+        from repro.techniques.truncated import RunZ
+
+        # An in-process degraded run activates the fallback backend for
+        # that run only and reinstates the session's choice afterwards.
+        monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "kernel@0:numpy")
+        registry.activate("numpy")
+        engine = _engine(jobs=1)
+        engine.run_many([RunRequest(RunZ(300), workload, ARCH_CONFIGS[0])])
+        assert engine.metrics.degradations == 1
+        assert registry.activate(None) == "numpy"
+
     def test_degradation_in_stats_json(self, monkeypatch, tmp_path, workload):
         import json
 
