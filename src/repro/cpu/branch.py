@@ -8,8 +8,9 @@ was correct and trains the tables -- one call per branch keeps the hot
 loop cheap.
 
 Like the caches (:mod:`repro.cpu.cache`), every structure here holds
-its state in flat lists that the kernels index directly; the BTB uses
-the same MRU-first set layout with ``-1`` marking an invalid way.
+its state in flat lists that the kernels index directly, named once in
+``STATE_ARRAYS``; the BTB uses the same MRU-first set layout with
+``-1`` marking an invalid way.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class Predictor:
     and write it in place; unused component tables are single-slot
     dummies so one uniform signature covers every predictor kind.
     """
+
+    STATE_ARRAYS = ("bimodal", "gshare", "chooser", "state")
 
     def __init__(self, kind: str, entries: int) -> None:
         try:
@@ -127,42 +130,15 @@ class Predictor:
         self.state[0] = ((self.state[0] << 1) | (1 if taken else 0)) & mask
         return prediction == taken
 
-    def warm_state(self) -> dict:
-        """Canonical snapshot: the tables this kind uses (and the
-        history register, if it has one)."""
-        kind = self.kind
-        if kind == PRED_BIMODAL:
-            return {"bimodal": [int(v) for v in self.bimodal]}
-        if kind == PRED_GSHARE:
-            return {
-                "gshare": [int(v) for v in self.gshare],
-                "history": int(self.state[0]),
-            }
-        if kind == PRED_COMBINED:
-            return {
-                "bimodal": [int(v) for v in self.bimodal],
-                "gshare": [int(v) for v in self.gshare],
-                "chooser": [int(v) for v in self.chooser],
-                "history": int(self.state[0]),
-            }
-        return {}  # taken / perfect hold no state
-
-    def restore_warm_state(self, state: dict) -> None:
-        kind = self.kind
-        if kind in (PRED_BIMODAL, PRED_COMBINED):
-            for i, value in enumerate(state["bimodal"]):
-                self.bimodal[i] = int(value)
-        if kind in (PRED_GSHARE, PRED_COMBINED):
-            for i, value in enumerate(state["gshare"]):
-                self.gshare[i] = int(value)
-            self.state[0] = int(state["history"])
-        if kind == PRED_COMBINED:
-            for i, value in enumerate(state["chooser"]):
-                self.chooser[i] = int(value)
-
 
 class BranchTargetBuffer:
-    """Set-associative BTB mapping branch PCs to predicted targets."""
+    """Set-associative BTB mapping branch PCs to predicted targets.
+
+    The BTB counts hits and misses during functional warming too, so
+    its ``stats`` are part of the warm state.
+    """
+
+    STATE_ARRAYS = ("keys", "targets", "stats")
 
     def __init__(self, entries: int, assoc: int) -> None:
         if entries <= 0 or assoc <= 0:
@@ -217,41 +193,6 @@ class BranchTargetBuffer:
         targets[base] = target
         return False
 
-    def warm_state(self) -> dict:
-        """Canonical snapshot: per-set ``[key, target]`` pairs (MRU
-        first) plus counters -- the BTB *does* count during functional
-        warming, so its counters are part of the warm state."""
-        sets = []
-        for index in range(self.num_sets):
-            base = index * self.assoc
-            ways = []
-            for way in range(self.assoc):
-                key = int(self.keys[base + way])
-                if key == -1:
-                    break
-                ways.append([key, int(self.targets[base + way])])
-            sets.append(ways)
-        return {"sets": sets, "hits": self.hits, "misses": self.misses}
-
-    def restore_warm_state(self, state: dict) -> None:
-        sets = state["sets"]
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"BTB snapshot has {len(sets)} sets, structure has "
-                f"{self.num_sets}"
-            )
-        for index, ways in enumerate(sets):
-            base = index * self.assoc
-            for way in range(self.assoc):
-                if way < len(ways):
-                    self.keys[base + way] = int(ways[way][0])
-                    self.targets[base + way] = int(ways[way][1])
-                else:
-                    self.keys[base + way] = -1
-                    self.targets[base + way] = 0
-        self.stats[STAT_HITS] = int(state["hits"])
-        self.stats[STAT_MISSES] = int(state["misses"])
-
 
 class ReturnAddressStack:
     """Counter-based return-address stack.
@@ -264,6 +205,8 @@ class ReturnAddressStack:
     only ever holds valid entries and its observable state reduces to
     a depth counter: ``state`` holds ``[depth, overflows]``.
     """
+
+    STATE_ARRAYS = ("state",)
 
     def __init__(self, entries: int) -> None:
         if entries <= 0:
@@ -291,10 +234,3 @@ class ReturnAddressStack:
             return False
         self.state[0] -= 1
         return True
-
-    def warm_state(self) -> dict:
-        return {"depth": self.depth, "overflows": self.overflows}
-
-    def restore_warm_state(self, state: dict) -> None:
-        self.state[0] = int(state["depth"])
-        self.state[1] = int(state["overflows"])

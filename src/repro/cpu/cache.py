@@ -17,6 +17,9 @@ interpreter loops call the per-access methods below.  Layout:
   non-negative, so ``-1`` never aliases a real tag);
 * counters live in small integer lists (``stats``) so the kernels can
   update them in place.
+
+Each class names its warm-state lists once, in ``STATE_ARRAYS``;
+checkpoints (:mod:`repro.cpu.checkpoint`) store exactly those lists.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class MainMemory:
     bytes plus ``latency_next`` per additional bus beat, SimpleScalar
     style.  ``stats`` holds ``[accesses]``.
     """
+
+    STATE_ARRAYS = ("stats",)
 
     def __init__(
         self, latency_first: int, latency_next: int, bus_width: int
@@ -60,41 +65,6 @@ class MainMemory:
         self.stats[0] += 1
         return self.fill_latency(block_bytes)
 
-    def warm_state(self) -> dict:
-        """Canonical (backend-independent) warm-state snapshot."""
-        return {"accesses": int(self.stats[0])}
-
-    def restore_warm_state(self, state: dict) -> None:
-        self.stats[0] = int(state["accesses"])
-
-
-def _sets_from_flat(tags, num_sets: int, assoc: int):
-    """Per-set valid-prefix tag lists from a flat MRU-first tag array.
-
-    Insertion always shifts within the set, so invalid (``-1``) slots
-    stay at the tail of each set: the valid prefix *is* the set's MRU
-    list.  Checkpoints store this per-set form, so their bytes do not
-    depend on the flat layout.
-    """
-    sets = []
-    for index in range(num_sets):
-        base = index * assoc
-        ways = []
-        for way in range(assoc):
-            tag = int(tags[base + way])
-            if tag == -1:
-                break
-            ways.append(tag)
-        sets.append(ways)
-    return sets
-
-
-def _sets_to_flat(tags, sets, assoc: int) -> None:
-    """Write per-set MRU lists back into a flat tag array in place."""
-    for index, ways in enumerate(sets):
-        base = index * assoc
-        for way in range(assoc):
-            tags[base + way] = int(ways[way]) if way < len(ways) else -1
 
 
 class Cache:
@@ -118,6 +88,8 @@ class Cache:
         Jouppi-style next-line prefetching: a miss also fills the next
         sequential block (speculatively, off the critical path).
     """
+
+    STATE_ARRAYS = ("tags", "stats")
 
     def __init__(
         self,
@@ -275,34 +247,13 @@ class Cache:
             tags[base + shift] = tags[base + shift - 1]
         tags[base] = block
 
-    def warm_state(self) -> dict:
-        """Canonical warm-state snapshot: per-set resident tags
-        (most-recently-used first) plus counters."""
-        return {
-            "sets": _sets_from_flat(self.tags, self.num_sets, self.assoc),
-            "hits": self.hits,
-            "misses": self.misses,
-            "prefetches": self.prefetches,
-        }
-
-    def restore_warm_state(self, state: dict) -> None:
-        sets = state["sets"]
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"cache has {self.num_sets}"
-            )
-        _sets_to_flat(self.tags, sets, self.assoc)
-        self.stats[STAT_HITS] = int(state["hits"])
-        self.stats[STAT_MISSES] = int(state["misses"])
-        self.stats[STAT_PREFETCHES] = int(state["prefetches"])
-
 
 class TLB:
     """A translation lookaside buffer: configured like a tiny cache of
     page-granular entries with a fixed miss (walk) latency."""
 
     PAGE_BYTES = 4096
+    STATE_ARRAYS = ("tags", "stats")
 
     def __init__(
         self, name: str, entries: int, miss_latency: int, assoc: int = 4
@@ -377,22 +328,3 @@ class TLB:
         for shift in range(assoc - 1, 0, -1):
             tags[base + shift] = tags[base + shift - 1]
         tags[base] = page
-
-    def warm_state(self) -> dict:
-        """Canonical warm-state snapshot (see :meth:`Cache.warm_state`)."""
-        return {
-            "sets": _sets_from_flat(self.tags, self.num_sets, self.assoc),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def restore_warm_state(self, state: dict) -> None:
-        sets = state["sets"]
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"TLB has {self.num_sets}"
-            )
-        _sets_to_flat(self.tags, sets, self.assoc)
-        self.stats[STAT_HITS] = int(state["hits"])
-        self.stats[STAT_MISSES] = int(state["misses"])

@@ -11,11 +11,11 @@ cache hierarchy, TLBs, branch predictor, BTB, return-address stack and
 the cumulative warming event counts -- every ``interval`` instructions
 along the prefix.  A later run resumes from the nearest checkpoint at
 or below its warm-start and warms only the remainder, so prefix
-warming costs O(interval) instead of O(X).  Snapshots are *canonical*
-(each structure's ``warm_state()``, in its per-set form, not object
-dumps), and every backend drives the same structures, so a checkpoint
-written under the numpy backend restores bit-identically under the
-python one and vice versa.
+warming costs O(interval) instead of O(X).  A snapshot is the flat
+state lists each structure names in its ``STATE_ARRAYS``; every
+backend drives the same structures through the same lists, so a
+checkpoint written under the numpy backend restores bit-identically
+under the python one and vice versa.
 
 Checkpoints are keyed by the trace identity (benchmark, input-set
 content, seed, scale, generator epoch) plus the *geometry fingerprint*
@@ -23,14 +23,21 @@ of the machine -- sizes, associativities, block sizes, predictor
 shape.  Latency parameters are deliberately excluded: warming never
 computes latency, so a latency sweep shares one checkpoint chain.
 
-On-disk layout (one JSON file per checkpoint)::
+On-disk layout (one file per checkpoint)::
 
-    <root>/<key[:2]>/<key>-<position>.json
+    <root>/<key[:2]>/<key>-<position>.ckpt
+
+A file is one JSON header line -- ``version``, ``position``, the
+cumulative warming ``stats`` and the ``[name, length]`` of every
+array -- followed by the arrays' values as little-endian int64, in
+header order.  Files are never unpickled (agents install them from
+the wire).  A restore checks the header and the exact body size
+against the target machine before it writes anything; a checkpoint
+that does not match is skipped, never trusted.
 
 Writes go through :func:`repro.files.atomic_write`; an existing file
 is never rewritten (same key + position => same bytes by
-construction).  Corrupt or unreadable files are skipped, never
-trusted.
+construction).
 
 Activation mirrors the trace store: the engine installs the store
 with :func:`activate` and forked workers inherit it.
@@ -43,12 +50,19 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.files import atomic_write
 
 #: Bump when the snapshot content or file layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_SUFFIX = ".ckpt"
+
+#: Every array value is stored as one little-endian int64.
+_DTYPE = np.dtype("<i8")
 
 #: The Machine attributes that make up the functional-warming state,
 #: in snapshot order.
@@ -68,19 +82,90 @@ _STRUCTURES = (
 # -- snapshots ----------------------------------------------------------------
 
 
-def snapshot_machine(machine) -> Dict[str, dict]:
-    """Canonical warm-state snapshot of every structure on ``machine``."""
-    return {name: getattr(machine, name).warm_state() for name in _STRUCTURES}
+def state_arrays(machine) -> List[Tuple[str, list]]:
+    """``(name, live list)`` for every warm-state array on ``machine``,
+    named ``<structure>.<array>``, in snapshot order."""
+    arrays = []
+    for structure in _STRUCTURES:
+        owner = getattr(machine, structure)
+        for name in owner.STATE_ARRAYS:
+            arrays.append((f"{structure}.{name}", getattr(owner, name)))
+    return arrays
 
 
-def restore_machine(machine, state: Dict[str, dict]) -> None:
+def layout(machine) -> List[list]:
+    """``[name, length]`` of every warm-state array on ``machine``: the
+    ``arrays`` a checkpoint header must list to restore onto it."""
+    return [[name, len(array)] for name, array in state_arrays(machine)]
+
+
+def snapshot_machine(machine) -> Dict[str, List[int]]:
+    """A copy of every warm-state array on ``machine``."""
+    return {name: list(array) for name, array in state_arrays(machine)}
+
+
+def restore_machine(machine, state: Dict[str, Sequence[int]]) -> None:
     """Restore a :func:`snapshot_machine` snapshot onto ``machine``.
 
-    The machine must have the same geometry the snapshot was taken
-    under (enforced per-structure); its backend may differ.
+    Raises ValueError, before writing anything, unless ``state`` holds
+    exactly the machine's arrays at exactly their lengths (same
+    geometry; the backend may differ).
     """
-    for name in _STRUCTURES:
-        getattr(machine, name).restore_warm_state(state[name])
+    arrays = state_arrays(machine)
+    if [[name, len(values)] for name, values in state.items()] != [
+        [name, len(array)] for name, array in arrays
+    ]:
+        raise ValueError("checkpoint arrays do not match the machine")
+    for name, array in arrays:
+        array[:] = state[name]
+
+
+def encode(position: int, state: Dict[str, Sequence[int]],
+           stats: Dict[str, int]) -> List[bytes]:
+    """The file chunks of one checkpoint: header line, then arrays."""
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "position": int(position),
+        "stats": {name: int(value) for name, value in stats.items()},
+        "arrays": [[name, len(values)] for name, values in state.items()],
+    }
+    chunks = [(json.dumps(header, separators=(",", ":")) + "\n").encode()]
+    chunks.extend(np.asarray(values, _DTYPE).tobytes()
+                  for values in state.values())
+    return chunks
+
+
+def decode(
+    data: bytes, position: int, arrays: List[list], stats_names: Sequence[str]
+) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
+    """``(stats, state)`` from the bytes of the checkpoint stored at
+    ``position``.  ValueError unless the header parses, its version
+    and position match, its stats are integers named exactly
+    ``stats_names``, it lists exactly ``arrays`` (a :func:`layout`)
+    and the body holds exactly their values.
+    """
+    end = data.find(b"\n")
+    try:
+        header = json.loads(data[:end]) if end >= 0 else None
+        stats = header["stats"]
+        valid = (
+            header["version"] == CHECKPOINT_VERSION
+            and header["position"] == position
+            and header["arrays"] == arrays
+            and sorted(stats) == sorted(stats_names)
+            and all(type(value) is int for value in stats.values())
+        )
+    except (KeyError, TypeError, AttributeError, ValueError):
+        valid = False
+    body = len(data) - end - 1
+    if not valid or body != _DTYPE.itemsize * sum(n for _, n in arrays):
+        raise ValueError(f"not a valid checkpoint at position {position}")
+    values = np.frombuffer(data, _DTYPE, offset=end + 1)
+    state, offset = {}, 0
+    for name, length in arrays:
+        state[name] = values[offset : offset + length].tolist()
+        offset += length
+    return stats, state
 
 
 # -- keys ---------------------------------------------------------------------
@@ -138,50 +223,53 @@ class CheckpointStore:
         self.interval = int(interval)
 
     def path_for(self, key: str, position: int) -> Path:
-        return self.root / key[:2] / f"{key}-{position}.json"
+        return self.root / key[:2] / f"{key}-{int(position)}{_SUFFIX}"
+
+    def positions(self, key: str) -> List[int]:
+        """Positions of the stored checkpoints of ``key``, ascending."""
+        prefix = f"{key}-"
+        try:
+            entries = os.listdir(self.root / key[:2])
+        except OSError:
+            return []
+        found = []
+        for entry in entries:
+            if entry.startswith(prefix) and entry.endswith(_SUFFIX):
+                digits = entry[len(prefix) : -len(_SUFFIX)]
+                if digits.isascii() and digits.isdigit():
+                    found.append(int(digits))
+        return sorted(found)
 
     def nearest(
-        self, key: str, position: int
-    ) -> Optional[Tuple[int, Dict[str, dict], Dict[str, int]]]:
-        """The stored checkpoint nearest at-or-below ``position``.
+        self,
+        key: str,
+        position: int,
+        arrays: List[list],
+        stats_names: Sequence[str],
+    ) -> Optional[Tuple[int, Dict[str, List[int]], Dict[str, int]]]:
+        """The stored checkpoint nearest at-or-below ``position`` whose
+        arrays are exactly ``arrays`` (the target machine's
+        :func:`layout`) and whose stats are named ``stats_names``.
 
         Returns ``(checkpoint_position, machine_state, warming_stats)``
-        or ``None``.  Unreadable files are skipped (the next-lower
-        checkpoint is tried), never trusted.
+        or ``None``.  A file that is unreadable or does not match is
+        skipped (the next-lower checkpoint is tried), never trusted.
         """
-        directory = self.root / key[:2]
-        prefix = f"{key}-"
-        candidates = []
-        try:
-            for entry in os.listdir(directory):
-                if not (entry.startswith(prefix) and entry.endswith(".json")):
-                    continue
+        for at in reversed(self.positions(key)):
+            if 0 < at <= position:
                 try:
-                    at = int(entry[len(prefix) : -len(".json")])
-                except ValueError:
+                    data = self.path_for(key, at).read_bytes()
+                    stats, state = decode(data, at, arrays, stats_names)
+                except (OSError, ValueError):
                     continue
-                if 0 < at <= position:
-                    candidates.append(at)
-        except OSError:
-            return None
-        for at in sorted(candidates, reverse=True):
-            try:
-                with open(self.path_for(key, at), "r", encoding="utf-8") as handle:
-                    document = json.load(handle)
-                if document["version"] != CHECKPOINT_VERSION:
-                    continue
-                if document["position"] != at:
-                    continue
-                return at, document["state"], document["stats"]
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
+                return at, state, stats
         return None
 
     def save(
         self,
         key: str,
         position: int,
-        state: Dict[str, dict],
+        state: Dict[str, Sequence[int]],
         stats: Dict[str, int],
     ) -> Optional[Path]:
         """Persist a checkpoint (atomic; no-op if it already exists).
@@ -195,14 +283,8 @@ class CheckpointStore:
         path = self.path_for(key, position)
         if path.exists():
             return path
-        document = {
-            "version": CHECKPOINT_VERSION,
-            "position": int(position),
-            "stats": dict(stats),
-            "state": state,
-        }
         try:
-            atomic_write(path, json.dumps(document, separators=(",", ":")))
+            atomic_write(path, encode(position, state, stats))
         except OSError:
             return None
         return path

@@ -12,7 +12,7 @@ simulation, which is what gives SMARTS its speed advantage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.cpu import checkpoint
 from repro.cpu.machine import Machine
@@ -61,6 +61,9 @@ class WarmingStats:
         return self
 
 
+_STATS_NAMES = [field.name for field in fields(WarmingStats)]
+
+
 def warm_prefix(
     machine: Machine,
     trace: Trace,
@@ -76,8 +79,8 @@ def warm_prefix(
     every ``interval`` boundary crossed on the way, so the next run
     (any backend, any latency variant) starts even closer.  The warmed
     state and the returned event counts are bit-identical to the full
-    replay: snapshots are canonical and cumulative counts ride along
-    with each checkpoint.
+    replay: snapshots hold every warm-state array and cumulative counts
+    ride along with each checkpoint.
     """
     store = checkpoint.active_store()
     if store is None or checkpoint_key is None or end <= 0:
@@ -86,7 +89,9 @@ def warm_prefix(
     position = 0
     stats = WarmingStats()
     with obs_phases.measured("checkpoint_restore"):
-        found = store.nearest(checkpoint_key, end)
+        found = store.nearest(
+            checkpoint_key, end, checkpoint.layout(machine), _STATS_NAMES
+        )
         if found is not None:
             position, state, saved = found
             checkpoint.restore_machine(machine, state)

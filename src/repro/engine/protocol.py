@@ -83,6 +83,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.cpu.checkpoint import CheckpointStore
 from repro.obs import resources as obs_resources
 from repro.settings import value
 
@@ -187,6 +188,12 @@ def _phase_ledgers(raw) -> List[dict]:
 
 #: Characters allowed in a wire artifact key (stores key by sha256 hex).
 _HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _safe_key(key: str) -> bool:
+    """Whether a wire key is a store content hash, so it can never
+    escape the store root."""
+    return len(key) >= 2 and set(key) <= _HEX_DIGITS
 
 
 def file_sha256(path: Path) -> str:
@@ -776,6 +783,12 @@ class LeaseServer:
             for kind, root in (artifact_roots or {}).items()
             if root is not None
         }
+        #: The checkpoint root read through its store's file layout.
+        self.checkpoints: Optional[CheckpointStore] = None
+        if "checkpoint" in self.artifact_roots and checkpoint_interval > 0:
+            self.checkpoints = CheckpointStore(
+                self.artifact_roots["checkpoint"], checkpoint_interval
+            )
         self.ledger = LeaseLedger(
             lease_ttl=lease_ttl,
             run_timeout=run_timeout,
@@ -1004,19 +1017,14 @@ class LeaseServer:
     def _artifact_path(
         self, kind: str, key: str, position=None
     ) -> Optional[Path]:
-        """Resolve one artifact file, or None if unknown/unsafe.
-
-        Keys are the stores' sha256 hex content hashes; anything else
-        is rejected so a wire key can never escape the store root.
-        """
-        root = self.artifact_roots.get(kind)
-        if root is None or len(key) < 2 or not set(key) <= _HEX_DIGITS:
+        """Resolve one artifact file, or None if unknown/unsafe."""
+        if not _safe_key(key):
             return None
-        if kind == "trace":
-            return root / key[:2] / f"{key}.npt"
-        if kind == "checkpoint":
+        if kind == "trace" and "trace" in self.artifact_roots:
+            return self.artifact_roots["trace"] / key[:2] / f"{key}.npt"
+        if kind == "checkpoint" and self.checkpoints is not None:
             try:
-                return root / key[:2] / f"{key}-{int(position)}.json"
+                return self.checkpoints.path_for(key, int(position))
             except (TypeError, ValueError):
                 return None
         return None
@@ -1026,29 +1034,17 @@ class LeaseServer:
         key = str(message.get("key", ""))
         if kind == "checkpoint":
             files = []
-            root = self.artifact_roots.get(kind)
-            if root is not None and len(key) >= 2 and set(key) <= _HEX_DIGITS:
-                directory = root / key[:2]
-                prefix, suffix = f"{key}-", ".json"
-                try:
-                    names = sorted(os.listdir(directory))
-                except OSError:
-                    names = []
-                for name in names:
-                    if not (name.startswith(prefix)
-                            and name.endswith(suffix)):
-                        continue
+            if self.checkpoints is not None and _safe_key(key):
+                for position in self.checkpoints.positions(key):
+                    path = self.checkpoints.path_for(key, position)
                     try:
-                        position = int(name[len(prefix):-len(suffix)])
-                        path = directory / name
                         files.append({
                             "position": position,
                             "size": path.stat().st_size,
                             "sha256": file_sha256(path),
                         })
-                    except (OSError, ValueError):
+                    except OSError:
                         continue  # unreadable entry: just not offered
-            files.sort(key=lambda entry: entry["position"])
             return {"op": "artifact", "found": bool(files), "files": files}
         path = self._artifact_path(kind, key)
         try:

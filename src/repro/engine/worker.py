@@ -439,7 +439,7 @@ class WorkerAgent:
                 if state not in seen_states:
                     seen_states.add(state)
                     self._ensure_checkpoints(
-                        connection, lease_id, checkpoints.root, state,
+                        connection, lease_id, checkpoints, state,
                         heartbeat_s, spec,
                     )
 
@@ -461,20 +461,11 @@ class WorkerAgent:
         )
 
     def _ensure_checkpoints(
-        self, connection, lease_id, root, key, heartbeat_s, spec
+        self, connection, lease_id, store, key, heartbeat_s, spec
     ) -> None:
         """One warm-state chain is one artifact: local presence of any
         position is a hit; otherwise every offered position is fetched."""
-        directory = root / key[:2]
-        prefix, suffix = f"{key}-", ".json"
-        try:
-            have = any(
-                name.startswith(prefix) and name.endswith(suffix)
-                for name in os.listdir(directory)
-            )
-        except OSError:
-            have = False
-        if have:
+        if store.positions(key):
             self._artifact["hits"] += 1
             return
         self._artifact["misses"] += 1
@@ -489,7 +480,7 @@ class WorkerAgent:
                 continue
             self._fetch_file(
                 connection, lease_id, "checkpoint", key, int(position),
-                directory / f"{key}-{int(position)}{suffix}",
+                store.path_for(key, position),
                 str(entry.get("sha256", "")), heartbeat_s, spec,
             )
 

@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import checkpoint
+from repro.cpu.branch import PREDICTOR_KINDS
 from repro.cpu.checkpoint import (
     CheckpointStore,
+    decode,
+    encode,
     geometry_fingerprint,
+    layout,
     restore_machine,
     snapshot_machine,
     state_key,
@@ -36,9 +41,11 @@ from repro.cpu.functional import run_functional_warming, warm_prefix
 from repro.cpu.kernels.registry import BACKEND_NAMES
 from repro.cpu.machine import Machine
 from repro.cpu.simulator import Simulator
+from repro.engine import Engine
 from repro.engine.planner import RunRequest
-from repro.scale import scale_from_profile
+from repro.scale import Scale, scale_from_profile
 from repro.techniques.reference import ReferenceTechnique
+from repro.techniques.truncated import FFRunZ
 from repro.workloads.spec import get_workload
 
 from tests.conftest import TEST_SCALE, make_micro_workload
@@ -103,13 +110,44 @@ class TestSnapshotRoundTrip:
             snapshot_machine(reference)
         )
 
-    def test_snapshot_is_json_serializable(self, trace):
+    def test_snapshot_survives_on_disk_encoding(self, trace):
         machine = Machine(CONFIG, BASELINE, backend="python")
         run_functional_warming(machine, trace, 0, 1000)
-        document = json.loads(json.dumps(snapshot_machine(machine)))
+        data = b"".join(encode(1000, snapshot_machine(machine), {}))
+        _, document = decode(data, 1000, layout(machine), [])
         fresh = Machine(CONFIG, BASELINE, backend="python")
         restore_machine(fresh, document)
         assert _canonical(snapshot_machine(fresh)) == _canonical(
+            snapshot_machine(machine)
+        )
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["nonlp", "nlp"])
+    @pytest.mark.parametrize("kind", sorted(PREDICTOR_KINDS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_store_round_trip(self, tmp_path, trace, backend, kind, prefetch):
+        """Save -> nearest -> restore reproduces the snapshot, and the
+        warming that follows, for every predictor kind."""
+        config = dataclasses.replace(CONFIG, branch_predictor=kind)
+        enhancements = Enhancements(next_line_prefetch=prefetch)
+        store = CheckpointStore(tmp_path, 2000)
+        machine = Machine(config, enhancements, backend=backend)
+        saved = run_functional_warming(machine, trace, 0, 2000)
+        store.save("k", 2000, snapshot_machine(machine),
+                   dataclasses.asdict(saved))
+
+        resumed = Machine(config, enhancements, backend=backend)
+        at, state, stats = store.nearest(
+            "k", 3000, layout(resumed), list(dataclasses.asdict(saved))
+        )
+        assert (at, stats) == (2000, dataclasses.asdict(saved))
+        restore_machine(resumed, state)
+        assert _canonical(snapshot_machine(resumed)) == _canonical(
+            snapshot_machine(machine)
+        )
+        after = run_functional_warming(resumed, trace, 2000, 4000)
+        expected = run_functional_warming(machine, trace, 2000, 4000)
+        assert _stats_tuple(after) == _stats_tuple(expected)
+        assert _canonical(snapshot_machine(resumed)) == _canonical(
             snapshot_machine(machine)
         )
 
@@ -263,26 +301,141 @@ class TestStore:
     def test_nearest_picks_highest_at_or_below(self, tmp_path):
         store = CheckpointStore(tmp_path, 100)
         for at in (100, 200, 300):
-            store.save("k", at, {"s": at}, {"instructions": at})
-        assert store.nearest("k", 250)[0] == 200
-        assert store.nearest("k", 300)[0] == 300
-        assert store.nearest("k", 99) is None
-        assert store.nearest("missing", 300) is None
+            store.save("k", at, {"s": [at]}, {"instructions": at})
+        expect = [["s", 1]], ["instructions"]
+        assert store.nearest("k", 250, *expect) == (
+            200, {"s": [200]}, {"instructions": 200}
+        )
+        assert store.nearest("k", 300, *expect)[0] == 300
+        assert store.nearest("k", 99, *expect) is None
+        assert store.nearest("missing", 300, *expect) is None
+        assert store.positions("k") == [100, 200, 300]
 
     def test_corrupt_checkpoint_skipped(self, tmp_path):
         store = CheckpointStore(tmp_path, 100)
-        store.save("k", 100, {"s": 100}, {})
-        store.save("k", 200, {"s": 200}, {})
+        store.save("k", 100, {"s": [100]}, {})
+        store.save("k", 200, {"s": [200]}, {})
         store.path_for("k", 200).write_text("{not json")
-        at, state, _ = store.nearest("k", 250)
+        at, state, _ = store.nearest("k", 250, [["s", 1]], [])
         assert at == 100
-        assert state == {"s": 100}
+        assert state == {"s": [100]}
 
     def test_save_never_rewrites(self, tmp_path):
         store = CheckpointStore(tmp_path, 100)
-        store.save("k", 100, {"s": "first"}, {})
-        store.save("k", 100, {"s": "second"}, {})
-        assert store.nearest("k", 100)[1] == {"s": "first"}
+        store.save("k", 100, {"s": [1]}, {})
+        store.save("k", 100, {"s": [2]}, {})
+        assert store.nearest("k", 100, [["s", 1]], [])[1] == {"s": [1]}
+
+
+class TestValidation:
+    """A checkpoint that does not match the machine is skipped before
+    anything is written: the next-lower one is tried, and a run with
+    none left counts a miss and replays in full."""
+
+    KEY = "k"
+
+    @pytest.fixture()
+    def store(self, tmp_path, trace):
+        """A store with valid checkpoints at 100 and 200."""
+        store = CheckpointStore(tmp_path, 100)
+        machine = Machine(CONFIG, BASELINE, backend="python")
+        stats = run_functional_warming(machine, trace, 0, 100)
+        store.save(self.KEY, 100, snapshot_machine(machine),
+                   dataclasses.asdict(stats))
+        stats.merge(run_functional_warming(machine, trace, 100, 200))
+        store.save(self.KEY, 200, snapshot_machine(machine),
+                   dataclasses.asdict(stats))
+        return store
+
+    def _rewrite(self, store, position, edit):
+        path = store.path_for(self.KEY, position)
+        data = path.read_bytes()
+        end = data.index(b"\n")
+        header, body = json.loads(data[:end]), data[end + 1 :]
+        header, body = edit(header, body)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+    def _assert_skipped(self, store, trace, positions):
+        """With the checkpoints at ``positions`` damaged, warming to 250
+        resumes from the highest intact one (or replays from zero) and
+        matches the full replay."""
+        intact = [at for at in (100, 200) if at not in positions]
+        checkpoint.activate(store)
+        reference = Machine(CONFIG, BASELINE, backend="python")
+        expected = run_functional_warming(reference, trace, 0, 250)
+        machine = Machine(CONFIG, BASELINE, backend="python")
+        stats = warm_prefix(machine, trace, 250, checkpoint_key=self.KEY)
+        counters = checkpoint.consume_counters()
+        assert counters["instructions_skipped"] == (
+            intact[-1] if intact else 0
+        )
+        assert counters["checkpoint_misses"] == (0 if intact else 1)
+        assert _stats_tuple(stats) == _stats_tuple(expected)
+        assert _canonical(snapshot_machine(machine)) == _canonical(
+            snapshot_machine(reference)
+        )
+
+    EDITS = {
+        "truncated_body": lambda h, b: (h, b[:-8]),
+        "trailing_bytes": lambda h, b: (h, b + b"\0" * 8),
+        "wrong_array_length": lambda h, b: (
+            {**h, "arrays": [[n, k + 1 if n == "predictor.gshare" else k]
+                             for n, k in h["arrays"]]},
+            b + b"\0" * 8,
+        ),
+        "unknown_array_name": lambda h, b: (
+            {**h, "arrays": [["predictor.tage" if n == "predictor.gshare"
+                              else n, k] for n, k in h["arrays"]]},
+            b,
+        ),
+        "old_version": lambda h, b: ({**h, "version": 1}, b),
+        "wrong_position": lambda h, b: ({**h, "position": 300}, b),
+        "bad_stats": lambda h, b: (
+            {**h, "stats": {**h["stats"], "instructions": "x"}}, b
+        ),
+        "unknown_stats": lambda h, b: (
+            {**h, "stats": {**h["stats"], "cycles": 0}}, b
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(EDITS))
+    def test_damaged_checkpoint_falls_back(self, store, trace, damage):
+        self._rewrite(store, 200, self.EDITS[damage])
+        self._assert_skipped(store, trace, {200})
+
+    @pytest.mark.parametrize("damage", sorted(EDITS))
+    def test_no_valid_checkpoint_counts_a_miss(self, store, trace, damage):
+        for position in (100, 200):
+            self._rewrite(store, position, self.EDITS[damage])
+        self._assert_skipped(store, trace, {100, 200})
+
+    def test_v1_json_beside_v2_files_is_ignored(self, store, trace):
+        for position in (150, 220):
+            path = store.root / self.KEY[:2] / f"{self.KEY}-{position}.json"
+            path.write_text(json.dumps({"version": 1, "position": position}))
+        assert store.positions(self.KEY) == [100, 200]
+        self._assert_skipped(store, trace, set())
+
+    def test_other_geometry_is_skipped(self, tmp_path, trace):
+        """A too-long or too-short predictor table never reaches a
+        machine: both directions are rejected before any write."""
+        store = CheckpointStore(tmp_path, 100)
+        machine = Machine(CONFIG, BASELINE, backend="python")
+        cold = _canonical(snapshot_machine(machine))
+        for factor in (0.5, 2):
+            config = dataclasses.replace(
+                CONFIG, bht_entries=int(CONFIG.bht_entries * factor)
+            )
+            writer = Machine(config, BASELINE, backend="python")
+            run_functional_warming(writer, trace, 0, 100)
+            store.save(config.name + str(factor), 100,
+                       snapshot_machine(writer), {})
+            assert store.nearest(
+                config.name + str(factor), 100, layout(machine), []
+            ) is None
+            with pytest.raises(ValueError):
+                restore_machine(machine, snapshot_machine(writer))
+            assert _canonical(snapshot_machine(machine)) == cold
 
 
 class TestTechniqueParity:
@@ -301,8 +454,6 @@ class TestTechniqueParity:
         assert warm.stats == baseline.stats
 
     def test_warmed_ff(self, tmp_path, workload):
-        from repro.techniques.truncated import FFRunZ
-
         self._run_with_and_without(
             FFRunZ(400, 200, warmed=True), workload, tmp_path
         )
@@ -320,6 +471,40 @@ class TestTechniqueParity:
         self._run_with_and_without(
             SmartsTechnique(1000, 2000, initial_samples=8), workload, tmp_path
         )
+
+
+def warmed_grid():
+    """Warmed FF runs of two latency variants sharing one checkpoint
+    chain; every warm end lies at or past the first checkpoint."""
+    workload = get_workload("gzip", "reference", seed=7)
+    variant = dataclasses.replace(
+        CONFIG, name="latvar", l2_latency=CONFIG.l2_latency + 3
+    )
+    return [
+        RunRequest(FFRunZ(x_m, 100, warmed=True), workload, config)
+        for x_m in (1000, 2000)
+        for config in (CONFIG, variant)
+    ]
+
+
+class TestHitGuard:
+    """A format bug that skips every checkpoint leaves results
+    bit-identical and silently gives up the speedup; this catches it."""
+
+    def test_second_sweep_resumes_every_run(self, tmp_path):
+        requests = warmed_grid()
+        for _ in range(2):
+            engine = Engine(
+                scale=Scale(2), jobs=1, cache_dir=tmp_path, history=False
+            )
+            try:
+                engine.run_many(requests)
+                snapshot = engine.metrics.snapshot()
+            finally:
+                engine.close()
+            shutil.rmtree(engine.store.directory)  # rerun every request
+        assert snapshot["checkpoint_misses"] == 0
+        assert snapshot["checkpoint_hits"] == len(requests)
 
 
 # -- key coverage: the checkpoint key spans exactly the warm-state geometry ----

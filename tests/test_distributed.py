@@ -19,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cpu.checkpoint import CheckpointStore, snapshot_machine
 from repro.cpu.config import ARCH_CONFIGS
+from repro.cpu.machine import Machine
 from repro.engine import Engine, RunRequest
 from repro.engine.planner import RESULTS_EPOCH
 from repro.engine.protocol import (
@@ -38,6 +40,7 @@ from repro.techniques.truncated import RunZ
 from repro.workloads.inputs import clear_trace_cache
 from repro.workloads.spec import get_workload
 
+from tests.test_checkpoint import warmed_grid
 from tests.test_engine import SCALE
 
 
@@ -565,6 +568,7 @@ def artifact_server(tmp_path):
     server = LeaseServer(
         "127.0.0.1", 0,
         scale_instructions_per_m=1000, results_epoch=RESULTS_EPOCH,
+        checkpoint_interval=500,
         artifact_roots={"trace": trace_root, "checkpoint": checkpoint_root},
     )
     try:
@@ -628,12 +632,13 @@ class TestArtifactWire:
 
     def test_checkpoint_probe_lists_positions(self, artifact_server):
         server, _, checkpoint_root = artifact_server
-        directory = checkpoint_root / STATE_KEY[:2]
-        directory.mkdir(parents=True)
+        store = CheckpointStore(checkpoint_root, 500)
+        machine = Machine(ARCH_CONFIGS[0], backend="python")
         for position in (500, 1000):
-            (directory / f"{STATE_KEY}-{position}.json").write_text(
-                '{"position": %d}' % position
-            )
+            store.save(STATE_KEY, position, snapshot_machine(machine), {})
+        # Neither a v1 file nor a stray name is offered.
+        for name in (f"{STATE_KEY}-1500.json", f"{STATE_KEY}-x.ckpt"):
+            (checkpoint_root / STATE_KEY[:2] / name).write_text("{}")
         probe = server._artifact_probe(
             {"kind": "checkpoint", "key": STATE_KEY}
         )
@@ -923,6 +928,39 @@ class TestDistributedSweep:
         # Remote per-phase observations reached the attribution table.
         family = results[0].family
         assert snapshot["per_family"][family]["phases"]
+
+    def test_agent_resumes_every_run_from_fetched_checkpoints(
+        self, tmp_path, distributed_engine
+    ):
+        """Hit guard over the wire: a cold agent fetches the primed
+        supervisor's checkpoint chain, and every leased warmed run
+        resumes from it instead of replaying its prefix."""
+        requests = warmed_grid()
+        _prime_artifacts(tmp_path / "dist", requests)
+
+        engine = distributed_engine(min_agents=1)
+        agent = None
+        try:
+            port = engine.lease_server.port
+            agent = _spawn_agent(
+                port, "resumer", tmp_path, cache_dir=tmp_path / "agent"
+            )
+            results = engine.run_many(requests)
+            snapshot = engine.metrics.snapshot()
+        finally:
+            engine.close()
+            if agent is not None:
+                try:
+                    agent.wait(timeout=15)
+                finally:
+                    agent.kill()
+
+        assert all(result is not None for result in results)
+        assert snapshot["remote_runs"] == len(requests)
+        assert snapshot["per_agent"]["resumer"]["artifact_misses"] >= 1
+        assert snapshot["artifact_fetches"] >= 1
+        assert snapshot["checkpoint_misses"] == 0
+        assert snapshot["checkpoint_hits"] == len(requests)
 
     def test_remote_batch_cap_splits_leases(
         self, tmp_path, distributed_engine

@@ -36,8 +36,8 @@ PINS = {
         "e587a239502962deeb99b99853c4d8f3ca7e5151823cec8208cdd016fd269763",
     ),
     "checkpoints": (
-        "checkpoints/??/*.json", "CHECKPOINT_VERSION", CHECKPOINT_VERSION, 1,
-        "b0112c29d572f769901fac90f8fd64ff2981d98a556cba295ffcf8ef079a0cdd",
+        "checkpoints/??/*.ckpt", "CHECKPOINT_VERSION", CHECKPOINT_VERSION, 2,
+        "e50000a550ab4ce4c1e952329529d2ae849ac5307017bf59913066a48c7903c8",
     ),
 }
 

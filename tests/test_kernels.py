@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cpu.checkpoint import snapshot_machine
 from repro.cpu.config import Enhancements, ProcessorConfig
 from repro.cpu.functional import run_functional_warming
 from repro.cpu.kernels.numpy_impl import RegionResolution, resolve_region
@@ -471,11 +472,7 @@ class TestResolveInvariant:
                 count_trivial=count_trivial,
             )
             resolutions.append(_resolution_fields(res))
-            warm_states.append([
-                getattr(machine, name).warm_state()
-                for name in ("memory", "l2", "il1", "dl1", "itlb", "dtlb",
-                             "predictor", "btb", "ras")
-            ])
+            warm_states.append(snapshot_machine(machine))
         assert all(r == resolutions[0] for r in resolutions[1:])
         assert all(w == warm_states[0] for w in warm_states[1:])
 

@@ -87,8 +87,12 @@ class TestCacheProperties:
         cache = Cache("c", 512, 2, 32, 1, memory=MainMemory(100, 5, 8))
         for addr in addresses:
             cache.access(addr)
-        for ways in cache.warm_state()["sets"]:
+        assert len(cache.tags) == cache.num_sets * cache.assoc
+        for base in range(0, len(cache.tags), cache.assoc):
+            ways = [tag for tag in cache.tags[base : base + cache.assoc]
+                    if tag != -1]
             assert len(ways) <= cache.assoc
+            assert len(set(ways)) == len(ways)
 
     @given(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
