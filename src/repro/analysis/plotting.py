@@ -24,13 +24,6 @@ FAMILY_MARKERS = {
 }
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> List[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / max(1, count - 1)
-    return [lo + i * step for i in range(count)]
-
-
 def scatter_plot(
     points: Sequence[Tuple[str, float, float]],
     width: int = 64,

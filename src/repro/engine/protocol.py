@@ -54,8 +54,10 @@ trace-store ``.npt`` columns and checkpoint-store entries -- from the
 supervisor's stores over the same connection, keyed by the stores'
 existing content hashes.  ``artifact_probe`` returns size + sha256
 (positions too, for checkpoints); ``artifact_fetch`` returns one
-chunk per request (base64, bounded).  The agent verifies the whole
-file's sha256 before an atomic rename into its local store, so a
+bounded chunk per request as a :class:`Frame`: a JSON header line
+announcing ``length``, then exactly that many raw bytes.  The agent
+hashes the chunks as they stream into its local store's temp file and
+renames it into place only when the whole file's sha256 matches, so a
 corrupt transfer is detected and re-fetched, never trusted.
 
 Obs ops (PR 9): agents stream throttled per-phase progress events and
@@ -81,14 +83,17 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, List, NamedTuple, Optional, Tuple, Union,
+)
 
 from repro.cpu.checkpoint import CheckpointStore
 from repro.obs import resources as obs_resources
 from repro.settings import value
 
-#: Version of the wire message format.
-PROTOCOL_VERSION = 1
+#: Version of the wire message format; both ends check it at ``hello``.
+#: 2: artifact chunks travel as raw :class:`Frame` bodies.
+PROTOCOL_VERSION = 2
 
 #: Uncharged requeues per run before the run is charged a timeout.
 MAX_LEASE_REQUEUES = 5
@@ -101,7 +106,7 @@ MAX_MESSAGE_BYTES = 256 * 1024 * 1024
 #: heartbeats/completions resolve instead of reading "unknown lease".
 _CANCEL_RETENTION_S = 600.0
 
-#: One ``artifact_fetch`` chunk (base64 inflates this ~4/3 on the wire).
+#: Largest ``artifact_fetch`` chunk, sent as a raw frame body.
 ARTIFACT_CHUNK_BYTES = 1024 * 1024
 
 
@@ -205,6 +210,14 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+class Frame(NamedTuple):
+    """A wire message followed by raw bytes: the header line announces
+    ``length``, then exactly that many body bytes follow it."""
+
+    header: dict
+    body: bytes
+
+
 class Connection:
     """One newline-delimited-JSON message channel over a socket."""
 
@@ -213,15 +226,30 @@ class Connection:
         self._reader = sock.makefile("rb")
         self._write_lock = threading.Lock()
 
-    def send(self, message: dict) -> None:
+    def send(self, message: Union[dict, Frame]) -> None:
+        body = b""
+        if isinstance(message, Frame):
+            body = message.body
+            message = dict(message.header, length=len(body))
         data = json.dumps(
             message, sort_keys=True, separators=(",", ":")
         ).encode("utf-8") + b"\n"
         with self._write_lock:
             self.sock.sendall(data)
+            if body:
+                self.sock.sendall(body)
 
-    def recv(self) -> Optional[dict]:
-        """The next message, or None on a clean EOF."""
+    def recv(
+        self, body_limit: Optional[int] = None
+    ) -> Union[dict, Frame, None]:
+        """The next message, or None on a clean EOF.
+
+        With ``body_limit``, a message that announces a ``length`` is a
+        :class:`Frame`: its body is read from the same buffered reader,
+        so the next message starts right after it.  A length above
+        ``body_limit`` is refused before any body byte is read; a body
+        cut short by EOF is refused too.
+        """
         line = self._reader.readline(MAX_MESSAGE_BYTES + 1)
         if not line:
             return None
@@ -233,12 +261,27 @@ class Connection:
             raise ProtocolError(f"bad wire message: {exc}") from None
         if not isinstance(message, dict):
             raise ProtocolError("wire message is not an object")
-        return message
+        if body_limit is None or "length" not in message:
+            return message
+        length = message["length"]
+        if type(length) is not int or not 0 <= length <= body_limit:
+            raise ProtocolError(
+                f"frame length {length!r} outside 0..{body_limit}"
+            )
+        body = self._reader.read(length)
+        if len(body) != length:
+            raise ProtocolError(
+                f"frame body cut short: {len(body)} of {length} bytes"
+            )
+        return Frame(message, body)
 
-    def request(self, message: dict) -> dict:
-        """Send one message and block for its reply (client side)."""
+    def request(
+        self, message: dict, body_limit: Optional[int] = None
+    ) -> Union[dict, Frame]:
+        """Send one message and block for its reply (client side);
+        ``body_limit`` as for :meth:`recv`."""
         self.send(message)
-        reply = self.recv()
+        reply = self.recv(body_limit)
         if reply is None:
             raise ConnectionError("connection closed awaiting reply")
         return reply
@@ -403,12 +446,6 @@ class LeaseLedger:
                 }
                 for agent_id, entry in sorted(self._agents.items())
             ]
-
-    def live_agents(self) -> int:
-        with self._lock:
-            return sum(
-                1 for entry in self._agents.values() if entry.state != "lost"
-            )
 
     def total_agents(self) -> int:
         """Distinct agents that ever joined (lost ones included)."""
@@ -908,9 +945,23 @@ class LeaseServer:
 
     def _handle(
         self, message: dict, agent_id: Optional[str], addr
-    ) -> Tuple[dict, Optional[str], bool]:
+    ) -> Tuple[Union[dict, Frame], Optional[str], bool]:
         op = message.get("op")
         if op == "hello":
+            if message.get("protocol") != PROTOCOL_VERSION:
+                # An agent speaking another wire format would misread
+                # the first artifact frame; refuse it at the door.
+                return (
+                    {
+                        "op": "error",
+                        "error": (
+                            f"protocol {message.get('protocol')!r} != "
+                            f"supervisor's {PROTOCOL_VERSION}"
+                        ),
+                    },
+                    agent_id,
+                    True,
+                )
             agent_id = self.ledger.join(
                 name=str(message.get("name", "") or ""),
                 host=str(message.get("host", "") or addr[0]),
@@ -1059,7 +1110,7 @@ class LeaseServer:
         except OSError:
             return {"op": "artifact", "found": False}
 
-    def _artifact_fetch(self, message: dict) -> dict:
+    def _artifact_fetch(self, message: dict) -> Union[dict, Frame]:
         path = self._artifact_path(
             str(message.get("kind", "")),
             str(message.get("key", "")),
@@ -1080,12 +1131,10 @@ class LeaseServer:
                 data = handle.read(length)
         except OSError:
             return {"op": "artifact", "found": False}
-        return {
-            "op": "chunk",
-            "data": base64.b64encode(data).decode("ascii"),
-            "size": size,
-            "eof": offset + len(data) >= size,
-        }
+        return Frame(
+            {"op": "chunk", "size": size, "eof": offset + len(data) >= size},
+            data,
+        )
 
     def _emit_remote_events(self, agent_id: str, events) -> None:
         """Re-emit agent-streamed phase events on the supervisor's

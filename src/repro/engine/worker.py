@@ -33,11 +33,12 @@ member run key per config, so the supervisor dedups stragglers per
 member.  Before executing, the agent *prefetches artifacts*: it probes
 its local trace/checkpoint stores for the lease's content-addressed
 artifacts and fetches misses from the supervisor over the same
-connection (chunked base64, whole-file sha256-verified, written via
-the stores' atomic-rename discipline) -- so a fresh host costs one
-trace fetch + one checkpoint fetch instead of regenerating everything
-from zero.  While a run executes, the child's phase transitions stream
-back as ``obs`` messages, throttled by the same
+connection (raw chunk frames, hashed as they stream into the store's
+temp file, renamed into place only when the whole file's sha256
+matches) -- so a fresh host costs one trace fetch + one checkpoint
+fetch instead of regenerating everything from zero.  While a run
+executes, the child's phase transitions stream back as ``obs``
+messages, throttled by the same
 :class:`~repro.engine.executor.PhaseNotifier` rule as local workers';
 after each run the agent reports its artifact cache counters the same
 way.  Each run's phase-timing ledger rides on the ``complete`` message,
@@ -62,7 +63,6 @@ and re-fetch.
 from __future__ import annotations
 
 import argparse
-import base64
 import hashlib
 import os
 import signal
@@ -71,7 +71,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.cpu import checkpoint
 from repro.cpu.kernels.registry import KernelError, activate as activate_backend
@@ -89,7 +89,9 @@ from repro.engine.executor import (
 from repro.engine.planner import RESULTS_EPOCH
 from repro.engine.protocol import (
     ARTIFACT_CHUNK_BYTES,
+    PROTOCOL_VERSION,
     Connection,
+    Frame,
     ProtocolError,
     decode_task,
     parse_address,
@@ -101,6 +103,14 @@ _FETCH_ATTEMPTS = 3
 
 class _InjectedSever(RuntimeError):
     """An injected mid-fetch connection drop (``drop@N:fetch``)."""
+
+
+class _ArtifactGone(Exception):
+    """The supervisor no longer serves an artifact it offered."""
+
+
+class _DigestMismatch(Exception):
+    """A fetched file's bytes do not hash to the offered sha256."""
 
 
 class WorkerAgent:
@@ -177,6 +187,7 @@ class WorkerAgent:
         welcome = connection.request(
             {
                 "op": "hello",
+                "protocol": PROTOCOL_VERSION,
                 "name": self.name,
                 "host": socket.gethostname(),
                 "pid": os.getpid(),
@@ -185,6 +196,13 @@ class WorkerAgent:
         if welcome.get("op") != "welcome":
             self._log(f"handshake rejected: {welcome}")
             return 1
+        if welcome.get("protocol") != PROTOCOL_VERSION:
+            self._log(
+                f"wire protocol mismatch: supervisor speaks "
+                f"{welcome.get('protocol')}, this code {PROTOCOL_VERSION}; "
+                "refusing to misread its messages"
+            )
+            return 2
         if int(welcome.get("epoch", -1)) != RESULTS_EPOCH:
             self._log(
                 f"results epoch mismatch: supervisor at "
@@ -488,33 +506,40 @@ class WorkerAgent:
         self, connection, lease_id, kind, key, position, dest,
         sha256_expected, heartbeat_s, spec,
     ) -> bool:
-        """Chunked fetch, whole-file sha256 verify, atomic rename."""
+        """Chunked fetch streamed into the store's temp file, whole-file
+        sha256 verify, atomic rename."""
         for attempt in range(_FETCH_ATTEMPTS):
-            data = self._fetch_bytes(
-                connection, lease_id, kind, key, position, heartbeat_s, spec
-            )
-            if data is None:
-                return False  # vanished server-side: generate locally
-            if hashlib.sha256(data).hexdigest() == sha256_expected:
-                try:
-                    atomic_write(dest, data)
-                except OSError:
-                    return False
-                self._artifact["fetches"] += 1
-                if attempt:
-                    self._artifact["refetches"] += attempt
-                self._log(f"fetched {kind} {key[:12]} ({len(data)} bytes)")
-                return True
-            self._artifact["corrupt_chunks"] += 1
-            self._log(
-                f"{kind} {key[:12]} failed sha256 verification; re-fetching"
-            )
+            try:
+                atomic_write(dest, self._fetch_bytes(
+                    connection, lease_id, kind, key, position,
+                    sha256_expected, heartbeat_s, spec,
+                ))
+            except _DigestMismatch:
+                self._artifact["corrupt_chunks"] += 1
+                self._log(
+                    f"{kind} {key[:12]} failed sha256 verification; "
+                    "re-fetching"
+                )
+                continue
+            except (ConnectionError, socket.timeout):
+                raise  # the link failed, not the disk: reconnect
+            except (_ArtifactGone, OSError):
+                return False  # generate it locally instead
+            self._artifact["fetches"] += 1
+            if attempt:
+                self._artifact["refetches"] += attempt
+            self._log(f"fetched {kind} {key[:12]}")
+            return True
         return False
 
     def _fetch_bytes(
-        self, connection, lease_id, kind, key, position, heartbeat_s, spec
-    ) -> Optional[bytes]:
-        chunks = []
+        self, connection, lease_id, kind, key, position, sha256_expected,
+        heartbeat_s, spec,
+    ) -> Iterator[bytes]:
+        """The artifact's chunks as they arrive; raises
+        :class:`_DigestMismatch` after the last one if the bytes do not
+        hash to ``sha256_expected``."""
+        digest = hashlib.sha256()
         offset = 0
         next_beat = time.monotonic() + heartbeat_s
         while True:
@@ -526,11 +551,14 @@ class WorkerAgent:
                     "position": position,
                     "offset": offset,
                     "length": ARTIFACT_CHUNK_BYTES,
-                }
+                },
+                body_limit=ARTIFACT_CHUNK_BYTES,
             )
-            if reply.get("op") != "chunk":
-                return None
-            chunk = base64.b64decode(str(reply.get("data", "")))
+            if not (
+                isinstance(reply, Frame) and reply.header.get("op") == "chunk"
+            ):
+                raise _ArtifactGone(f"{kind} {key[:12]}")
+            chunk = reply.body
             if (
                 spec is not None and spec.kind == "corrupt"
                 and not self._corrupt_fired and chunk
@@ -541,16 +569,18 @@ class WorkerAgent:
                 flipped = bytearray(chunk)
                 flipped[0] ^= 0xFF
                 chunk = bytes(flipped)
-            chunks.append(chunk)
+            digest.update(chunk)
+            yield chunk
             offset += len(chunk)
             if spec is not None and spec.kind == "drop" and spec.arg == "fetch":
                 raise _InjectedSever(f"drop mid-{kind} artifact_fetch")
-            if reply.get("eof") or not chunk:
+            if reply.header.get("eof") or not chunk:
                 break
             if time.monotonic() >= next_beat:
                 connection.request({"op": "heartbeat", "lease": lease_id})
                 next_beat = time.monotonic() + heartbeat_s
-        return b"".join(chunks)
+        if digest.hexdigest() != sha256_expected:
+            raise _DigestMismatch(f"{kind} {key[:12]}")
 
     # -- environment ---------------------------------------------------------------
 

@@ -9,9 +9,7 @@ distance and scaled to 100, exactly as in the paper's figure.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from typing import List
+from typing import List, Optional
 
 from repro.characterization.bottleneck import (
     BottleneckResult,
@@ -114,32 +112,3 @@ def run(context: Optional[ExperimentContext] = None) -> ExperimentReport:
         ],
     )
 
-
-def family_distances(
-    context: ExperimentContext, benchmark: str
-) -> Dict[str, Tuple[float, float, float]]:
-    """(mean, min, max) normalized distance per family for one benchmark."""
-    workload = context.workload(benchmark)
-    families = context.family_permutations(benchmark)
-    prefetch_pb(
-        context,
-        workload,
-        [ReferenceTechnique()]
-        + [t for techniques in families.values() for t in techniques],
-    )
-    reference = reference_pb_result(context, workload)
-    out: Dict[str, Tuple[float, float, float]] = {}
-    for family, techniques in families.items():
-        distances = [
-            normalized_rank_distance(
-                pb_result(context, workload, t).ranks, reference.ranks
-            )
-            for t in techniques
-        ]
-        if distances:
-            out[family] = (
-                sum(distances) / len(distances),
-                min(distances),
-                max(distances),
-            )
-    return out

@@ -198,33 +198,6 @@ class Trace:
             self._list_cache["trivial_bits"] = cached
         return cached
 
-    def kernel_columns(self, block_shift: int):
-        """Cached int64 column tuple consumed by the JIT-able kernels.
-
-        Returns ``(op, dst, src1, src2, pc, addr, target, fetch_block,
-        page, branch_kind, taken, trivial)`` -- every array int64 so a
-        compiled kernel specializes on one homogeneous signature.
-        """
-        key = ("kernel_columns", block_shift)
-        cached = self._list_cache.get(key)
-        if cached is None:
-            cached = (
-                self.op.astype(np.int64),
-                self.dst.astype(np.int64),
-                self.src1.astype(np.int64),
-                self.src2.astype(np.int64),
-                self.pc.astype(np.int64),
-                self.addr.astype(np.int64),
-                self.target.astype(np.int64),
-                self.fetch_blocks(block_shift).astype(np.int64),
-                self.pages().astype(np.int64),
-                self.branch_kinds(),
-                self.taken_bits(),
-                self.trivial_bits(),
-            )
-            self._list_cache[key] = cached
-        return cached
-
     def timing_lists(
         self,
         trivial_enabled: bool,

@@ -101,23 +101,6 @@ def sample_since(baseline: Tuple[float, float]) -> Dict[str, float]:
     }
 
 
-def merge_samples(samples) -> Optional[Dict[str, float]]:
-    """Fold several samples into one (sum CPU, max RSS); None if empty."""
-    merged: Optional[Dict[str, float]] = None
-    for sample in samples:
-        if not sample:
-            continue
-        if merged is None:
-            merged = dict(sample)
-            continue
-        merged["max_rss_bytes"] = max(
-            merged.get("max_rss_bytes", 0), sample.get("max_rss_bytes", 0)
-        )
-        for key in ("cpu_s", "cpu_user_s", "cpu_system_s"):
-            merged[key] = merged.get(key, 0.0) + sample.get(key, 0.0)
-    return merged
-
-
 def share(sample: Optional[Dict[str, float]], members: int) -> Optional[Dict[str, float]]:
     """Per-member share of a batched execution's sample.
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import time
@@ -26,8 +27,12 @@ from repro.engine import Engine, RunRequest
 from repro.engine.planner import RESULTS_EPOCH
 from repro.engine.protocol import (
     MAX_LEASE_REQUEUES,
+    PROTOCOL_VERSION,
+    Connection,
+    Frame,
     LeaseLedger,
     LeaseServer,
+    ProtocolError,
     RemoteFailure,
     _phase_ledgers,
     parse_address,
@@ -599,19 +604,17 @@ class TestArtifactWire:
         assert probe["found"] and probe["size"] == len(data)
         assert probe["sha256"] == hashlib.sha256(data).hexdigest()
         # Chunked fetch with a small window reassembles the exact bytes.
-        import base64 as b64
-
         got, offset = b"", 0
         while True:
             reply = server._artifact_fetch(
                 {"kind": "trace", "key": TRACE_KEY,
                  "offset": offset, "length": 1000}
             )
-            assert reply["op"] == "chunk"
-            chunk = b64.b64decode(reply["data"])
-            got += chunk
-            offset += len(chunk)
-            if reply["eof"]:
+            assert isinstance(reply, Frame)
+            assert reply.header["op"] == "chunk"
+            got += reply.body
+            offset += len(reply.body)
+            if reply.header["eof"]:
                 break
         assert got == data
 
@@ -650,13 +653,194 @@ class TestArtifactWire:
     def test_fetch_clamps_length(self, artifact_server):
         server, trace_root, _ = artifact_server
         self._write_trace(trace_root, TRACE_KEY, b"abcdef")
-        import base64 as b64
-
         reply = server._artifact_fetch(
             {"kind": "trace", "key": TRACE_KEY, "offset": 2, "length": 0}
         )
-        assert b64.b64decode(reply["data"]) == b"c"  # length clamped to 1
-        assert not reply["eof"]
+        assert reply.body == b"c"  # length clamped to 1
+        assert not reply.header["eof"]
+
+    def test_fetch_over_the_wire_after_hello(self, artifact_server):
+        server, trace_root, _ = artifact_server
+        data = bytes(range(256)) * 8
+        self._write_trace(trace_root, TRACE_KEY, data)
+        connection = Connection(
+            socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        )
+        try:
+            welcome = connection.request(
+                {"op": "hello", "protocol": PROTOCOL_VERSION}
+            )
+            assert welcome["op"] == "welcome"
+            frame = connection.request(
+                {"op": "artifact_fetch", "kind": "trace", "key": TRACE_KEY,
+                 "offset": 10, "length": 100},
+                body_limit=100,
+            )
+            assert frame.header == {
+                "op": "chunk", "size": len(data), "eof": False, "length": 100,
+            }
+            assert frame.body == data[10:110]
+            # The body was consumed exactly: the next reply parses.
+            assert connection.request({"op": "bye"})["op"] == "ok"
+        finally:
+            connection.close()
+
+
+class TestFrames:
+    """Raw artifact frames between two real :class:`Connection` ends."""
+
+    @pytest.fixture()
+    def pair(self):
+        left, right = socket.socketpair()
+        for end in (left, right):
+            end.settimeout(10)  # a misframed read fails, never hangs
+        server, client = Connection(left), Connection(right)
+        try:
+            yield server, client
+        finally:
+            server.close()
+            client.close()
+
+    @pytest.mark.parametrize("body", [b"\n{raw}\n", b""])
+    def test_frame_then_message_both_parse(self, pair, body):
+        server, client = pair
+        server.send(Frame({"op": "chunk", "eof": True}, body))
+        server.send({"op": "ok"})
+        frame = client.recv(body_limit=16)
+        assert frame == Frame(
+            {"op": "chunk", "eof": True, "length": len(body)}, body
+        )
+        assert client.recv() == {"op": "ok"}
+
+    def test_oversized_length_refused_before_body(self, pair):
+        server, client = pair
+        server.send(Frame({"op": "chunk"}, b"0123456789"))
+        with pytest.raises(ProtocolError, match="length"):
+            client.recv(body_limit=4)
+        # Not one body byte was consumed.
+        server.sock.shutdown(socket.SHUT_WR)
+        assert client._reader.read() == b"0123456789"
+
+    @pytest.mark.parametrize("length", [-1, "7", 1.5, True, None])
+    def test_malformed_length_refused(self, pair, length):
+        server, client = pair
+        server.send({"op": "chunk", "length": length})
+        with pytest.raises(ProtocolError):
+            client.recv(body_limit=16)
+
+    def test_length_is_plain_json_without_body_limit(self, pair):
+        # The supervisor reads requests without a body limit: a fetch
+        # request's ``length`` is a field, never a frame.
+        server, client = pair
+        client.send({"op": "artifact_fetch", "length": 5})
+        assert server.recv() == {"op": "artifact_fetch", "length": 5}
+
+    def test_body_cut_by_eof_raises_and_installs_nothing(
+        self, pair, tmp_path
+    ):
+        server, client = pair
+        data = b"x" * 100
+        server.sock.sendall(
+            b'{"eof":true,"length":100,"op":"chunk","size":100}\n'
+            + data[:10]
+        )
+        server.sock.shutdown(socket.SHUT_WR)
+        agent = WorkerAgent("127.0.0.1:1", quiet=True)
+        store = tmp_path / "store"
+        with pytest.raises(ProtocolError, match="cut short"):
+            agent._fetch_file(
+                client, "lease-1", "trace", TRACE_KEY, None,
+                store / "ab" / "art.npt",
+                hashlib.sha256(data).hexdigest(), 5.0, None,
+            )
+        assert [p for p in store.rglob("*") if p.is_file()] == []
+
+    def test_streamed_install_verifies_whole_file(self, pair, tmp_path):
+        server, client = pair
+        data = bytes(range(256)) * 3
+        for offset, eof in ((0, False), (300, False), (600, True)):
+            server.send(Frame(
+                {"op": "chunk", "size": len(data), "eof": eof},
+                data[offset:offset + 300],
+            ))
+        agent = WorkerAgent("127.0.0.1:1", quiet=True)
+        dest = tmp_path / "ab" / "art.npt"
+        assert agent._fetch_file(
+            client, "lease-1", "trace", TRACE_KEY, None, dest,
+            hashlib.sha256(data).hexdigest(), 60.0, None,
+        )
+        assert dest.read_bytes() == data
+        assert agent._artifact["fetches"] == 1
+        offsets = [server.recv()["offset"] for _ in range(3)]
+        assert offsets == [0, 300, 600]
+
+    def test_digest_mismatch_discards_and_refetches(self, pair, tmp_path):
+        server, client = pair
+        data = b"artifact bytes"
+        server.send(Frame({"op": "chunk", "size": 14, "eof": True}, b"X" * 14))
+        server.send(Frame({"op": "chunk", "size": 14, "eof": True}, data))
+        agent = WorkerAgent("127.0.0.1:1", quiet=True)
+        dest = tmp_path / "art.npt"
+        assert agent._fetch_file(
+            client, "lease-1", "trace", TRACE_KEY, None, dest,
+            hashlib.sha256(data).hexdigest(), 60.0, None,
+        )
+        assert dest.read_bytes() == data
+        assert list(tmp_path.iterdir()) == [dest]
+        assert agent._artifact["corrupt_chunks"] == 1
+        assert agent._artifact["refetches"] == 1
+
+
+class TestProtocolVersion:
+    @pytest.fixture()
+    def server(self):
+        server = LeaseServer(
+            "127.0.0.1", 0,
+            scale_instructions_per_m=1000, results_epoch=RESULTS_EPOCH,
+        )
+        try:
+            yield server
+        finally:
+            server.close(drain_s=0.0)
+
+    @pytest.mark.parametrize(
+        "hello",
+        [{"op": "hello"}, {"op": "hello", "protocol": PROTOCOL_VERSION - 1}],
+    )
+    def test_server_refuses_other_protocol(self, server, hello):
+        connection = Connection(
+            socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        )
+        try:
+            reply = connection.request(hello)
+            assert reply["op"] == "error" and "protocol" in reply["error"]
+            assert connection.recv() is None  # the server hung up
+        finally:
+            connection.close()
+        assert server.ledger.total_agents() == 0
+
+    def test_agent_refuses_other_protocol(self, capsys):
+        left, right = socket.socketpair()
+        supervisor, agent_end = Connection(left), Connection(right)
+        try:
+            supervisor.send({
+                "op": "welcome", "protocol": PROTOCOL_VERSION - 1,
+                "agent": "a", "scale": 1000, "epoch": RESULTS_EPOCH,
+            })
+            # Nothing follows the welcome: an agent that went on to
+            # lease would read EOF instead of waiting forever.
+            supervisor.sock.shutdown(socket.SHUT_WR)
+            agent = WorkerAgent("127.0.0.1:1")
+            assert agent._session(agent_end) == 2
+            hello = supervisor.recv()
+            assert hello["op"] == "hello"
+            assert hello["protocol"] == PROTOCOL_VERSION
+            # Refused before joining: no stores were activated.
+            assert not agent._env_applied
+        finally:
+            supervisor.close()
+            agent_end.close()
+        assert "wire protocol mismatch" in capsys.readouterr().err
 
 
 class TestAgentFetchInstall:
@@ -799,7 +983,12 @@ class TestDistributedSweep:
             agents.append(
                 _spawn_agent(port, "victim", tmp_path, fault_plan="dead@1")
             )
-            agents.append(_spawn_agent(port, "steady", tmp_path))
+            # The runs take milliseconds and an idle agent polls every
+            # 0.2 s: steady holds its first completion 300 ms so it
+            # cannot drain the queue before the victim leases a run.
+            agents.append(_spawn_agent(
+                port, "steady", tmp_path, fault_plan="delay@1:300"
+            ))
             results = engine.run_many(_requests())
             snapshot = engine.metrics.snapshot()
         finally:
