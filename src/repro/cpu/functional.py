@@ -182,7 +182,6 @@ def _python_warming(
                 addr = addr_l[k]
                 dtlb_warm(addr)
                 dl1_warm(addr)
-                continue
             flags = fl_l[k]
             if flags & _FLAG_ANY_BRANCH:
                 branches += 1

@@ -8,79 +8,23 @@ sizes, latencies) become compile-time literals: the interpreter then
 runs straight-line unrolled code with no attribute lookups, no generic
 ``range`` scans over ways, and no validity branches.
 
-Generated functions are cached -- one per associativity for the LRU
-and BTB loops, one per configuration signature for the timing loop --
-so a parameter sweep compiles each shape once.
+Generated functions are cached -- one per associativity for the
+set-grouped LRU loop and the BTB loop, one per configuration signature
+for the timing loop -- so a parameter sweep compiles each shape once.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-_LRU_CACHE: Dict[int, Callable] = {}
+_LRU_GROUPED_CACHE: Dict[int, Callable] = {}
 _BTB_CACHE: Dict[int, Callable] = {}
 _TIMING_CACHE: Dict[Tuple, Callable] = {}
 
 
 # ---------------------------------------------------------------------------
-# LRU event loop
+# Set-grouped LRU loop
 # ---------------------------------------------------------------------------
-
-def _lru_source(assoc: int) -> str:
-    """Source of an unrolled LRU access loop for one associativity.
-
-    The generated function walks parallel ``bases``/``blocks`` event
-    lists against a flat ``tags`` list (``assoc`` consecutive slots per
-    set, MRU first) and returns the miss positions.  Hit counts are
-    derived by the caller as ``len(events) - len(misses)``, keeping
-    the hot loop free of bookkeeping; the same loop therefore serves
-    ``access`` and ``warm`` semantics unchanged.
-    """
-    lines: List[str] = [
-        "def lru_events(bases, blocks, tags):",
-        "    miss = []",
-        "    madd = miss.append",
-        "    i = 0",
-        "    for base, blk in zip(bases, blocks):",
-    ]
-    ind = "        "
-    if assoc == 1:
-        lines += [
-            ind + "if tags[base] != blk:",
-            ind + "    madd(i)",
-            ind + "    tags[base] = blk",
-        ]
-    else:
-        lines.append(ind + "t0 = tags[base]")
-        lines.append(ind + "if t0 != blk:")
-        ind += "    "
-        for way in range(1, assoc):
-            lines.append(ind + f"t{way} = tags[base + {way}]")
-            lines.append(ind + f"if t{way} == blk:")
-            for j in range(way, 0, -1):
-                lines.append(ind + f"    tags[base + {j}] = t{j - 1}")
-            lines.append(ind + "    tags[base] = blk")
-            lines.append(ind + "else:")
-            ind += "    "
-        lines.append(ind + "madd(i)")
-        for j in range(assoc - 1, 0, -1):
-            lines.append(ind + f"tags[base + {j}] = t{j - 1}")
-        lines.append(ind + "tags[base] = blk")
-    lines.append("        i += 1")
-    lines.append("    return miss")
-    return "\n".join(lines)
-
-
-def lru_events(assoc: int) -> Callable:
-    """The unrolled LRU event loop for ``assoc`` ways (cached)."""
-    fn = _LRU_CACHE.get(assoc)
-    if fn is None:
-        namespace: dict = {}
-        exec(_lru_source(assoc), namespace)
-        fn = namespace["lru_events"]
-        _LRU_CACHE[assoc] = fn
-    return fn
-
 
 def _lru_grouped_source(assoc: int) -> str:
     """Source of a set-grouped LRU loop holding one set's tags in locals.
@@ -134,9 +78,6 @@ def _lru_grouped_source(assoc: int) -> str:
         lines.append(f"        tags[cur + {way}] = t{way}" if way else "        tags[cur] = t0")
     lines.append("    return miss")
     return "\n".join(lines)
-
-
-_LRU_GROUPED_CACHE: Dict[int, Callable] = {}
 
 
 def lru_grouped(assoc: int) -> Callable:

@@ -10,7 +10,7 @@ reference interleaved loop:
 
 1. **Resolve**: build the event streams with NumPy (block-change
    masks, memory indices, branch kinds), then replay each structure's
-   events through an unrolled flat-list LRU loop.  Only the L2 is
+   events through a set-grouped, unrolled LRU loop.  Only the L2 is
    shared between il1 and dl1, so only its stream needs a global-order
    merge (il1 before dl1 within one instruction, matching the
    fetch-before-execute order of the reference loop).
@@ -18,8 +18,11 @@ reference interleaved loop:
    :mod:`repro.cpu.kernels.codegen` over the precomputed latencies,
    sparse stall events and sparse mispredict redirects.
 
-Functional warming is the resolve phase alone with warm semantics
-(state updates without cache/TLB statistics).
+:func:`resolve_structures` is the only code that trains the
+structures.  Detailed runs (:func:`resolve_region`) add the cache, TLB
+and memory statistics and the timing loop's event union on top of it;
+functional warming (:func:`run_warming`) is the same pass with those
+counters discarded.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.cpu.kernels.codegen import (
     btb_events,
     cond_combined_events,
     cond_counter_events,
-    lru_events,
     lru_grouped,
     ras_events,
     timing_loop_for,
@@ -136,16 +138,10 @@ def _cache_feed(trace, tag, start, end, blocks_fn, set_mask, assoc):
     )
 
 
-def _branch_feed(trace, tag, start, end, mem_mask):
-    """Memoized branch index sets for one region.
-
-    ``mem_mask`` selects the warming variant, whose control flow (as
-    in the reference loop) never treats a memory op as a branch.
-    """
+def _branch_feed(trace, start, end):
+    """Memoized branch index sets for one region."""
     def build():
         bk = trace.branch_kinds()[start:end]
-        if mem_mask is not None:
-            bk = np.where(mem_mask, 0, bk)
         cond_idx = np.flatnonzero(bk == BK_COND)
         t_cond = trace.taken_bits()[start:end][cond_idx]
         cr_idx = np.flatnonzero((bk == BK_CALL) | (bk == BK_RETURN))
@@ -162,7 +158,7 @@ def _branch_feed(trace, tag, start, end, mem_mask):
             unc_idx,
         )
 
-    return trace.region_memo((tag, start, end), build)
+    return trace.region_memo(("branch", start, end), build)
 
 
 def _correct_mask(wrong_l, count) -> np.ndarray:
@@ -201,7 +197,7 @@ def _btb_resolve(machine, n, pc_r, tg_r, cond_btb_idx, call_idx, unc_idx):
     return bcorrect_full
 
 
-def _resolve_predictor(trace, tag, start, end, predictor, pc_cond, t_cond):
+def _resolve_predictor(trace, start, end, predictor, pc_cond, t_cond):
     """Direction-predictor correctness per conditional branch.
 
     The global history register is trace-determined, so the gshare
@@ -243,7 +239,7 @@ def _resolve_predictor(trace, tag, start, end, predictor, pc_cond, t_cond):
         return taken_l, base_index.tolist(), gs_index.tolist(), int(history[count])
 
     taken_l, base_l, gs_l, h_final = trace.region_memo(
-        (tag, "pred", start, end, kind, mask, h0), build
+        ("pred", start, end, kind, mask, h0), build
     )
     if kind == PRED_BIMODAL:
         wrong_l = cond_counter_events(base_l, taken_l, predictor.bimodal)
@@ -263,43 +259,44 @@ class RegionResolution:
     """Latency-independent outcomes of one resolved region.
 
     Everything a config needs that is *not* a latency: sparse miss
-    index sets with per-miss L2-missness flags, the shared sparse
-    event union for the segmented timing loop, and the counter deltas.
-    One resolution serves any number of latency configs -- the
-    structures were advanced while producing it, and no field depends
-    on a latency parameter (the serial prefetch path is the one
-    exception; it bakes its single config's latencies into
+    index sets with per-miss L2-missness flags, the redirect positions,
+    the shared sparse event union for the segmented timing loop, and
+    the event counts.  One resolution serves any number of latency
+    configs -- the structures were advanced while producing it, and no
+    field depends on a latency parameter (the serial prefetch path is
+    the one exception; it bakes its single config's latencies into
     ``stall_cache``/``dl1_lat_ev`` and is never used for batches).
     """
 
     __slots__ = (
         "n", "n_mem", "n_loads", "n_branches", "n_redir", "n_trivial",
         "fetch_idx", "il1_miss", "il1_l2miss", "itlb_pos", "itlb_miss",
-        "is_load", "dl1_miss", "dl1_l2miss", "dtlb_miss",
+        "is_load", "dl1_miss", "dl1_l2miss", "dtlb_miss", "redir_pos",
         "stall_cache", "dl1_lat_ev", "stall_ev", "stall_slot",
         "ev_pos_l", "ev_redir", "last_fetch_block", "last_fetch_page",
     )
 
 
-def resolve_region(
+def resolve_structures(
     machine, trace, start, end,
     last_fetch_block: int, last_fetch_page: int,
-    count_trivial: bool = False,
+    warm: bool = False,
 ) -> RegionResolution:
-    """Advance the structures over ``trace[start:end)``; resolve events.
+    """Train every structure over ``trace[start:end)``; record outcomes.
 
-    This is phase 1 of the split: every structure (caches, TLBs,
-    predictor, BTB, RAS) is trained and its statistics updated, and the
-    returned :class:`RegionResolution` records which accesses missed --
-    but no latency is applied.  Because the model feeds no timing back
-    into the structures, the same resolution is valid for *every*
-    latency configuration sharing this geometry.
+    The one structure pass of this backend, shared by detailed runs
+    (:func:`resolve_region`) and functional warming
+    (:func:`run_warming`).  Caches, TLBs, predictor, BTB and RAS are
+    advanced and the returned resolution records which accesses missed
+    and which branches redirect fetch.  Only BTB statistics are
+    counted here (both modes count them); the cache, TLB and memory
+    counters are the detailed path's.  ``warm`` selects the caches'
+    state-only ``warm`` methods on the serial prefetch path, whose
+    latencies are then not captured.
     """
     il1 = machine.il1
     dl1 = machine.dl1
     l2 = machine.l2
-    itlb = machine.itlb
-    dtlb = machine.dtlb
     n = end - start
 
     res = RegionResolution()
@@ -309,9 +306,8 @@ def resolve_region(
 
     pc_r = trace.pc[start:end]
     addr_r = trace.addr[start:end]
-    mem_mask, mem_idx, is_load, n_loads = _mem_feed(trace, start, end)
-    n_mem = len(mem_idx)
-    res.n_mem = n_mem
+    _mem_mask, mem_idx, is_load, n_loads = _mem_feed(trace, start, end)
+    res.n_mem = len(mem_idx)
     res.n_loads = n_loads
     res.is_load = is_load
 
@@ -329,21 +325,22 @@ def resolve_region(
     if not first_in:
         fetch_idx = fetch_idx[1:]
     pgs = pg[fetch_idx]
-    pgc = _change_mask(pgs, last_fetch_page)
-    itlb_pos = np.flatnonzero(pgc)
+    itlb_pos = np.flatnonzero(_change_mask(pgs, last_fetch_page))
     res.fetch_idx = fetch_idx
     res.itlb_pos = itlb_pos
-    n_fetch = len(fetch_idx)
 
     # ---- caches
     if machine.enhancements.next_line_prefetch:
         res.il1_miss = res.il1_l2miss = None
         res.dl1_miss = res.dl1_l2miss = None
-        stall_cache, dl1_lat_ev = _resolve_caches_serial(
-            machine, pc_r, addr_r, fetch_idx, mem_idx
-        )
-        res.stall_cache = stall_cache
-        res.dl1_lat_ev = dl1_lat_ev
+        if warm:
+            _caches_serial(il1.warm, dl1.warm, pc_r, addr_r, fetch_idx, mem_idx)
+        else:
+            il1_lat, dl1_lat = _caches_serial(
+                il1.access, dl1.access, pc_r, addr_r, fetch_idx, mem_idx
+            )
+            res.stall_cache = _int64(il1_lat) - il1.hit_latency
+            res.dl1_lat_ev = _int64(dl1_lat)
     else:
         il1_feed = trace.region_memo(
             ("il1", start, end, il1.block_shift, il1.set_mask, il1.assoc, first_in),
@@ -381,56 +378,24 @@ def resolve_region(
         res.dl1_miss = dl1_miss
         res.dl1_l2miss = l2_missmask[inverse[n_il1_miss:]]
 
-        il1.stats[STAT_HITS] += n_fetch - n_il1_miss
-        il1.stats[STAT_MISSES] += n_il1_miss
-        dl1.stats[STAT_HITS] += n_mem - len(dl1_g)
-        dl1.stats[STAT_MISSES] += len(dl1_g)
-        l2.stats[STAT_HITS] += n_merge - len(l2_miss)
-        l2.stats[STAT_MISSES] += len(l2_miss)
-        l2.memory.stats[0] += len(l2_miss)
-
     # ---- TLBs (independent structures; no timing feedback)
-    itlb_miss = _structure_events(itlb, pgs[itlb_pos])
-    itlb.stats[STAT_HITS] += len(itlb_pos) - len(itlb_miss)
-    itlb.stats[STAT_MISSES] += len(itlb_miss)
+    res.itlb_miss = _structure_events(machine.itlb, pgs[itlb_pos])
     dtlb_feed = _cache_feed(
         trace, "dtlb", start, end,
         lambda: trace.data_pages()[start:end][mem_idx],
-        dtlb.set_mask, dtlb.assoc,
+        machine.dtlb.set_mask, machine.dtlb.assoc,
     )
-    dtlb_miss = _int64(_replay(dtlb, dtlb_feed))
-    dtlb.stats[STAT_HITS] += n_mem - len(dtlb_miss)
-    dtlb.stats[STAT_MISSES] += len(dtlb_miss)
-    res.itlb_miss = itlb_miss
-    res.dtlb_miss = dtlb_miss
-
-    # ---- fetch-stall event positions (il1 miss fill + ITLB walk).
-    # Every stall contribution is strictly positive (validated
-    # latencies), so the *set* of stalling fetch events is latency-
-    # independent: il1 misses unioned with ITLB walks.  The serial
-    # prefetch path has its single config's values in hand and scans
-    # them directly.
-    if res.stall_cache is not None:
-        if len(itlb_miss):
-            res.stall_cache[itlb_pos[itlb_miss]] += itlb.miss_latency
-        stall_ev = np.flatnonzero(res.stall_cache)
-    else:
-        stall_sel = np.zeros(n_fetch, dtype=bool)
-        stall_sel[res.il1_miss] = True
-        stall_sel[itlb_pos[itlb_miss]] = True
-        stall_ev = np.flatnonzero(stall_sel)
-    res.stall_ev = stall_ev
-    stall_pos = fetch_idx[stall_ev]
+    res.dtlb_miss = _int64(_replay(machine.dtlb, dtlb_feed))
 
     # ---- branches: direction predictor, RAS, BTB
     tg_r = trace.target[start:end]
     (
         n_branches, cond_idx, t_cond, pc_cond,
         cr_idx, cr_is_call, cr_push_l, unc_idx,
-    ) = _branch_feed(trace, "branch", start, end, None)
+    ) = _branch_feed(trace, start, end)
 
     pred_correct = _resolve_predictor(
-        trace, "branch", start, end, machine.predictor, pc_cond, t_cond
+        trace, start, end, machine.predictor, pc_cond, t_cond
     )
 
     ras = machine.ras
@@ -450,8 +415,89 @@ def resolve_region(
     )
     cond_correct = pred_correct.copy()
     cond_correct[taken_sel] = bcorrect_full[cond_btb_idx]
-    call_correct = bcorrect_full[call_idx]
-    unc_correct = bcorrect_full[unc_idx]
+
+    # Every instruction has one branch kind, so the four sets are
+    # disjoint and their union counts each redirect once.
+    res.redir_pos = np.concatenate([
+        cond_idx[~cond_correct],
+        call_idx[~bcorrect_full[call_idx]],
+        ret_idx[~ret_correct],
+        unc_idx[~bcorrect_full[unc_idx]],
+    ])
+    res.n_branches = n_branches
+    res.n_redir = len(res.redir_pos)
+    if len(fetch_idx):
+        res.last_fetch_block = int(fb[-1])
+        res.last_fetch_page = int(pgs[-1])
+    else:
+        res.last_fetch_block = None
+        res.last_fetch_page = None
+    return res
+
+
+def resolve_region(
+    machine, trace, start, end,
+    last_fetch_block: int, last_fetch_page: int,
+    count_trivial: bool = False,
+) -> RegionResolution:
+    """Advance the structures over ``trace[start:end)``; resolve events.
+
+    This is phase 1 of the split: the structure pass, then the cache,
+    TLB and memory statistics it implies, then the sparse event union
+    the timing loop walks -- but no latency is applied.  Because the
+    model feeds no timing back into the structures, the same
+    resolution is valid for *every* latency configuration sharing this
+    geometry.
+    """
+    res = resolve_structures(
+        machine, trace, start, end, last_fetch_block, last_fetch_page
+    )
+    n_mem = res.n_mem
+    fetch_idx = res.fetch_idx
+    n_fetch = len(fetch_idx)
+    itlb = machine.itlb
+    dtlb = machine.dtlb
+
+    # ---- statistics (the serial prefetch path counted its caches
+    # inside ``access``)
+    if res.il1_miss is not None:
+        il1_stats = machine.il1.stats
+        dl1_stats = machine.dl1.stats
+        l2 = machine.l2
+        n_il1_miss = len(res.il1_miss)
+        n_dl1_miss = len(res.dl1_miss)
+        n_l2_miss = int(res.il1_l2miss.sum() + res.dl1_l2miss.sum())
+        il1_stats[STAT_HITS] += n_fetch - n_il1_miss
+        il1_stats[STAT_MISSES] += n_il1_miss
+        dl1_stats[STAT_HITS] += n_mem - n_dl1_miss
+        dl1_stats[STAT_MISSES] += n_dl1_miss
+        l2.stats[STAT_HITS] += n_il1_miss + n_dl1_miss - n_l2_miss
+        l2.stats[STAT_MISSES] += n_l2_miss
+        l2.memory.stats[0] += n_l2_miss
+    itlb_pos = res.itlb_pos
+    itlb_miss = res.itlb_miss
+    itlb.stats[STAT_HITS] += len(itlb_pos) - len(itlb_miss)
+    itlb.stats[STAT_MISSES] += len(itlb_miss)
+    dtlb.stats[STAT_HITS] += n_mem - len(res.dtlb_miss)
+    dtlb.stats[STAT_MISSES] += len(res.dtlb_miss)
+
+    # ---- fetch-stall event positions (il1 miss fill + ITLB walk).
+    # Every stall contribution is strictly positive (validated
+    # latencies), so the *set* of stalling fetch events is latency-
+    # independent: il1 misses unioned with ITLB walks.  The serial
+    # prefetch path has its single config's values in hand and scans
+    # them directly.
+    if res.stall_cache is not None:
+        if len(itlb_miss):
+            res.stall_cache[itlb_pos[itlb_miss]] += itlb.miss_latency
+        stall_ev = np.flatnonzero(res.stall_cache)
+    else:
+        stall_sel = np.zeros(n_fetch, dtype=bool)
+        stall_sel[res.il1_miss] = True
+        stall_sel[itlb_pos[itlb_miss]] = True
+        stall_ev = np.flatnonzero(stall_sel)
+    res.stall_ev = stall_ev
+    stall_pos = fetch_idx[stall_ev]
 
     # ---- merged sparse events for the segmented timing loop: one
     # entry per instruction that stalls fetch and/or redirects it.
@@ -461,14 +507,10 @@ def resolve_region(
     # union is shared by every config; only the stall *values* are
     # per-config, so ``stall_slot`` records where the stall events
     # land inside the union for the assembly scatter.
-    redir_full = np.zeros(n, dtype=np.int64)
-    redir_full[cond_idx[~cond_correct]] = 1
-    redir_full[call_idx[~call_correct]] = 1
-    redir_full[ret_idx[~ret_correct]] = 1
-    redir_full[unc_idx[~unc_correct]] = 1
-    n_redir = int(np.count_nonzero(redir_full))
-    if len(stall_pos) or n_redir:
-        stall_flag = np.zeros(n, dtype=np.int64)
+    if len(stall_pos) or res.n_redir:
+        redir_full = np.zeros(res.n, dtype=np.int64)
+        redir_full[res.redir_pos] = 1
+        stall_flag = np.zeros(res.n, dtype=np.int64)
         stall_flag[stall_pos] = 1
         ev_pos = np.flatnonzero(stall_flag | redir_full)
         res.ev_pos_l = ev_pos.tolist()
@@ -479,19 +521,11 @@ def resolve_region(
         res.ev_redir = []
         res.stall_slot = np.empty(0, dtype=np.int64)
 
-    # ---- counter deltas
-    res.n_branches = n_branches
-    res.n_redir = n_redir
     res.n_trivial = 0
     if count_trivial:
+        mem_mask = _mem_feed(trace, start, end)[0]
         tv = trace.trivial_bits()[start:end]
         res.n_trivial = int(np.count_nonzero((tv != 0) & ~mem_mask))
-    if n_fetch:
-        res.last_fetch_block = int(fb[-1])
-        res.last_fetch_page = int(pgs[-1])
-    else:
-        res.last_fetch_block = None
-        res.last_fetch_page = None
     return res
 
 
@@ -546,9 +580,7 @@ def assemble_timing_tables(res: RegionResolution, lat: LatencyTable):
     latency application runs as one 2-D operation over the latency
     table's leading ``n_configs`` axis.  Returns ``(ml, drain,
     ev_stall)`` matrices whose row ``i`` is bit-identical to config
-    ``i``'s single-config feed; the data-parallel batch kernel consumes
-    the matrices directly, the sequential loop peels rows off via
-    :func:`assemble_timing_feeds`.
+    ``i``'s single-config feed.
     """
     k = lat.n_configs
     n_mem = res.n_mem
@@ -575,16 +607,6 @@ def assemble_timing_tables(res: RegionResolution, lat: LatencyTable):
     else:
         ev_stall = np.zeros((k, 0), dtype=np.int64)
     return ml, drain, ev_stall
-
-
-def assemble_timing_feeds(res: RegionResolution, lat: LatencyTable):
-    """All configs' timing feeds as per-config lists.
-
-    Row ``i`` is bit-identical to what :func:`assemble_timing_feed`
-    produces for config ``i`` alone.
-    """
-    ml, drain, ev_stall = assemble_timing_tables(res, lat)
-    return ml.tolist(), drain.tolist(), ev_stall.tolist()
 
 
 def _run_timing_phase(
@@ -685,7 +707,7 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
         count_trivial=any(e.trivial_computation for _, e in batch),
     )
     lat = LatencyTable([config for config, _ in batch])
-    ml_rows, drain_rows, ev_stall_rows = assemble_timing_feeds(res, lat)
+    ml, drain, ev_stall_table = assemble_timing_tables(res, lat)
     # Compile every member's loop up front (deduplicated): a codegen
     # failure then surfaces before any per-config state has advanced,
     # leaving the whole batch cleanly retryable.
@@ -695,7 +717,8 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
         configs=len(batch),
     ):
         for (config, enhancements), state, ml_l, drain_l, ev_stall, run_timing in zip(
-            batch, states, ml_rows, drain_rows, ev_stall_rows, loops
+            batch, states, ml.tolist(), drain.tolist(), ev_stall_table.tolist(),
+            loops,
         ):
             _run_timing_phase(
                 config, trace, start, end, enhancements.trivial_computation,
@@ -703,176 +726,60 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
             )
 
 
-def _resolve_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx):
-    """Reference-order cache resolution (next-line prefetch enabled).
+def _caches_serial(il1_fn, dl1_fn, pc_r, addr_r, fetch_idx, mem_idx):
+    """Reference-order cache walk (next-line prefetch enabled).
 
     Prefetching couples the dl1 with the L2 outside the per-structure
     event streams (a dl1 miss also warms ``block + 1`` through the
     shared L2), so the per-structure replay is no longer valid; fall
     back to walking the merged fetch/memory event stream through the
-    structures' per-access methods.  Still much faster than the
-    reference loop: only events are visited, not every instruction.
+    per-access callables (``access`` for detailed runs, ``warm`` for
+    warming).  Returns their per-event return values.  Still much
+    faster than the reference loop: only events are visited, not
+    every instruction.
     """
-    il1 = machine.il1
-    dl1 = machine.dl1
-    il1_hit_latency = il1.hit_latency
-    il1_access = il1.access
-    dl1_access = dl1.access
     f_l = fetch_idx.tolist()
     m_l = mem_idx.tolist()
     pc_ev = pc_r[fetch_idx].tolist()
     addr_ev = addr_r[mem_idx].tolist()
     nf = len(f_l)
     nm = len(m_l)
-    stall_cache = [0] * nf
-    dl1_lat = [0] * nm
+    il1_out = [0] * nf
+    dl1_out = [0] * nm
     fpos = 0
     mpos = 0
     next_f = f_l[0] if nf else _INF
     next_m = m_l[0] if nm else _INF
     while fpos < nf or mpos < nm:
         if next_f <= next_m:  # fetch precedes execute at the same index
-            stall_cache[fpos] = il1_access(pc_ev[fpos]) - il1_hit_latency
+            il1_out[fpos] = il1_fn(pc_ev[fpos])
             fpos += 1
             next_f = f_l[fpos] if fpos < nf else _INF
         else:
-            dl1_lat[mpos] = dl1_access(addr_ev[mpos])
+            dl1_out[mpos] = dl1_fn(addr_ev[mpos])
             mpos += 1
             next_m = m_l[mpos] if mpos < nm else _INF
-    return _int64(stall_cache), _int64(dl1_lat)
-
-
-def _warm_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx) -> None:
-    """Reference-order cache warming (next-line prefetch enabled)."""
-    il1_warm = machine.il1.warm
-    dl1_warm = machine.dl1.warm
-    f_l = fetch_idx.tolist()
-    m_l = mem_idx.tolist()
-    pc_ev = pc_r[fetch_idx].tolist()
-    addr_ev = addr_r[mem_idx].tolist()
-    nf = len(f_l)
-    nm = len(m_l)
-    fpos = 0
-    mpos = 0
-    next_f = f_l[0] if nf else _INF
-    next_m = m_l[0] if nm else _INF
-    while fpos < nf or mpos < nm:
-        if next_f <= next_m:
-            il1_warm(pc_ev[fpos])
-            fpos += 1
-            next_f = f_l[fpos] if fpos < nf else _INF
-        else:
-            dl1_warm(addr_ev[mpos])
-            mpos += 1
-            next_m = m_l[mpos] if mpos < nm else _INF
+    return il1_out, dl1_out
 
 
 def run_warming(machine, trace, start, end):
     """Vectorized functional warming over ``trace[start:end)``.
 
-    The resolve phase with warm semantics: structures are trained on
-    the same event streams, cache/TLB statistics stay untouched, BTB
-    statistics and the WarmingStats counters are recorded exactly as
-    the reference loop does.
+    The structure pass with its counters discarded: it starts from the
+    reference loop's per-call "no previous block" state and leaves the
+    cache, TLB and memory statistics untouched (BTB statistics are
+    counted, as in the reference loop).
     """
     from repro.cpu.functional import WarmingStats
 
-    il1 = machine.il1
-    dl1 = machine.dl1
-    l2 = machine.l2
     n = end - start
     if n <= 0:
         return WarmingStats(instructions=max(0, n))
-
-    pc_r = trace.pc[start:end]
-    addr_r = trace.addr[start:end]
-    mem_mask, mem_idx, is_load, n_loads = _mem_feed(trace, start, end)
-
-    # Warming always starts from a local "no previous block" state,
-    # mirroring the reference loop's per-call locals.
-    fb = trace.fetch_blocks(il1.block_shift)[start:end]
-    pg = trace.pages()[start:end]
-    fetch_idx = trace.region_memo(
-        ("fetch", start, end, il1.block_shift),
-        lambda: np.flatnonzero(_change_mask(fb, -1)),
-    )
-    pgs = pg[fetch_idx]
-    pgc = _change_mask(pgs, -1)
-    itlb_pos = np.flatnonzero(pgc)
-
-    if machine.enhancements.next_line_prefetch:
-        _warm_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx)
-    else:
-        il1_feed = trace.region_memo(
-            ("il1", start, end, il1.block_shift, il1.set_mask, il1.assoc, True),
-            lambda: _dedup_filter(fb[fetch_idx], il1.set_mask, il1.assoc),
-        )
-        il1_miss = _int64(_replay(il1, il1_feed))
-        dl1_feed = _cache_feed(
-            trace, "dl1", start, end,
-            lambda: trace.data_blocks(dl1.block_shift)[start:end][mem_idx],
-            dl1.set_mask, dl1.assoc,
-        )
-        dl1_miss = _int64(_replay(dl1, dl1_feed))
-
-        il1_g = fetch_idx[il1_miss]
-        dl1_g = mem_idx[dl1_miss]
-        merge_keys = np.concatenate([il1_g * 2, dl1_g * 2 + 1])
-        order = np.argsort(merge_keys)
-        l2_blocks = (
-            np.concatenate([pc_r[il1_g], addr_r[dl1_g]]) >> l2.block_shift
-        )[order]
-        _structure_events(l2, l2_blocks)
-
-    # TLB warming trains state without statistics.
-    _structure_events(machine.itlb, pgs[itlb_pos])
-    dtlb_feed = _cache_feed(
-        trace, "dtlb", start, end,
-        lambda: trace.data_pages()[start:end][mem_idx],
-        machine.dtlb.set_mask, machine.dtlb.assoc,
-    )
-    _replay(machine.dtlb, dtlb_feed)
-
-    # Branches: warming skips memory ops entirely (they cannot carry
-    # branch work in the reference loop's control flow).
-    tg_r = trace.target[start:end]
-    (
-        n_branches, cond_idx, t_cond, pc_cond,
-        cr_idx, cr_is_call, cr_push_l, unc_idx,
-    ) = _branch_feed(trace, "branchw", start, end, mem_mask)
-
-    pred_correct = _resolve_predictor(
-        trace, "branchw", start, end, machine.predictor, pc_cond, t_cond
-    )
-
-    ras = machine.ras
-    depth, overflow_delta, ret_correct_l = ras_events(
-        cr_push_l, int(ras.state[0]), ras.entries
-    )
-    ras.state[0] = depth
-    ras.state[1] += overflow_delta
-    call_idx = cr_idx[cr_is_call]
-    ret_correct = _int64(ret_correct_l) != 0
-
-    taken_sel = pred_correct & (t_cond != 0)
-    cond_btb_idx = cond_idx[taken_sel]
-    bcorrect_full = _btb_resolve(
-        machine, n, pc_r, tg_r, cond_btb_idx, call_idx, unc_idx
-    )
-    cond_correct = pred_correct.copy()
-    cond_correct[taken_sel] = bcorrect_full[cond_btb_idx]
-
-    mispredictions = (
-        int(np.count_nonzero(~cond_correct))
-        + int(np.count_nonzero(~bcorrect_full[call_idx]))
-        + int(np.count_nonzero(~ret_correct))
-        + int(np.count_nonzero(~bcorrect_full[unc_idx]))
-    )
-    n_mem = len(mem_idx)
+    res = resolve_structures(machine, trace, start, end, -1, -1, warm=True)
     return WarmingStats(
         instructions=n,
-        branches=n_branches,
-        mispredictions=mispredictions,
-        loads=n_loads,
-        stores=n_mem - n_loads,
+        branches=res.n_branches,
+        mispredictions=res.n_redir,
+        loads=res.n_loads,
+        stores=res.n_mem - res.n_loads,
     )

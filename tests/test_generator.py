@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.instructions import OpClass
 from repro.isa.trace import (
@@ -13,8 +15,13 @@ from repro.isa.trace import (
     FLAG_TRIVIAL,
 )
 from repro.workloads.generator import generate_trace
+from repro.workloads.spec import (
+    BENCHMARK_NAMES,
+    available_input_sets,
+    get_workload,
+)
 
-from tests.conftest import make_micro_program
+from tests.conftest import TEST_SCALE, make_micro_program
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +110,26 @@ class TestBranchSemantics:
         assert (trace.op[cond] == int(OpClass.BRANCH)).all()
         calls = (trace.flags & FLAG_CALL) != 0
         assert (trace.op[calls] == int(OpClass.CALL)).all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        benchmark=st.sampled_from(BENCHMARK_NAMES),
+        input_index=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_no_memory_op_carries_a_branch_flag(
+        self, benchmark, input_index, seed
+    ):
+        # Warming and detailed runs agree on memory ops that carry a
+        # branch flag; no benchmark trace has one, so that choice
+        # cannot move a stored result.
+        inputs = available_input_sets(benchmark)
+        workload = get_workload(
+            benchmark, inputs[input_index % len(inputs)], seed=seed
+        )
+        trace = workload.trace(TEST_SCALE)
+        mem = (trace.op == int(OpClass.LOAD)) | (trace.op == int(OpClass.STORE))
+        assert not (trace.flags[mem] & FLAG_ANY_BRANCH).any()
 
 
 class TestMemorySemantics:
