@@ -19,15 +19,17 @@ reference interleaved loop:
    sparse stall events and sparse mispredict redirects.
 
 Because no resolved outcome depends on a latency, one resolution
-serves every latency config of a geometry: :func:`advance_detailed_batch`
-is the one detailed entry point, and a single config is its one-member
-batch.
+serves every latency config of a geometry, and because no outcome
+depends on timing state, one resolution serves a whole plan of
+warming gaps and detailed calls: :func:`detail_regions` is the one
+detailed entry point.  A single config is its one-member batch and a
+single detailed call its one-call plan.
 
 :func:`resolve_structures` is the only code that trains the
-structures.  Detailed runs (:func:`resolve_region`) add the cache, TLB
-and memory statistics and the timing loop's event union on top of it;
-functional warming (:func:`run_warming`) is the same pass with those
-counters discarded.
+structures.  Detailed passes (:func:`resolve_region`) add the cache,
+TLB and memory statistics of their calls and the timing loop's event
+union on top of it; functional warming (:func:`run_warming`) is the
+same pass with those counters discarded.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.cpu.kernels.codegen import (
     timing_loop_for,
 )
 from repro.cpu.kernels.state import LatencyTable
+from repro.cpu.stats import SimulationStats
 from repro.isa.trace import BK_CALL, BK_COND, BK_RETURN, BK_UNCOND
 from repro.obs import phases as obs_phases
 
@@ -124,28 +127,19 @@ def _structure_events(structure, blocks: np.ndarray) -> np.ndarray:
     return _int64(miss)
 
 
-def _mem_feed(trace, start, end):
-    """Memoized memory-op index artifacts for one region."""
+def _mem_feed(trace, start, end, memo):
+    """Memory-op index artifacts for one region."""
     def build():
         op_r = trace.op[start:end]
-        mem_mask = (op_r == 6) | (op_r == 7)
-        mem_idx = np.flatnonzero(mem_mask)
+        mem_idx = np.flatnonzero((op_r == 6) | (op_r == 7))
         is_load = op_r[mem_idx] == 6
-        return mem_mask, mem_idx, is_load, int(np.count_nonzero(is_load))
+        return mem_idx, is_load, int(np.count_nonzero(is_load))
 
-    return trace.region_memo(("mem", start, end), build)
-
-
-def _cache_feed(trace, tag, start, end, blocks_fn, set_mask, assoc):
-    """Memoized dedup feed for one structure stream over one region."""
-    return trace.region_memo(
-        (tag, start, end, set_mask, assoc),
-        lambda: _dedup_filter(blocks_fn(), set_mask, assoc),
-    )
+    return memo(("mem", start, end), build)
 
 
-def _branch_feed(trace, start, end):
-    """Memoized branch index sets for one region."""
+def _branch_feed(trace, start, end, memo):
+    """Branch index sets for one region."""
     def build():
         bk = trace.branch_kinds()[start:end]
         cond_idx = np.flatnonzero(bk == BK_COND)
@@ -164,7 +158,7 @@ def _branch_feed(trace, start, end):
             unc_idx,
         )
 
-    return trace.region_memo(("branch", start, end), build)
+    return memo(("branch", start, end), build)
 
 
 def _correct_mask(wrong_l, count) -> np.ndarray:
@@ -203,14 +197,14 @@ def _btb_resolve(machine, n, pc_r, tg_r, cond_btb_idx, call_idx, unc_idx):
     return bcorrect_full
 
 
-def _resolve_predictor(trace, start, end, predictor, pc_cond, t_cond):
+def _resolve_predictor(start, end, predictor, pc_cond, t_cond, memo):
     """Direction-predictor correctness per conditional branch.
 
     The global history register is trace-determined, so the gshare
     index of every event is precomputed vectorized: history before
     event ``j`` is the previous ``W`` taken bits (plus the incoming
     register shifted in for the first ``W`` events).  The whole index
-    feed is pure given the entry history, so it is memoized per
+    feed is pure given the entry history, so ``memo`` may keep it per
     region; only the counter-table replay runs per call.
     """
     kind = predictor.kind
@@ -244,7 +238,7 @@ def _resolve_predictor(trace, start, end, predictor, pc_cond, t_cond):
         gs_index = (base_index ^ history[:count]) & mask
         return taken_l, base_index.tolist(), gs_index.tolist(), int(history[count])
 
-    taken_l, base_l, gs_l, h_final = trace.region_memo(
+    taken_l, base_l, gs_l, h_final = memo(
         ("pred", start, end, kind, mask, h0), build
     )
     if kind == PRED_BIMODAL:
@@ -262,33 +256,36 @@ def _resolve_predictor(trace, start, end, predictor, pc_cond, t_cond):
 
 
 class RegionResolution:
-    """Latency-independent outcomes of one resolved region.
+    """Latency-independent outcomes of one resolved pass.
 
     Everything a config needs that is *not* a latency: sparse miss
     index sets with per-miss L2-missness flags, the redirect positions,
     the shared sparse event union for the segmented timing loop, and
-    the event counts.  One resolution serves any number of latency
-    configs -- the structures were advanced while producing it, and no
-    field depends on a latency parameter.
+    the per-segment event counts.  Positions are relative to the pass
+    start.  One resolution serves any number of latency configs -- the
+    structures were advanced while producing it, and no field depends
+    on a latency parameter.
     """
 
     __slots__ = (
-        "n", "n_mem", "n_loads", "n_branches", "n_redir", "n_trivial",
+        "n", "n_mem", "n_loads", "n_branches", "n_redir",
         "fetch_idx", "il1_miss", "il1_l2miss", "itlb_pos", "itlb_miss",
-        "is_load", "dl1_miss", "dl1_l2miss", "dtlb_miss", "redir_pos",
-        "stall_ev", "stall_slot", "ev_pos_l", "ev_redir",
-        "last_fetch_block", "last_fetch_page",
+        "mem_idx", "is_load", "dl1_miss", "dl1_l2miss", "dtlb_miss",
+        "redir_pos", "stall_ev", "stall_slot", "ev_pos", "ev_redir",
+        "counts",
     )
 
 
+def _unmemoized(_key, build):
+    return build()
+
+
 def resolve_structures(
-    machine, trace, start, end,
-    last_fetch_block: int, last_fetch_page: int,
-    warm: bool = False,
+    machine, trace, start, end, resets=None, warm: bool = False,
 ) -> RegionResolution:
     """Train every structure over ``trace[start:end)``; record outcomes.
 
-    The one structure pass of this backend, shared by detailed runs
+    The one structure pass of this backend, shared by detailed passes
     (:func:`resolve_region`) and functional warming
     (:func:`run_warming`).  Caches, TLBs, predictor, BTB and RAS are
     advanced and the returned resolution records which accesses missed
@@ -297,37 +294,49 @@ def resolve_structures(
     counters are the detailed path's.  ``warm`` selects the caches'
     state-only ``warm`` methods on the serial prefetch path, which then
     records no cache miss sets.
+
+    Fetch starts with no previous block or page, as every warming and
+    detailed call of the reference loops does; ``resets`` (an int64
+    array of positions relative to ``start``) lists where it forgets
+    them again, one per later call of a plan.  A region without resets
+    memoizes its pure feeds per region.  A pass with resets builds them
+    afresh: its feeds span most of the trace, and keeping them per plan
+    and geometry would hold tens of MB per process.
     """
     il1 = machine.il1
     dl1 = machine.dl1
     l2 = machine.l2
     n = end - start
+    memo = trace.region_memo if resets is None else _unmemoized
 
     res = RegionResolution()
     res.n = n
 
     pc_r = trace.pc[start:end]
     addr_r = trace.addr[start:end]
-    _mem_mask, mem_idx, is_load, n_loads = _mem_feed(trace, start, end)
+    mem_idx, is_load, n_loads = _mem_feed(trace, start, end, memo)
     res.n_mem = len(mem_idx)
     res.n_loads = n_loads
+    res.mem_idx = mem_idx
     res.is_load = is_load
 
-    # ---- fetch events (I-cache block changes; page changes within them)
+    # ---- fetch events (I-cache block changes and resets; page changes
+    # within them)
     fb = trace.fetch_blocks(il1.block_shift)[start:end]
-    pg = trace.pages()[start:end]
-    fetch_idx = trace.region_memo(
-        ("fetch", start, end, il1.block_shift),
-        lambda: np.flatnonzero(_change_mask(fb, -1)),
-    )
-    # The memoized index set assumes the first instruction starts a new
-    # fetch block (always true from reset); on a warm machine whose
-    # last block matches, drop that leading event.
-    first_in = int(fb[0]) != last_fetch_block
-    if not first_in:
-        fetch_idx = fetch_idx[1:]
-    pgs = pg[fetch_idx]
-    itlb_pos = np.flatnonzero(_change_mask(pgs, last_fetch_page))
+
+    def fetch_events():
+        mask = _change_mask(fb, -1)
+        if resets is not None:
+            mask[resets] = True
+        return np.flatnonzero(mask)
+
+    fetch_idx = memo(("fetch", start, end, il1.block_shift), fetch_events)
+    pgs = trace.pages()[start:end][fetch_idx]
+    page_mask = _change_mask(pgs, -1)
+    if resets is not None:
+        # Every reset position is a fetch event; this finds its slot.
+        page_mask[np.searchsorted(fetch_idx, resets)] = True
+    itlb_pos = np.flatnonzero(page_mask)
     res.fetch_idx = fetch_idx
     res.itlb_pos = itlb_pos
 
@@ -355,15 +364,17 @@ def resolve_structures(
                 dl1_lat[res.dl1_miss] > dl1.hit_latency + l2.hit_latency
             )
     else:
-        il1_feed = trace.region_memo(
-            ("il1", start, end, il1.block_shift, il1.set_mask, il1.assoc, first_in),
+        il1_feed = memo(
+            ("il1", start, end, il1.block_shift, il1.set_mask, il1.assoc),
             lambda: _dedup_filter(fb[fetch_idx], il1.set_mask, il1.assoc),
         )
         il1_miss = _int64(_replay(il1, il1_feed))
-        dl1_feed = _cache_feed(
-            trace, "dl1", start, end,
-            lambda: trace.data_blocks(dl1.block_shift)[start:end][mem_idx],
-            dl1.set_mask, dl1.assoc,
+        dl1_feed = memo(
+            ("dl1", start, end, dl1.block_shift, dl1.set_mask, dl1.assoc),
+            lambda: _dedup_filter(
+                trace.data_blocks(dl1.block_shift)[start:end][mem_idx],
+                dl1.set_mask, dl1.assoc,
+            ),
         )
         dl1_miss = _int64(_replay(dl1, dl1_feed))
 
@@ -393,22 +404,24 @@ def resolve_structures(
 
     # ---- TLBs (independent structures; no timing feedback)
     res.itlb_miss = _structure_events(machine.itlb, pgs[itlb_pos])
-    dtlb_feed = _cache_feed(
-        trace, "dtlb", start, end,
-        lambda: trace.data_pages()[start:end][mem_idx],
-        machine.dtlb.set_mask, machine.dtlb.assoc,
+    dtlb = machine.dtlb
+    dtlb_feed = memo(
+        ("dtlb", start, end, dtlb.set_mask, dtlb.assoc),
+        lambda: _dedup_filter(
+            trace.data_pages()[start:end][mem_idx], dtlb.set_mask, dtlb.assoc
+        ),
     )
-    res.dtlb_miss = _int64(_replay(machine.dtlb, dtlb_feed))
+    res.dtlb_miss = _int64(_replay(dtlb, dtlb_feed))
 
     # ---- branches: direction predictor, RAS, BTB
     tg_r = trace.target[start:end]
     (
         n_branches, cond_idx, t_cond, pc_cond,
         cr_idx, cr_is_call, cr_push_l, unc_idx,
-    ) = _branch_feed(trace, start, end)
+    ) = _branch_feed(trace, start, end, memo)
 
     pred_correct = _resolve_predictor(
-        trace, start, end, machine.predictor, pc_cond, t_cond
+        start, end, machine.predictor, pc_cond, t_cond, memo
     )
 
     ras = machine.ras
@@ -431,76 +444,114 @@ def resolve_structures(
 
     # Every instruction has one branch kind, so the four sets are
     # disjoint and their union counts each redirect once.
-    res.redir_pos = np.concatenate([
+    res.redir_pos = np.sort(np.concatenate([
         cond_idx[~cond_correct],
         call_idx[~bcorrect_full[call_idx]],
         ret_idx[~ret_correct],
         unc_idx[~bcorrect_full[unc_idx]],
-    ])
+    ]))
     res.n_branches = n_branches
     res.n_redir = len(res.redir_pos)
-    if len(fetch_idx):
-        res.last_fetch_block = int(fb[-1])
-        res.last_fetch_page = int(pgs[-1])
-    else:
-        res.last_fetch_block = None
-        res.last_fetch_page = None
     return res
 
 
-def resolve_region(
-    machine, trace, start, end,
-    last_fetch_block: int, last_fetch_page: int,
-    count_trivial: bool = False,
-) -> RegionResolution:
-    """Advance the structures over ``trace[start:end)``; resolve events.
+#: Phase-ledger names of a plan's segments: a gap warms; a call warms
+#: up in detail (W), then measures (U).
+_GAP, _WARM, _MEASURE = "warming", "warm_detailed", "detailed"
 
-    This is phase 1 of the split: the structure pass, then the cache,
-    TLB and memory statistics it implies, then the sparse event union
-    the timing loop walks -- but no latency is applied.  Because the
-    model feeds no timing back into the structures, the same
-    resolution is valid for *every* latency configuration sharing this
+
+def _segments(plan):
+    """A plan's segment edges (trace positions) and kinds."""
+    edges = [plan[0][0]]
+    kinds = []
+    for item in plan:
+        edges.extend(item[1:])
+        kinds.extend((_GAP,) if len(item) == 2 else (_WARM, _MEASURE))
+    return edges, kinds
+
+
+def _charge(structure, accesses: int, misses: int) -> None:
+    structure.stats[STAT_HITS] += accesses - misses
+    structure.stats[STAT_MISSES] += misses
+
+
+def resolve_region(machine, trace, plan, count_trivial: bool = False):
+    """Phase 1 for a plan: one structure pass, its counters and events.
+
+    ``plan`` is a contiguous list of functional-warming gaps
+    ``(start, end)`` and detailed calls ``(start, measure_from, end)``.
+    The structure pass covers all of it, resetting fetch at each
+    item's start as the per-call loop does.  The cache, TLB and memory
+    statistics are then charged for the calls' positions only (warming
+    counts none of them), ``counts`` records every per-segment event
+    count the gap and call statistics need, and the sparse event union
+    for the timing loop is built -- but no latency is applied, so the
+    resolution is valid for every latency configuration sharing this
     geometry.
     """
-    res = resolve_structures(
-        machine, trace, start, end, last_fetch_block, last_fetch_page
-    )
-    n_mem = res.n_mem
+    start, end = plan[0][0], plan[-1][-1]
+    resets = None
+    if len(plan) > 1:
+        resets = _int64([item[0] - start for item in plan[1:] if item[0] < end])
+    res = resolve_structures(machine, trace, start, end, resets)
     fetch_idx = res.fetch_idx
-    n_fetch = len(fetch_idx)
-    itlb = machine.itlb
-    dtlb = machine.dtlb
+    mem_idx = res.mem_idx
 
-    # ---- statistics (the serial prefetch walk counted its caches
-    # inside ``access``)
+    # ---- per-segment event counts, from sorted position sets (named
+    # after the ``SimulationStats`` fields they fill)
+    il1_miss_pos = fetch_idx[res.il1_miss]
+    dl1_miss_pos = mem_idx[res.dl1_miss]
+    positions = {
+        "branches": np.flatnonzero(trace.branch_kinds()[start:end]),
+        "mispredictions": res.redir_pos,
+        "loads": mem_idx[res.is_load],
+        "il1_accesses": fetch_idx,
+        "il1_misses": np.sort(il1_miss_pos),
+        "dl1_accesses": mem_idx,
+        "dl1_misses": np.sort(dl1_miss_pos),
+        "l2_misses": np.sort(np.concatenate([
+            il1_miss_pos[res.il1_l2miss], dl1_miss_pos[res.dl1_l2miss],
+        ])),
+        "itlb_accesses": fetch_idx[res.itlb_pos],
+        "itlb_misses": fetch_idx[res.itlb_pos[np.sort(res.itlb_miss)]],
+        "dtlb_misses": mem_idx[np.sort(res.dtlb_miss)],
+    }
+    if count_trivial:
+        op_r = trace.op[start:end]
+        positions["trivial_simplified"] = np.flatnonzero(
+            (trace.trivial_bits()[start:end] != 0) & (op_r != 6) & (op_r != 7)
+        )
+    edges, kinds = _segments(plan)
+    rel = _int64(edges) - start
+    res.counts = {
+        name: np.diff(np.searchsorted(pos, rel)).tolist()
+        for name, pos in positions.items()
+    }
+
+    # ---- statistics for the calls' positions (the serial prefetch walk
+    # counted its caches inside ``access``; its plans have no gaps)
+    charged = {
+        name: sum(c for c, kind in zip(counts, kinds) if kind != _GAP)
+        for name, counts in res.counts.items()
+    }
     if not machine.enhancements.next_line_prefetch:
-        il1_stats = machine.il1.stats
-        dl1_stats = machine.dl1.stats
-        l2 = machine.l2
-        n_il1_miss = len(res.il1_miss)
-        n_dl1_miss = len(res.dl1_miss)
-        n_l2_miss = int(res.il1_l2miss.sum() + res.dl1_l2miss.sum())
-        il1_stats[STAT_HITS] += n_fetch - n_il1_miss
-        il1_stats[STAT_MISSES] += n_il1_miss
-        dl1_stats[STAT_HITS] += n_mem - n_dl1_miss
-        dl1_stats[STAT_MISSES] += n_dl1_miss
-        l2.stats[STAT_HITS] += n_il1_miss + n_dl1_miss - n_l2_miss
-        l2.stats[STAT_MISSES] += n_l2_miss
-        l2.memory.stats[0] += n_l2_miss
-    itlb_pos = res.itlb_pos
-    itlb_miss = res.itlb_miss
-    itlb.stats[STAT_HITS] += len(itlb_pos) - len(itlb_miss)
-    itlb.stats[STAT_MISSES] += len(itlb_miss)
-    dtlb.stats[STAT_HITS] += n_mem - len(res.dtlb_miss)
-    dtlb.stats[STAT_MISSES] += len(res.dtlb_miss)
+        _charge(machine.il1, charged["il1_accesses"], charged["il1_misses"])
+        _charge(machine.dl1, charged["dl1_accesses"], charged["dl1_misses"])
+        _charge(
+            machine.l2, charged["il1_misses"] + charged["dl1_misses"],
+            charged["l2_misses"],
+        )
+        machine.memory.stats[0] += charged["l2_misses"]
+    _charge(machine.itlb, charged["itlb_accesses"], charged["itlb_misses"])
+    _charge(machine.dtlb, charged["dl1_accesses"], charged["dtlb_misses"])
 
     # ---- fetch-stall event positions (il1 miss fill + ITLB walk).
     # Every stall contribution is strictly positive (validated
     # latencies), so the *set* of stalling fetch events is latency-
     # independent: il1 misses unioned with ITLB walks.
-    stall_sel = np.zeros(n_fetch, dtype=bool)
+    stall_sel = np.zeros(len(fetch_idx), dtype=bool)
     stall_sel[res.il1_miss] = True
-    stall_sel[itlb_pos[itlb_miss]] = True
+    stall_sel[res.itlb_pos[res.itlb_miss]] = True
     stall_ev = np.flatnonzero(stall_sel)
     res.stall_ev = stall_ev
     stall_pos = fetch_idx[stall_ev]
@@ -513,25 +564,13 @@ def resolve_region(
     # union is shared by every config; only the stall *values* are
     # per-config, so ``stall_slot`` records where the stall events
     # land inside the union for the assembly scatter.
-    if len(stall_pos) or res.n_redir:
-        redir_full = np.zeros(res.n, dtype=np.int64)
-        redir_full[res.redir_pos] = 1
-        stall_flag = np.zeros(res.n, dtype=np.int64)
-        stall_flag[stall_pos] = 1
-        ev_pos = np.flatnonzero(stall_flag | redir_full)
-        res.ev_pos_l = ev_pos.tolist()
-        res.ev_redir = redir_full[ev_pos].tolist()
-        res.stall_slot = np.searchsorted(ev_pos, stall_pos)
-    else:
-        res.ev_pos_l = []
-        res.ev_redir = []
-        res.stall_slot = np.empty(0, dtype=np.int64)
-
-    res.n_trivial = 0
-    if count_trivial:
-        mem_mask = _mem_feed(trace, start, end)[0]
-        tv = trace.trivial_bits()[start:end]
-        res.n_trivial = int(np.count_nonzero((tv != 0) & ~mem_mask))
+    redir_full = np.zeros(res.n, dtype=np.int64)
+    redir_full[res.redir_pos] = 1
+    stall_flag = np.zeros(res.n, dtype=np.int64)
+    stall_flag[stall_pos] = 1
+    res.ev_pos = np.flatnonzero(stall_flag | redir_full)
+    res.ev_redir = redir_full[res.ev_pos]
+    res.stall_slot = np.searchsorted(res.ev_pos, stall_pos)
     return res
 
 
@@ -559,116 +598,179 @@ def assemble_timing_tables(res: RegionResolution, lat: LatencyTable):
     # timing loop walks a store-only iterator instead of indexing a
     # list parallel to every memory event.
     drain = dl1_lat[:, ~res.is_load]
-    if res.ev_pos_l:
-        fetch_stall = np.zeros((k, len(res.fetch_idx)), dtype=np.int64)
-        fetch_stall[:, res.il1_miss] = (
-            lat.l2_hit[:, None] + res.il1_l2miss[None, :] * lat.l2_fill[:, None]
-        )
-        if len(res.itlb_miss):
-            fetch_stall[:, res.itlb_pos[res.itlb_miss]] += (
-                lat.itlb_miss[:, None]
-            )
-        ev_stall = np.zeros((k, len(res.ev_pos_l)), dtype=np.int64)
-        ev_stall[:, res.stall_slot] = fetch_stall[:, res.stall_ev]
-    else:
-        ev_stall = np.zeros((k, 0), dtype=np.int64)
+    fetch_stall = np.zeros((k, len(res.fetch_idx)), dtype=np.int64)
+    fetch_stall[:, res.il1_miss] = (
+        lat.l2_hit[:, None] + res.il1_l2miss[None, :] * lat.l2_fill[:, None]
+    )
+    if len(res.itlb_miss):
+        fetch_stall[:, res.itlb_pos[res.itlb_miss]] += lat.itlb_miss[:, None]
+    ev_stall = np.zeros((k, len(res.ev_pos)), dtype=np.int64)
+    ev_stall[:, res.stall_slot] = fetch_stall[:, res.stall_ev]
     return ml, drain, ev_stall
 
 
-def _run_timing_phase(
-    cfg, trace, start, end, tc_enabled, res, ml_l, drain_l, ev_stall, state,
-    run_timing,
-) -> None:
-    """Phase 2: one config's specialized timing loop + counter updates."""
-    instr_l = trace.timing_lists(
-        tc_enabled, start, end, merge_ctrl=cfg.int_alu_lat == 1
-    )
-    (
-        state.fc,
-        state.fetch_count,
-        state.dc,
-        state.dcount,
-        state.cc,
-        state.ccount,
-    ) = run_timing(
-        instr_l,
-        ml_l,
-        drain_l,
-        res.ev_pos_l,
-        ev_stall,
-        res.ev_redir,
-        state.reg_ready,
-        state.rob_ring,
-        state.lsq_ring,
-        state.wb_ring,
-        state.ifq_ring,
-        state.pools,
-        state.fc,
-        state.fetch_count,
-        state.dc,
-        state.dcount,
-        state.cc,
-        state.ccount,
-        state.instr_index,
-        state.mem_index,
-        state.store_index,
-    )
-    state.instr_index += res.n
-    state.mem_index += res.n_mem
-    state.store_index += res.n_mem - res.n_loads
-    state.branches += res.n_branches
-    state.mispredictions += res.n_redir
-    state.loads += res.n_loads
-    state.stores += res.n_mem - res.n_loads
-    if tc_enabled:
-        state.trivial_simplified += res.n_trivial
-    if res.last_fetch_block is not None:
-        state.last_fetch_block = res.last_fetch_block
-        state.last_fetch_page = res.last_fetch_page
-
-
-def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
-    """Advance N latency configs over ``trace[start:end)`` in one pass.
-
-    ``machine`` carries the *shared* structures -- every entry of
-    ``batch`` (a list of ``(config, enhancements)`` pairs) builds the
-    same geometry, so one resolve pass advances them for all.  The
-    assembly broadcasts the resolution across the latency table's
-    leading ``n_configs`` axis, and each config then runs its own
-    specialized timing loop over its private state in ``states``.  A
-    single-config run is the one-member batch; per config, the result
-    is bit-identical to the python reference loop.
-    """
-    if end - start <= 0:
-        return
-    lead = states[0]
-    res = resolve_region(
-        machine, trace, start, end,
-        lead.last_fetch_block, lead.last_fetch_page,
-        count_trivial=any(e.trivial_computation for _, e in batch),
-    )
-    lat = LatencyTable([config for config, _ in batch])
-    ml, drain, ev_stall_table = assemble_timing_tables(res, lat)
-    # Compile every member's loop up front (cached per timing
-    # signature): a codegen failure then surfaces before any per-config
-    # state has advanced, leaving the whole batch cleanly retryable.
-    loops = [timing_loop_for(config) for config, _ in batch]
-    timed = (
-        obs_phases.measured(
-            "timing_batch", instructions=res.n * len(batch),
-            configs=len(batch),
+def _time_window(a, b, res, store_pos, feeds, states) -> None:
+    """Phase 2 over the pass positions ``[a, b)``: every config's
+    specialized timing loop, continuing its own timing state."""
+    m0, m1 = np.searchsorted(res.mem_idx, (a, b)).tolist()
+    s0, s1 = np.searchsorted(store_pos, (a, b)).tolist()
+    e0, e1 = np.searchsorted(res.ev_pos, (a, b)).tolist()
+    ev_pos_l = (res.ev_pos[e0:e1] - a).tolist()
+    ev_redir_l = res.ev_redir[e0:e1].tolist()
+    for (run_timing, rows, shift, ml, drain, ev_stall), state in zip(
+        feeds, states
+    ):
+        (
+            state.fc,
+            state.fetch_count,
+            state.dc,
+            state.dcount,
+            state.cc,
+            state.ccount,
+        ) = run_timing(
+            rows[shift + a:shift + b],
+            ml[m0:m1].tolist(),
+            drain[s0:s1].tolist(),
+            ev_pos_l,
+            ev_stall[e0:e1].tolist(),
+            ev_redir_l,
+            state.reg_ready,
+            state.rob_ring,
+            state.lsq_ring,
+            state.wb_ring,
+            state.ifq_ring,
+            state.pools,
+            state.fc,
+            state.fetch_count,
+            state.dc,
+            state.dcount,
+            state.cc,
+            state.ccount,
+            state.instr_index,
+            state.mem_index,
+            state.store_index,
         )
-        if len(batch) > 1 else nullcontext()
-    )
-    with timed:
-        for (config, enhancements), state, ml_l, drain_l, ev_stall, run_timing in zip(
-            batch, states, ml.tolist(), drain.tolist(), ev_stall_table.tolist(),
-            loops,
+        state.instr_index += b - a
+        state.mem_index += m1 - m0
+        state.store_index += s1 - s0
+
+
+def detail_regions(machine, trace, plan, batch):
+    """Run a plan's gaps and detailed calls in one structural pass.
+
+    Phase 1 resolves the whole plan once (:func:`resolve_region`).
+    Phase 2 runs each config's specialized timing loop over every
+    call's detailed warm-up W and measured part U, from a fresh timing
+    state per call, over slices of the pass-wide feeds.  ``batch`` is
+    a list of ``(config, enhancements)`` pairs sharing ``machine``'s
+    geometry.  Returns, per plan item, a gap's ``WarmingStats`` or a
+    call's per-config ``SimulationStats`` -- bit-identical to the
+    python backend's per-call loop.
+
+    The phase ledger gets that loop's instruction totals.  Each timing
+    window is measured under its own phase; the resolve is measured
+    under the phase covering most of the pass (``warming`` for a
+    sampled pass, the measured part for a single call).  Under
+    next-line prefetch a gap would train the L2 differently from
+    warming, so the backend runs plans with gaps per call instead.
+    """
+    from repro.cpu.functional import WarmingStats
+    from repro.cpu.pipeline import _TimingState
+
+    start, end = plan[0][0], plan[-1][-1]
+    edges, kinds = _segments(plan)
+    covered = {}  # phase -> positions, for every phase the loop records
+    for seg, kind in enumerate(kinds):
+        length = edges[seg + 1] - edges[seg]
+        if kind == _GAP or length:
+            covered[kind] = covered.get(kind, 0) + length
+    resolve_phase = max(covered, key=covered.get, default=None)
+    backend = machine.backend.name
+    with (
+        obs_phases.measured(
+            resolve_phase,
+            instructions=covered[_GAP] if resolve_phase == _GAP else 0,
+            backend=backend,
+        ) if resolve_phase else nullcontext()
+    ):
+        res = resolve_region(
+            machine, trace, plan,
+            count_trivial=any(e.trivial_computation for _, e in batch),
+        )
+        ml, drain, ev_stall = assemble_timing_tables(
+            res, LatencyTable([config for config, _ in batch])
+        )
+        # Compile every member's loop up front (cached per timing
+        # signature): a codegen failure then surfaces before any
+        # per-config state has advanced, leaving the batch retryable.
+        feeds = []
+        for (config, enh), ml_row, drain_row, stall_row in zip(
+            batch, ml, drain, ev_stall
         ):
-            _run_timing_phase(
-                config, trace, start, end, enhancements.trivial_computation,
-                res, ml_l, drain_l, ev_stall, state, run_timing,
+            merge = config.int_alu_lat == 1
+            if len(plan) == 1:  # memoized per region, like its resolve
+                rows = trace.timing_lists(
+                    enh.trivial_computation, start, end, merge_ctrl=merge
+                )
+                shift = 0
+            else:  # slices of the cached full-trace rows
+                rows = trace.timing_lists(
+                    enh.trivial_computation, merge_ctrl=merge
+                )
+                shift = start
+            feeds.append((
+                timing_loop_for(config), rows, shift, ml_row, drain_row,
+                stall_row,
+            ))
+    if _GAP in covered and resolve_phase != _GAP:
+        obs_phases.record(_GAP, 0.0, covered[_GAP])
+
+    k = len(batch)
+    nlp = machine.enhancements.next_line_prefetch
+    store_pos = res.mem_idx[~res.is_load]
+    outcomes = []
+    for seg, kind in enumerate(kinds):
+        a, b = edges[seg] - start, edges[seg + 1] - start
+        counts = {name: values[seg] for name, values in res.counts.items()}
+        stores = counts["dl1_accesses"] - counts["loads"]
+        if kind == _GAP:
+            outcomes.append(WarmingStats(
+                instructions=b - a,
+                branches=counts["branches"],
+                mispredictions=counts["mispredictions"],
+                loads=counts["loads"],
+                stores=stores,
+            ))
+            continue
+        if kind == _WARM:
+            states = [_TimingState(machine, config=c) for c, _ in batch]
+        if b > a:
+            with obs_phases.measured(
+                kind, instructions=(b - a) * k, backend=backend, configs=k
+            ), (
+                obs_phases.measured(
+                    "timing_batch", instructions=(b - a) * k, configs=k
+                ) if k > 1 else nullcontext()
+            ):
+                _time_window(a, b, res, store_pos, feeds, states)
+        if kind == _WARM:
+            warm_cycles = [state.cc for state in states]
+            continue
+        trivial = counts.pop("trivial_simplified", 0)
+        del counts["itlb_accesses"]
+        outcomes.append([
+            SimulationStats(
+                instructions=b - a,
+                cycles=max(1, state.cc - cycles),
+                stores=stores,
+                l2_accesses=counts["il1_misses"] + counts["dl1_misses"],
+                trivial_simplified=trivial if enh.trivial_computation else 0,
+                prefetches=counts["dl1_misses"] if nlp else 0,
+                **counts,
             )
+            for (_, enh), state, cycles in zip(batch, states, warm_cycles)
+        ])
+    return outcomes
 
 
 def _caches_serial(il1_fn, dl1_fn, pc_r, addr_r, fetch_idx, mem_idx):
@@ -721,7 +823,7 @@ def run_warming(machine, trace, start, end):
     n = end - start
     if n <= 0:
         return WarmingStats(instructions=max(0, n))
-    res = resolve_structures(machine, trace, start, end, -1, -1, warm=True)
+    res = resolve_structures(machine, trace, start, end, warm=True)
     return WarmingStats(
         instructions=n,
         branches=res.n_branches,

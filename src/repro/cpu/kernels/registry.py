@@ -28,9 +28,9 @@ BACKEND_ENV_VAR = SETTINGS["backend"].env
 #: Recognized backend names (``auto`` resolves to the default).
 BACKEND_NAMES = ("python", "numpy")
 
-#: Regions shorter than this are simulated with the reference loops
-#: even on array backends: the vectorized set-up cost only pays off on
-#: long regions, and both paths produce identical statistics.
+#: Warming calls shorter than this run the reference loop even on
+#: array backends: the vectorized set-up cost only pays off on long
+#: regions, and both paths produce identical state and counts.
 SMALL_REGION = 1024
 
 #: Degradation order for kernel failures: a run whose kernel raises is
@@ -112,20 +112,21 @@ class Backend:
     #: Subclasses set this.
     name = "abstract"
 
-    #: Whether :meth:`advance_detailed_batch` serves batches of more
-    #: than one config.  ``Simulator.run_regions`` consults this and
-    #: runs one-member batches when it is False.
+    #: Whether :meth:`detail_regions` serves batches of more than one
+    #: config.  ``Simulator.run_regions`` consults this and runs
+    #: one-member batches when it is False.
     supports_config_batching = False
 
-    def advance_detailed_batch(
-        self, machine, trace, start, end, batch, states
-    ) -> None:
-        """Advance the detailed timing model over ``trace[start:end)``.
+    def detail_regions(self, machine, trace, plan, batch) -> list:
+        """Run a plan of warming gaps and detailed calls on ``machine``.
 
-        ``batch`` is a list of ``(config, enhancements)`` pairs sharing
-        ``machine``'s structures and ``states`` the matching per-config
-        timing states; a single-config run is the one-member batch.
-        Bit-identical per config to the python reference loop.
+        ``plan`` is a contiguous list of gaps ``(start, end)`` and
+        calls ``(start, measure_from, end)``; ``batch`` is a list of
+        ``(config, enhancements)`` pairs sharing ``machine``'s
+        structures (a single config is the one-member batch).  Returns
+        per item a gap's ``WarmingStats`` or a call's per-config
+        ``SimulationStats`` list, bit-identical to the python
+        reference's per-call loop.
         """
         raise NotImplementedError
 
@@ -142,11 +143,10 @@ class PythonBackend(Backend):
 
     name = "python"
 
-    def advance_detailed_batch(self, machine, trace, start, end, batch, states):
-        from repro.cpu.pipeline import _run_region
+    def detail_regions(self, machine, trace, plan, batch):
+        from repro.cpu.pipeline import detail_each, reference_call
 
-        (state,) = states  # the reference loop serves one config
-        _run_region(machine, trace, start, end, state)
+        return detail_each(machine, trace, plan, batch, reference_call)
 
     def run_warming(self, machine, trace, start, end):
         from repro.cpu.functional import _python_warming
@@ -164,17 +164,26 @@ class NumpyBackend(Backend):
     name = "numpy"
     supports_config_batching = True
 
-    def advance_detailed_batch(self, machine, trace, start, end, batch, states):
+    def detail_regions(self, machine, trace, plan, batch):
         try:
             _kernel_guard_check(self.name)
-            if len(states) == 1 and end - start < SMALL_REGION:
-                from repro.cpu.pipeline import _run_region
+            from repro.cpu.kernels import numpy_impl
 
-                _run_region(machine, trace, start, end, states[0])
-                return
-            from repro.cpu.kernels.numpy_impl import advance_detailed_batch
+            if machine.enhancements.next_line_prefetch and any(
+                len(item) == 2 for item in plan
+            ):
+                # Warming does not hand the L2 the prefetched line that
+                # a detailed access does, so a pass cannot stand in for
+                # a prefetching plan's gaps: run it per call.
+                from repro.cpu.pipeline import detail_each
 
-            advance_detailed_batch(machine, trace, start, end, batch, states)
+                return detail_each(
+                    machine, trace, plan, batch,
+                    lambda m, t, call, b: numpy_impl.detail_regions(
+                        m, t, [call], b
+                    )[0],
+                )
+            return numpy_impl.detail_regions(machine, trace, plan, batch)
         except Exception as exc:
             raise KernelError(self.name, f"detailed kernel failed: {exc!r}") from exc
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cpu.functional import run_functional_warming
 from repro.cpu.machine import Machine
 from repro.cpu.stats import SimulationStats
 from repro.obs import phases as obs_phases
@@ -133,10 +134,10 @@ def run_detailed(
     detail but excluded from the returned statistics -- this implements
     the "warm up for Y, measure Z" pattern.  Machine state (caches,
     predictors) carries whatever history ``machine`` already holds.
-    This is the one-member case of :func:`run_detailed_batch`.
+    This is the one-call plan of :func:`detail_plan` for one config.
     """
     specs = [(machine.config, machine.enhancements)]
-    return _detailed(machine, trace, start, end, specs, measure_from)[0]
+    return detail_plan(machine, trace, [_call(start, end, measure_from)], specs)[0][0]
 
 
 def run_detailed_batch(
@@ -158,82 +159,112 @@ def run_detailed_batch(
     cache/TLB counter deltas are geometry properties shared by the
     whole batch.
     """
-    return _detailed(machine, trace, start, end, specs, measure_from)
+    return detail_plan(machine, trace, [_call(start, end, measure_from)], specs)[0]
 
 
-def _detailed(machine, trace, start, end, specs, measure_from):
-    """The body of both entry points (kept apart so that neither one
-    calls the other)."""
-    if measure_from is None:
-        measure_from = start
-    if not start <= measure_from <= end:
-        raise ValueError("need start <= measure_from <= end")
-    if end > len(trace):
-        raise ValueError(f"region [{start}, {end}) exceeds trace length {len(trace)}")
+def _call(start, end, measure_from):
+    return (start, start if measure_from is None else measure_from, end)
 
-    states = [_TimingState(machine, config=config) for config, _ in specs]
-    advance = machine.backend.advance_detailed_batch
-    n_configs = len(specs)
 
+def detail_plan(machine: Machine, trace: Trace, plan, specs) -> list:
+    """Run ``plan`` on ``machine`` for the configs in ``specs``.
+
+    A plan is a contiguous list of functional-warming gaps ``(start,
+    end)`` and detailed calls ``(start, measure_from, end)``.  Returns
+    one entry per item: the gap's :class:`WarmingStats`, or the call's
+    per-config statistics list.  Every backend gives the result of
+    :func:`detail_each`, the per-call loop; the numpy backend resolves
+    the whole plan in one structural pass.
+    """
+    position = plan[0][0] if plan else 0
+    for item in plan:
+        if item[0] != position:
+            raise ValueError(f"plan item {item} does not start at {position}")
+        if list(item) != sorted(item):
+            raise ValueError("need start <= measure_from <= end")
+        position = item[-1]
+    if position > len(trace):
+        raise ValueError(f"plan ends at {position}, past trace length {len(trace)}")
+    if not plan:
+        return []
+    return machine.backend.detail_regions(machine, trace, plan, specs)
+
+
+def detail_each(machine: Machine, trace: Trace, plan, specs, detail_call) -> list:
+    """The per-call loop: warm each gap and ``detail_call`` each call.
+
+    Each call starts from a fresh timing state and a fetch unit with no
+    previous block, and so does each warming call.
+    """
+    return [
+        run_functional_warming(machine, trace, *item)
+        if len(item) == 2
+        else detail_call(machine, trace, item, specs)
+        for item in plan
+    ]
+
+
+def reference_call(machine: Machine, trace: Trace, call, specs) -> "list[SimulationStats]":
+    """One detailed call through the reference loop (one config).
+
+    The cache and TLB statistics are the machine counters' deltas over
+    the measured part, so they include nothing the warm-up counted.
+    """
+    ((config, _enhancements),) = specs  # the reference loop serves one config
+    start, measure_from, end = call
+    state = _TimingState(machine, config=config)
     if measure_from > start:
         with obs_phases.measured(
             "warm_detailed",
-            instructions=(measure_from - start) * n_configs,
+            instructions=measure_from - start,
             backend=machine.backend.name,
-            configs=n_configs,
+            configs=1,
         ):
-            advance(machine, trace, start, measure_from, specs, states)
+            _run_region(machine, trace, start, measure_from, state)
 
-    cycles_before = [state.cc for state in states]
+    cycles_before = state.cc
     snapshot = machine.cache_snapshot()
-    counters_before = [
-        (
-            state.branches,
-            state.mispredictions,
-            state.loads,
-            state.stores,
-            state.trivial_simplified,
-        )
-        for state in states
-    ]
-
+    before = (
+        state.branches,
+        state.mispredictions,
+        state.loads,
+        state.stores,
+        state.trivial_simplified,
+    )
     if end > measure_from:
         with obs_phases.measured(
             "detailed",
-            instructions=(end - measure_from) * n_configs,
+            instructions=end - measure_from,
             backend=machine.backend.name,
-            configs=n_configs,
+            configs=1,
         ):
-            advance(machine, trace, measure_from, end, specs, states)
+            _run_region(machine, trace, measure_from, end, state)
 
     after = machine.cache_snapshot()
-    results = []
-    for state, cc_before, before in zip(states, cycles_before, counters_before):
-        stats = SimulationStats()
-        stats.instructions = end - measure_from
-        stats.cycles = max(1, state.cc - cc_before)
-        stats.branches = state.branches - before[0]
-        stats.mispredictions = state.mispredictions - before[1]
-        stats.loads = state.loads - before[2]
-        stats.stores = state.stores - before[3]
-        stats.trivial_simplified = state.trivial_simplified - before[4]
-        stats.il1_accesses = (after["il1_hits"] + after["il1_misses"]) - (
-            snapshot["il1_hits"] + snapshot["il1_misses"]
-        )
-        stats.il1_misses = after["il1_misses"] - snapshot["il1_misses"]
-        stats.dl1_accesses = (after["dl1_hits"] + after["dl1_misses"]) - (
-            snapshot["dl1_hits"] + snapshot["dl1_misses"]
-        )
-        stats.dl1_misses = after["dl1_misses"] - snapshot["dl1_misses"]
-        stats.l2_accesses = (after["l2_hits"] + after["l2_misses"]) - (
-            snapshot["l2_hits"] + snapshot["l2_misses"]
-        )
-        stats.l2_misses = after["l2_misses"] - snapshot["l2_misses"]
-        stats.itlb_misses = after["itlb_misses"] - snapshot["itlb_misses"]
-        stats.dtlb_misses = after["dtlb_misses"] - snapshot["dtlb_misses"]
-        stats.prefetches = after["prefetches"] - snapshot["prefetches"]
-        results.append(stats)
-    return results
+    stats = SimulationStats()
+    stats.instructions = end - measure_from
+    stats.cycles = max(1, state.cc - cycles_before)
+    stats.branches = state.branches - before[0]
+    stats.mispredictions = state.mispredictions - before[1]
+    stats.loads = state.loads - before[2]
+    stats.stores = state.stores - before[3]
+    stats.trivial_simplified = state.trivial_simplified - before[4]
+    stats.il1_accesses = (after["il1_hits"] + after["il1_misses"]) - (
+        snapshot["il1_hits"] + snapshot["il1_misses"]
+    )
+    stats.il1_misses = after["il1_misses"] - snapshot["il1_misses"]
+    stats.dl1_accesses = (after["dl1_hits"] + after["dl1_misses"]) - (
+        snapshot["dl1_hits"] + snapshot["dl1_misses"]
+    )
+    stats.dl1_misses = after["dl1_misses"] - snapshot["dl1_misses"]
+    stats.l2_accesses = (after["l2_hits"] + after["l2_misses"]) - (
+        snapshot["l2_hits"] + snapshot["l2_misses"]
+    )
+    stats.l2_misses = after["l2_misses"] - snapshot["l2_misses"]
+    stats.itlb_misses = after["itlb_misses"] - snapshot["itlb_misses"]
+    stats.dtlb_misses = after["dtlb_misses"] - snapshot["dtlb_misses"]
+    stats.prefetches = after["prefetches"] - snapshot["prefetches"]
+    return [stats]
 
 
 def _run_region(

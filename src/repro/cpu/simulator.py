@@ -15,10 +15,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.cpu import checkpoint, functional
 from repro.cpu.config import Enhancements, ProcessorConfig
 from repro.cpu.functional import run_functional_warming
-from repro.cpu.kernels.registry import SMALL_REGION, get_backend
+from repro.cpu.kernels.registry import get_backend
 from repro.cpu.kernels.state import GEOMETRY_FIELDS, LatencyTable
 from repro.cpu.machine import Machine
-from repro.cpu.pipeline import run_detailed, run_detailed_batch
+from repro.cpu.pipeline import detail_plan, run_detailed, run_detailed_batch
 from repro.cpu.stats import SimulationStats
 from repro.isa.trace import Trace
 from repro.obs import phases as obs_phases
@@ -156,7 +156,7 @@ class Simulator:
         # them exactly as each per-config run would have.  Groups keep
         # first-appearance order and results scatter back to input
         # order.
-        if self._batchable(specs, warm_start, end):
+        if self._batchable(specs):
             grouped: "dict[tuple, List[int]]" = {}
             for i, (config, enh) in enumerate(specs):
                 grouped.setdefault(self._geometry_key(config, enh), []).append(i)
@@ -237,20 +237,17 @@ class Simulator:
             )
         return keys
 
-    def _batchable(self, specs, warm_start: int, end: int) -> bool:
+    def _batchable(self, specs) -> bool:
         """Whether geometry groups may hold more than one member.
 
-        Requires a batching backend, a region long enough to clear the
-        small-region reference fallback, and strictly positive
-        latencies (what makes the resolved miss sets and stall-event
-        *positions* latency-independent; the config validators enforce
-        this, so the check is defensive).  Geometry, next-line prefetch
+        Requires a batching backend and strictly positive latencies
+        (what makes the resolved miss sets and stall-event *positions*
+        latency-independent; the config validators enforce this, so
+        the check is defensive).  Geometry, next-line prefetch
         included, may vary freely: members are grouped by geometry and
         each group shares one resolve pass.
         """
         if not get_backend(self.backend).supports_config_batching:
-            return False
-        if end - warm_start < SMALL_REGION:
             return False
         return LatencyTable([config for config, _ in specs]).strictly_positive()
 
@@ -295,3 +292,24 @@ class Simulator:
     ) -> SimulationStats:
         """Detailed-simulate ``[start, end)`` on a persistent machine."""
         return run_detailed(machine, trace, start, end, measure_from=measure_from)
+
+    def detail_regions(self, machine: Machine, trace: Trace, plan) -> list:
+        """Run a sampled pass on a persistent machine.
+
+        ``plan`` is the contiguous, ordered list of functional-warming
+        gaps ``(start, end)`` and detailed calls ``(start,
+        measure_from, end)`` that a sampling technique would otherwise
+        make one :meth:`warm` or :meth:`detail` call each.  Returns per
+        item the gap's ``WarmingStats`` or the call's
+        ``SimulationStats``, exactly what those calls return.  On the
+        numpy backend the whole plan is one structural pass, and every
+        call costs only its timing loop (a next-line-prefetch plan with
+        gaps still runs per call).
+        """
+        outcomes = detail_plan(
+            machine, trace, plan, [(machine.config, machine.enhancements)]
+        )
+        return [
+            outcome if len(item) == 2 else outcome[0]
+            for item, outcome in zip(plan, outcomes)
+        ]

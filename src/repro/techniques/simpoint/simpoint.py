@@ -167,34 +167,30 @@ class SimPointTechnique(SimulationTechnique):
         # of SimPoint checkpoints carrying warm architectural state
         # (whose generation cost the paper found dominant for gcc and
         # mcf).  Table 1's detailed warm-up (1M for 10M points) runs
-        # just before each point.
+        # just before each point.  The whole walk is one plan.
         ordered = sorted(
             zip(selection.regions(len(trace)), selection.weights),
             key=lambda pair: pair[0][0],
         )
-        machine = simulator.new_machine()
-        parts = []
-        regions = []
-        weights = []
-        detailed = 0
-        warm_detailed = 0
-        functional = 0
+        plan = []
         position = 0
-        for (start, end), weight in ordered:
+        for (start, end), _ in ordered:
             warm_start = max(position, start - warmup)
             if warm_start > position:
-                functional += simulator.warm(
-                    machine, trace, position, warm_start
-                ).instructions
-            stats = simulator.detail(
-                machine, trace, warm_start, end, measure_from=start
-            )
-            parts.append(stats)
-            regions.append((start, end))
-            weights.append(weight)
-            detailed += end - start
-            warm_detailed += start - warm_start
+                plan.append((position, warm_start))
+            plan.append((warm_start, start, end))
             position = end
+        outcomes = simulator.detail_regions(
+            simulator.new_machine(), trace, plan
+        )
+        calls = [item for item in plan if len(item) == 3]
+        gaps = [item for item in plan if len(item) == 2]
+        parts = [out for item, out in zip(plan, outcomes) if len(item) == 3]
+        regions = [region for region, _ in ordered]
+        weights = [weight for _, weight in ordered]
+        detailed = sum(end - start for _, start, end in calls)
+        warm_detailed = sum(start - warm for warm, start, _ in calls)
+        functional = sum(end - start for start, end in gaps)
         stats = combine_weighted(parts, weights)
         return TechniqueResult(
             family=self.family,

@@ -148,8 +148,9 @@ class SmartsTechnique(SimulationTechnique):
         simulator = Simulator(config, enhancements)
         # The opening warming segment starts from a cold machine at
         # trace position 0, which is exactly what warm-state
-        # checkpoints snapshot -- later segments continue mid-run
-        # state and must replay in full.
+        # checkpoints snapshot.  Later segments continue mid-run state:
+        # a checkpoint could restore their structures, but their event
+        # counts (the stats arrays and warming counts) must replay.
         checkpoint_key = simulator.checkpoint_key(workload, scale)
         total_detailed = 0
         total_warm_detailed = 0
@@ -225,7 +226,12 @@ class SmartsTechnique(SimulationTechnique):
         w: int,
         checkpoint_key: Optional[str] = None,
     ) -> _RunOutcome:
-        """One full pass: functional warming with n embedded samples."""
+        """One full pass: functional warming with n embedded samples.
+
+        The cold prefix is warmed checkpoint-assisted; the rest of the
+        pass -- warming gaps and W+U units -- is one
+        :meth:`Simulator.detail_regions` plan.
+        """
         trace_length = len(trace)
         spacing = trace_length / n
         machine = simulator.new_machine()
@@ -240,6 +246,8 @@ class SmartsTechnique(SimulationTechnique):
         loads = 0
         stores = 0
         position = 0
+        plan: List[tuple] = []
+        outcomes: list = []
         for i in range(n):
             # The sampling unit ends at the anchor point; detailed
             # warm-up precedes it.
@@ -252,38 +260,33 @@ class SmartsTechnique(SimulationTechnique):
             if warm_start > position:
                 if position == 0:
                     # Cold prefix: checkpoint-assisted (bit-identical).
-                    warming = simulator.warm_prefix(
+                    outcomes.append(((0, warm_start), simulator.warm_prefix(
                         machine, trace, warm_start, checkpoint_key=checkpoint_key
-                    )
+                    )))
                 else:
-                    warming = simulator.warm(machine, trace, position, warm_start)
-                functional += warming.instructions
-                branches += warming.branches
-                mispredictions += warming.mispredictions
-                loads += warming.loads
-                stores += warming.stores
+                    plan.append((position, warm_start))
             if sample_start >= anchor:
                 position = max(position, anchor)
                 continue
-            stats = simulator.detail(
-                machine, trace, warm_start, anchor, measure_from=sample_start
-            )
-            parts.append(stats)
-            regions.append((sample_start, anchor))
-            detailed += anchor - sample_start
-            warm_detailed += sample_start - warm_start
-            branches += stats.branches
-            mispredictions += stats.mispredictions
-            loads += stats.loads
-            stores += stats.stores
+            plan.append((warm_start, sample_start, anchor))
             position = anchor
         if position < trace_length:
-            warming = simulator.warm(machine, trace, position, trace_length)
-            functional += warming.instructions
-            branches += warming.branches
-            mispredictions += warming.mispredictions
-            loads += warming.loads
-            stores += warming.stores
+            plan.append((position, trace_length))
+
+        outcomes += zip(plan, simulator.detail_regions(machine, trace, plan))
+        for item, outcome in outcomes:
+            if len(item) == 2:
+                functional += outcome.instructions
+            else:
+                warm_start, sample_start, anchor = item
+                parts.append(outcome)
+                regions.append((sample_start, anchor))
+                detailed += anchor - sample_start
+                warm_detailed += sample_start - warm_start
+            branches += outcome.branches
+            mispredictions += outcome.mispredictions
+            loads += outcome.loads
+            stores += outcome.stores
         snapshot_after = machine.cache_snapshot()
         cache_delta = {
             key: snapshot_after[key] - snapshot_before[key]

@@ -166,11 +166,11 @@ class TestFixedScenarioParity:
 
     @pytest.mark.parametrize("backend", ARRAY_BACKENDS, ids=lambda b: b.name)
     def test_reference_warm_segment_handoff(self, trace, backend):
-        # A detail-warm segment shorter than SMALL_REGION runs through
-        # the reference loop even on array backends, which leaves the
-        # function-unit pools in min-scan (arbitrary) order.  The
-        # vectorized measured segment that follows must not assume the
-        # sorted-pool invariant it maintains internally.
+        # A warming call shorter than SMALL_REGION runs the reference
+        # loop even on array backends, and a short detail-warm segment
+        # hands its timing state (function-unit pools included) to the
+        # measured segment inside one resolved call.  Both handoffs
+        # must leave the statistics of the reference backend.
         config = ProcessorConfig(
             branch_predictor="combined", bht_entries=512, btb_entries=256,
             btb_assoc=1, il1_assoc=1, dl1_assoc=1, l2_assoc=2,
@@ -179,8 +179,8 @@ class TestFixedScenarioParity:
         enhancements = Enhancements(
             trivial_computation=False, next_line_prefetch=False
         )
-        warm_end = len(trace) // 7          # reference path (< SMALL_REGION)
-        measure_from = warm_end + 765       # detail-warm also < SMALL_REGION
+        warm_end = len(trace) // 7          # reference warming (< SMALL_REGION)
+        measure_from = warm_end + 765       # short detail-warm segment
         expected = run_scenario(
             PythonBackend(), trace, config, enhancements, warm_end, measure_from
         )
@@ -315,38 +315,30 @@ class TestBatchedParity:
 
     def test_nlp_batch_kernel_matches_reference(self, trace):
         # Next-line prefetch members with different latencies share one
-        # serial cache walk; each member's timing state and the shared
+        # serial cache walk; each member's statistics and the shared
         # structures equal that config's own python-backend run.
         from repro.cpu.kernels import numpy_impl
-        from repro.cpu.pipeline import _TimingState, _run_region
 
         nlp = Enhancements(next_line_prefetch=True)
         configs = self.variants()[:3]
-        start, end = 1000, len(trace)
+        start, measure_from, end = 1000, 1500, len(trace)
         machine = Machine(configs[0], nlp, backend="numpy")
         run_functional_warming(machine, trace, 0, start)
-        states = [_TimingState(machine, config=config) for config in configs]
-        numpy_impl.advance_detailed_batch(
-            machine, trace, start, end,
-            [(config, nlp) for config in configs], states,
+        (batched,) = numpy_impl.detail_regions(
+            machine, trace, [(start, measure_from, end)],
+            [(config, nlp) for config in configs],
         )
-        counters = (
-            "fc", "dc", "cc", "instr_index", "mem_index", "store_index",
-            "branches", "mispredictions", "loads", "stores",
-            "last_fetch_block", "last_fetch_page",
-        )
-        for config, state in zip(configs, states):
+        for config, stats in zip(configs, batched):
             reference = Machine(config, nlp, backend="python")
             run_functional_warming(reference, trace, 0, start)
-            expected = _TimingState(reference)
-            _run_region(reference, trace, start, end, expected)
-            assert [getattr(state, c) for c in counters] == [
-                getattr(expected, c) for c in counters
-            ]
+            expected = run_detailed(
+                reference, trace, start, end, measure_from=measure_from
+            )
+            assert stats == expected
             assert machine.cache_snapshot() == reference.cache_snapshot()
             assert _warm_state(machine) == _warm_state(reference)
         # The members' latencies really differ in the result.
-        assert len({state.cc for state in states}) == len(states)
+        assert len({stats.cycles for stats in batched}) == len(batched)
 
     def test_heterogeneous_geometry_batches(self, trace):
         # Geometry-varying members are eligible: the simulator groups
@@ -496,7 +488,7 @@ class TestResolveInvariant:
             machine = Machine(config, enh, backend="numpy")
             run_functional_warming(machine, trace, 0, start)
             res = resolve_region(
-                machine, trace, start, len(trace), -1, -1,
+                machine, trace, [(start, start, len(trace))],
                 count_trivial=count_trivial,
             )
             resolutions.append(_resolution_fields(res))
@@ -658,3 +650,230 @@ class TestBranchFlaggedMemoryOp:
             assert warming.mispredictions == detailed.mispredictions
             counts[backend.name] = (warming, detailed)
         assert counts["numpy"] == counts["python"]
+
+
+@st.composite
+def plan_scenarios(draw):
+    """A config, a warmed prefix and a random plan after it.
+
+    Gaps of length 0 and more, detailed warm-ups W and measured parts U
+    below and above ``SMALL_REGION``, and (sometimes) a call that ends
+    at the trace end."""
+    config = ProcessorConfig(
+        branch_predictor=draw(
+            st.sampled_from(["combined", "bimodal", "gshare", "taken", "perfect"])
+        ),
+        bht_entries=draw(st.sampled_from([512, 4096])),
+        btb_assoc=draw(st.sampled_from([1, 4])),
+        ras_entries=draw(st.sampled_from([4, 16])),
+        il1_assoc=draw(st.sampled_from([1, 2])),
+        dl1_assoc=draw(st.sampled_from([1, 4])),
+        rob_entries=draw(st.sampled_from([16, 64])),
+        int_alu_lat=draw(st.sampled_from([1, 2])),
+    )
+    enhancements = Enhancements(
+        trivial_computation=draw(st.booleans()),
+        next_line_prefetch=draw(st.booleans()),
+    )
+    short = st.integers(1, SMALL_REGION - 1)
+    long = st.integers(SMALL_REGION, 2 * SMALL_REGION)
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            items.append(("gap", draw(st.one_of(st.just(0), short, long))))
+        items.append((
+            "call",
+            draw(st.one_of(st.just(0), short, long)),
+            draw(st.one_of(short, long)),
+        ))
+    if draw(st.booleans()):
+        items.append(("gap", draw(st.one_of(short, long))))
+    prefix = draw(st.integers(0, 1500))
+    to_end = draw(st.booleans())
+    return config, enhancements, prefix, items, to_end
+
+
+def _build_plan(items, prefix, length, to_end):
+    """Lay ``items`` out contiguously from ``prefix``, clipped to the
+    trace; with ``to_end`` the last call runs to the trace end."""
+    plan = []
+    position = prefix
+    for item in items:
+        if item[0] == "gap":
+            end = min(length, position + item[1])
+            plan.append((position, end))
+        else:
+            measure_from = min(length, position + item[1])
+            end = min(length, measure_from + item[2])
+            plan.append((position, measure_from, end))
+        position = plan[-1][-1]
+    if to_end:
+        calls = [i for i, item in enumerate(plan) if len(item) == 3]
+        last = calls[-1]
+        start, measure_from, _ = plan[last]
+        plan[last] = (start, measure_from, length)
+        plan = plan[: last + 1]
+    return plan
+
+
+class TestDetailRegionsParity:
+    """One structural pass over a plan equals the per-call loop: every
+    call's statistics, every gap's warming counts, the phase ledger's
+    instruction totals and the machine's whole state afterwards."""
+
+    @staticmethod
+    def run_plan(backend, trace, config, enhancements, prefix, plan):
+        from repro.obs import phases as obs_phases
+
+        simulator = Simulator(config, enhancements, backend=backend)
+        machine = simulator.new_machine()
+        simulator.warm(machine, trace, 0, prefix)
+        obs_phases.drain()
+        outcomes = simulator.detail_regions(machine, trace, plan)
+        ledger = {
+            phase: entry["instructions"]
+            for phase, entry in obs_phases.drain().items()
+        }
+        state = {name: list(values) for name, values in state_arrays(machine)}
+        return outcomes, ledger, state
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(scenario=plan_scenarios())
+    def test_pass_equals_per_call_loop(self, trace, scenario):
+        config, enhancements, prefix, items, to_end = scenario
+        plan = _build_plan(items, prefix, len(trace), to_end)
+        expected = self.run_plan(
+            "python", trace, config, enhancements, prefix, plan
+        )
+        actual = self.run_plan("numpy", trace, config, enhancements, prefix, plan)
+        assert actual[0] == expected[0]
+        assert actual[1] == expected[1]
+        assert actual[2] == expected[2]
+
+    def test_plan_must_be_contiguous(self, trace):
+        simulator = Simulator(backend="numpy")
+        machine = simulator.new_machine()
+        with pytest.raises(ValueError, match="does not start"):
+            simulator.detail_regions(machine, trace, [(0, 10), (20, 30, 40)])
+        with pytest.raises(ValueError, match="measure_from"):
+            simulator.detail_regions(machine, trace, [(0, 30, 20)])
+        with pytest.raises(ValueError, match="trace length"):
+            simulator.detail_regions(machine, trace, [(0, len(trace) + 1)])
+
+
+def _payload_bytes(technique, workload, config, backend, **kwargs):
+    import json
+
+    previous = activate(backend)
+    try:
+        result = technique.run(workload, config, TEST_SCALE, **kwargs)
+    finally:
+        activate(previous)
+    return result, json.dumps(result.to_payload(), sort_keys=True)
+
+
+class TestSampledTechniqueParity:
+    """Sampled techniques store the same payload bytes on both backends."""
+
+    def test_smarts_rerun(self):
+        from repro.techniques.smarts import SmartsTechnique
+
+        workload = make_micro_workload(length_m=1200)
+        technique = SmartsTechnique(
+            1000, 2000, target_relative=0.001, initial_samples=4
+        )
+        python, expected = _payload_bytes(
+            technique, workload, ProcessorConfig(), "python"
+        )
+        _, actual = _payload_bytes(
+            technique, workload, ProcessorConfig(), "numpy"
+        )
+        assert python.runs > 1  # n grew: the pass ran again
+        assert actual == expected
+
+    def test_simpoint_with_detailed_warmup(self):
+        from repro.techniques.simpoint import SimPointTechnique
+
+        workload = make_micro_workload(length_m=1200)
+        technique = SimPointTechnique(interval_m=40, max_k=4, warmup_m=30)
+        selection = technique.select(workload, TEST_SCALE)
+        python, expected = _payload_bytes(
+            technique, workload, ProcessorConfig(), "python",
+            selection=selection,
+        )
+        _, actual = _payload_bytes(
+            technique, workload, ProcessorConfig(), "numpy",
+            selection=selection,
+        )
+        assert python.warm_detailed_instructions > 0
+        assert python.functional_warm_instructions > 0
+        assert actual == expected
+
+
+class TestSampledRunsAreOnePass:
+    """On numpy, a SMARTS run (no next-line prefetch) and a SimPoint run
+    resolve their structures once per pass, plus the cold prefix's
+    warming calls, and never fall back to the reference loops."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.cpu import functional, pipeline
+        from repro.cpu.kernels import numpy_impl
+
+        counts = {}
+        for module, name in (
+            (pipeline, "_run_region"),
+            (functional, "_python_warming"),
+            (numpy_impl, "resolve_structures"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        activate("numpy")
+        return counts
+
+    def test_smarts_pass(self, calls):
+        from repro.techniques.smarts import SmartsTechnique
+
+        workload = make_micro_workload(length_m=1200)
+        # Four units over ~6000 instructions: the cold prefix (one
+        # warming call) is longer than SMALL_REGION.
+        technique = SmartsTechnique(
+            10000, 20000, target_relative=10.0, initial_samples=4
+        )
+        result = technique.run(workload, ProcessorConfig(), TEST_SCALE)
+        assert result.runs == 1
+        assert calls == {"resolve_structures": 2}
+
+    def test_simpoint_pass(self, calls):
+        from repro.techniques.simpoint import SimPointTechnique
+
+        workload = make_micro_workload(length_m=1200)
+        technique = SimPointTechnique(interval_m=40, max_k=4, warmup_m=30)
+        selection = technique.select(workload, TEST_SCALE)
+        result = technique.run(
+            workload, ProcessorConfig(), TEST_SCALE, selection=selection
+        )
+        assert len(result.regions) > 1
+        assert calls == {"resolve_structures": 1}
+
+
+class TestMemoKeys:
+    def test_dl1_feed_is_keyed_by_block_size(self, trace):
+        # Equal set count and associativity, different dl1 block size:
+        # the second geometry must not reuse the first one's memoized
+        # dl1 feed.
+        first = ProcessorConfig(dl1_size_kb=16, dl1_block=32, dl1_assoc=4)
+        second = ProcessorConfig(dl1_size_kb=32, dl1_block=64, dl1_assoc=4)
+        Simulator(first, backend="numpy").run_reference(trace)
+        numpy_stats = Simulator(second, backend="numpy").run_reference(trace)
+        python_stats = Simulator(second, backend="python").run_reference(trace)
+        assert numpy_stats.stats == python_stats.stats
