@@ -56,7 +56,7 @@ class KernelError(RuntimeError):
     def fallback(self) -> Optional[str]:
         return KERNEL_FALLBACK.get(self.backend)
 
-    def __reduce__(self):  # survives pickling back from pool workers
+    def __reduce__(self):  # survives pickling back from worker processes
         return (KernelError, (self.backend, str(self)))
 
 

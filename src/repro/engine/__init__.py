@@ -175,6 +175,7 @@ class Engine:
             retries=retries,
             timeout=run_timeout,
             backoff_base=backoff_base,
+            lease_ttl=lease_ttl,
         )
         resume = value("resume", resume)
         self.checkpoint_interval_m = value(
@@ -193,12 +194,11 @@ class Engine:
             "remote_batch_configs", remote_batch_configs,
             default=self.batch_configs,
         )
-        lease_ttl = value("lease_ttl", lease_ttl)
         self.min_agents = value("min_agents", min_agents)
         address = parse_address(listen) if listen is not None else None
         if self.executor.jobs == 0 and listen is None:
             raise ValueError(
-                "--jobs 0 (no local workers) requires --listen so remote "
+                "--jobs 0 (no local clients) requires --listen so remote "
                 "worker agents can execute the sweep"
             )
         if self.min_agents > 0 and listen is None:
@@ -312,13 +312,14 @@ class Engine:
                 scale_instructions_per_m=self.scale.instructions_per_m,
                 results_epoch=RESULTS_EPOCH,
                 run_timeout=self.executor.timeout,
-                lease_ttl=lease_ttl,
+                lease_ttl=self.executor.lease_ttl,
                 backend=self._default_backend,
                 checkpoint_interval=checkpoint_instructions,
                 journal=self.journal,
                 remote_batch_configs=self.remote_batch_configs,
                 artifact_roots=artifact_roots or None,
             )
+            self.executor.server = self.lease_server
             self.metrics.agents_source = self.lease_server.agents_snapshot
             if self.monitor is not None:
                 self.monitor.agents_source = self.lease_server.agents_snapshot
@@ -572,14 +573,14 @@ class Engine:
                 self._group_batches(tasks), self.scale,
                 on_success, on_failure, on_retry, on_degrade,
                 telemetry=self.tracker, on_batch=on_batch,
-                remote=self.lease_server,
+                remote=self.lease_server and self.lease_server.ledger,
             )
         # Fold in parent-side store traffic (SimPoint selections, in-process
         # trace loads); worker-side traffic arrived via RunInfo.reuse.
         self.metrics.fold(trace_store.consume_counters())
         self.metrics.fold(checkpoint.consume_counters())
         if self.lease_server is not None:
-            self.metrics.fold(self.lease_server.consume_counters())
+            self.metrics.fold(self.lease_server.ledger.consume_counters())
         if self.store is not None:
             self.metrics.store_corrupt_entries += (
                 self.store.consume_corrupt_entries()
@@ -698,7 +699,7 @@ class Engine:
             self.history = False
         if self.lease_server is not None:
             self.lease_server.close()
-            self.lease_server = None
+            self.lease_server = self.executor.server = None
         if self.monitor is not None:
             self.monitor.stop()
             self.monitor = None
@@ -767,7 +768,7 @@ class Engine:
     def _selection_for(self, request: RunRequest) -> Optional[object]:
         """SimPoint's config-independent selection, computed once per
         (workload, permutation) in the parent so the PB design's 44+
-        configurations -- and every pool worker -- share it."""
+        configurations -- and every worker process -- share it."""
         technique = request.technique
         if not isinstance(technique, SimPointTechnique):
             return None

@@ -1,13 +1,16 @@
-"""Run execution: one supervision loop over three kinds of runner.
+"""Run execution: one supervision loop over one scheduler.
 
-:meth:`Executor.run` drives every task through one loop; only the
-runner behind it differs: ``min(jobs, tasks)`` supervised
-:class:`WorkerProcess` children, an in-process runner (``jobs == 1``,
-or a lone task with no timeout to enforce), or none at all (``jobs ==
-0``: remote agents lease every task, see :mod:`repro.engine.protocol`).
-Every task runs in one worker envelope (:func:`_worker`), and every
-completion, local or leased, is credited through one fan-out.  An
-agent runs each lease in a :class:`WorkerProcess` too.
+:meth:`Executor.run` has two parts.  The in-process runner executes
+one task at a time in this process (``jobs == 1``, or a lone task with
+no timeout to enforce).  Everything else goes through the lease ledger
+(:class:`~repro.engine.protocol.LeaseLedger`): ``jobs`` local lease
+clients -- supervisor threads running the agent's own session loop
+(:class:`~repro.engine.worker.WorkerAgent`) over socketpairs -- and,
+with ``--listen``, remote agents over TCP.  Every client keeps one
+:class:`WorkerProcess` per session and replaces it only after a crash,
+a cancel or a kill.  Every attempt's outcome reaches the loop as a
+ledger event, and every completion, wherever it ran, is credited
+through one fan-out.
 
 Workers receive pickled ``(technique, workload, config, enhancements,
 scale)`` tuples and return the finished :class:`TechniqueResult`, so a
@@ -24,8 +27,8 @@ retry:
 
 * every failure is classified into a :class:`RunError` kind --
   ``transient`` (a worker exception), ``deterministic`` (the same
-  exception twice), ``timeout`` (reaped by the watchdog) or ``crash``
-  (the worker process died mid-run);
+  exception twice), ``timeout`` (the run outlived its lease's budget)
+  or ``crash`` (the worker process died mid-run);
 * retries use bounded exponential backoff with deterministic jitter
   seeded from the run's content key, so two sweeps over the same plan
   retry on the same schedule;
@@ -35,31 +38,31 @@ retry:
   signatures are exempt: a worker can die for reasons outside its run,
   so identical crashes never quarantine -- the retry budget is the
   backstop for a run that keeps killing workers;
-* a per-run wall-clock timeout (worker processes and leases only: a
-  hang in-process cannot be interrupted) is enforced by a watchdog
-  that kills the hung run's worker and no other.  The clock starts
-  when the run *begins executing* (each worker reports a start message
-  on its pipe), so time spent queued behind siblings never counts
-  against a run's budget;
+* a per-run wall-clock timeout (leased runs only: a hang in-process
+  cannot be interrupted) is the lease's budget: from the grant, the
+  timeout times the lease's member runs, plus one heartbeat period of
+  grace.  A run past it is charged a ``timeout``, and its client kills
+  the child when its next heartbeat is answered ``cancel``.  A lease
+  is granted only when a client is free to start it, so time queued
+  behind siblings never counts;
 * a failure raised from inside a simulation kernel
   (:class:`~repro.cpu.kernels.registry.KernelError`) degrades the run
   to the reference backend (numpy -> python) instead of consuming
   retry budget -- the backends' bit-identical-statistics contract
   makes the degraded result indistinguishable.
 
-A crash or a timeout touches one worker: only the run that worker had
-started is charged; the run waiting in its pipe never ran and is
-requeued uncharged, and every other worker keeps running undisturbed.
+A crash or a timeout touches one client's child: only its run is
+charged, and every other client keeps running undisturbed.
 
 Config batching (:class:`BatchTask`) composes with all of the above by
 keeping supervision strictly per-run: a batch wraps N single-run tasks
 whose technique serves them in one shared simulation pass, and *any*
-failure of the batched pass -- an exception, a kernel error, a watchdog
-timeout (a batch's deadline is ``timeout * N``) or a worker crash --
-explodes the batch back into its member singleton tasks, requeued
-without being charged an attempt.  The members then retry, degrade or
-quarantine individually through the normal machinery, so a poisoned
-config can never take its batch siblings down with it.
+failure of the batched pass -- an exception, a kernel error, a timeout
+or a worker crash -- explodes the batch back into its member singleton
+tasks, requeued without being charged an attempt.  The members then
+retry, degrade or quarantine individually through the normal
+machinery, so a poisoned config can never take its batch siblings down
+with it.
 """
 
 from __future__ import annotations
@@ -69,11 +72,11 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from multiprocessing import connection
+from functools import lru_cache, partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu import checkpoint
@@ -83,22 +86,17 @@ from repro.obs import resources as obs_resources
 from repro.obs import trace as obs_trace
 from repro.obs.live import InflightTracker
 from repro.workloads import trace_store
+from repro.workloads.inputs import drop_trace_pages
 from repro.scale import Scale
 from repro.settings import value
 from repro.techniques.base import TechniqueResult
 from repro.techniques.simpoint import SimPointTechnique
 
 from repro.engine import faults
-from repro.engine.planner import RunRequest
-from repro.engine.protocol import RemoteFailure
-
-#: Tasks sent to one worker process at a time: the running one plus
-#: one waiting in its pipe.
-_TASKS_PER_WORKER = 2
-
-#: How often the parent wakes to drain lease events while remote
-#: agents hold work.
-_EVENT_POLL_S = 0.25
+from repro.engine.planner import RESULTS_EPOCH, RunRequest
+from repro.engine.protocol import (
+    Connection, LeaseServer, RemoteFailure,
+)
 
 #: Minimum spacing of a worker's phase-transition events to the parent
 #: (a warming loop alternates phases far faster than a live view needs).
@@ -113,8 +111,8 @@ class RunError(RuntimeError):
 
     ``kind`` is one of :data:`ERROR_KINDS`; ``quarantined`` marks a
     poison run (identical failure twice -- retrying was abandoned even
-    though budget may have remained); ``cause`` is the underlying
-    exception when one exists (``None`` for watchdog timeouts).
+    though budget may have remained); ``cause`` is the last attempt's
+    exception.
     """
 
     def __init__(
@@ -146,11 +144,11 @@ class RunInfo:
     reuse: Dict[str, int] = field(default_factory=dict)
     #: How many runs shared this run's simulation pass (1 = unbatched).
     batch_size: int = 1
-    #: The exact wire payload for a remotely-executed run (None for
-    #: local runs).  The engine stores it verbatim so a distributed
-    #: sweep's store bytes are identical to a single-host sweep's.
+    #: The exact wire payload of a leased run (None for a run executed
+    #: in this process).  The engine stores it verbatim, so every
+    #: sweep's store bytes are the same wherever its runs executed.
     payload: Optional[dict] = None
-    #: Name of the worker agent that executed the run (None = local).
+    #: Name of the remote agent that executed the run (None = local).
     agent: Optional[str] = None
     #: Resource sample for the run (max-RSS bytes, CPU seconds; see
     #: :mod:`repro.obs.resources`).  None when unmeasured.  A batched
@@ -440,11 +438,8 @@ def _child_loop(conn, parent_end) -> None:
     """A :class:`WorkerProcess` child: run each ``(task, scale)`` that
     arrives on ``conn`` through :func:`_worker` until ``None`` (or EOF).
 
-    Per task it sends ``("start", monotonic)`` first -- the run-timeout
-    clock starts there, and a child SIGKILLed mid-run has thereby told
-    the supervisor which run it died in -- then throttled ``("phase",
-    (phase, attrs))`` messages, then ``("done", envelope)`` or
-    ``("error", exception)``.
+    Per task it sends throttled ``("phase", (phase, attrs))`` messages,
+    then ``("done", envelope)`` or ``("error", exception)``.
     """
     # The inherited copy of the supervisor's end would hide its death:
     # with it closed, a SIGKILLed supervisor means EOF and an exit.
@@ -457,8 +452,11 @@ def _child_loop(conn, parent_end) -> None:
     obs_phases.drain()
     try:
         for task, scale in iter(conn.recv, None):
-            conn.send(("start", time.monotonic()))
             conn.send(_child_run(conn, task, scale))
+            # A child serves a whole session: without this, the trace
+            # pages each task read would stay resident for the rest of
+            # it (the region memo is bounded on its own).
+            drop_trace_pages()
     except (EOFError, OSError):
         pass  # the supervisor is gone: exit quietly
 
@@ -483,17 +481,16 @@ def _child_run(conn, task, scale: Scale) -> tuple:
 
 
 class WorkerProcess:
-    """One supervised child process that executes tasks sent down its
-    pipe, for the executor's local workers and an agent's leases alike.
+    """One supervised child process that executes the tasks sent down
+    its pipe, one at a time, for every lease client, local or remote.
 
     :meth:`submit` ships a task; :meth:`recv` reads the child's next
-    message as ``(kind, task, value)``: ``start`` (value: the start
-    time), ``phase`` (``(phase, attrs)``), ``done`` (the :func:`_worker`
-    envelope), ``error`` (the exception) or ``crash`` -- the pipe hit
+    message as ``(kind, task, value)``: ``phase`` (``(phase, attrs)``),
+    ``done`` (the :func:`_worker` envelope), ``error`` (the exception)
+    or ``crash`` -- the pipe hit
     EOF before a final message, so the child died; ``value`` is then
-    the crash failure and ``task`` the run it had started, or None.
-    The child is forked, so it inherits the parent's imports and
-    memoized state.
+    the crash failure.  The child is forked, so it inherits the
+    parent's imports and memoized state.
     """
 
     def __init__(self) -> None:
@@ -505,45 +502,31 @@ class WorkerProcess:
         self.process.start()
         child.close()
         self.pid = self.process.pid
-        #: Sent but unfinished tasks, the executing (or next) one first.
-        self.tasks: Deque = deque()
-        #: ``tasks[0]``'s reported start time; None until it starts.
-        self.started: Optional[float] = None
-        self.phase: Optional[str] = None
-        self.phase_attrs: dict = {}
+        #: The task sent and not yet finished (None when idle).
+        self.task = None
 
     def submit(self, task, scale: Scale) -> None:
-        self.tasks.append(task)
+        self.task = task
         try:
-            # Tasks ship workloads by key, so they are small: a running
-            # task plus one waiting fit in the pipe without blocking.
             self.conn.send((_strip_task(task), scale))
         except OSError:
-            pass  # the child is dead: recv() reports it, nothing started
+            pass  # the child is dead: recv() reports it
 
     def recv(self) -> Tuple[str, object, object]:
+        task = self.task
         try:
             kind, value = self.conn.recv()
         except (EOFError, OSError):
-            running = self.tasks[0] if self.started is not None else None
-            return "crash", running, _crash_failure()
-        task = self.tasks[0]
-        if kind == "start":
-            self.started, self.phase, self.phase_attrs = value, None, {}
-        elif kind == "phase":
-            self.phase, self.phase_attrs = value
-        else:
-            self.tasks.popleft()
-            self.started = None
+            return "crash", task, _crash_failure()
+        if kind in ("done", "error"):
+            self.task = None
         return kind, task, value
 
-    def stop(self) -> List[object]:
-        """End the child and reap it; returns the tasks it still held.
-
-        An idle child exits on a sentinel; one holding tasks is
-        SIGKILLed, since a hung run never returns.
-        """
-        if self.tasks:
+    def stop(self) -> None:
+        """End the child and reap it: an idle child exits on a
+        sentinel; a busy one is SIGKILLed, since a hung run never
+        returns."""
+        if self.task is not None:
             self.process.kill()
         else:
             try:
@@ -552,43 +535,22 @@ class WorkerProcess:
                 pass  # already gone
         self.process.join()
         self.conn.close()
-        tasks = list(self.tasks)
-        self.tasks.clear()
-        self.started = None
-        return tasks
+        self.task = None
 
 
-class _InProcessRunner:
-    """Runs one task to completion inside :meth:`run`, in this process.
-
-    Used where a worker process would only add overhead.  The loop
-    cannot poll while a run executes here, so the runner keeps that
-    run's live view itself: its slot, this process's PID and its
-    current phase.
-    """
-
-    def __init__(self, telemetry: Optional[InflightTracker]) -> None:
-        self.telemetry = telemetry
-
-    def run(self, task, scale: Scale):
-        telemetry = self.telemetry
+def _run_here(task, scale: Scale, telemetry: Optional[InflightTracker]):
+    """Run one task to completion in this process.  Nothing can poll it
+    while it executes, so it keeps its own live entry: its slot, this
+    process's PID and its current phase."""
+    if telemetry is not None:
+        telemetry.start(**_live_entry(task), pid=os.getpid())
+        obs_phases.set_notifier(partial(telemetry.set_phase, task.slot))
+    try:
+        return _worker(_strip_task(task), scale)
+    finally:
         if telemetry is not None:
-            telemetry.start(**_live_entry(task), pid=os.getpid())
-            obs_phases.set_notifier(
-                lambda phase, attrs=None: telemetry.set_phase(
-                    task.slot, phase, attrs
-                )
-            )
-        try:
-            return _worker(_strip_task(task), scale)
-        finally:
-            if telemetry is not None:
-                obs_phases.set_notifier(None)
-                telemetry.finish(task.slot)
-
-
-class _WatchdogTimeout(Exception):
-    """Internal marker for a run reaped by the wall-clock watchdog."""
+            obs_phases.set_notifier(None)
+            telemetry.finish(task.slot)
 
 
 #: Callback signatures: success(slot, result, wall_seconds, info),
@@ -625,12 +587,7 @@ def _signature(exc: BaseException) -> Tuple[str, str]:
 def classify_failure(exc: BaseException) -> str:
     """Base taxonomy kind of one failed attempt (repetition may later
     upgrade ``transient`` to ``deterministic``)."""
-    remote_kind = getattr(exc, "remote_kind", None)
-    if remote_kind is not None:
-        return remote_kind
-    if isinstance(exc, _WatchdogTimeout):
-        return "timeout"
-    return "transient"
+    return getattr(exc, "remote_kind", "transient")
 
 
 @dataclass
@@ -647,14 +604,16 @@ _REQUEUE = "requeue"  # (action, task, delay_seconds)
 
 
 class Executor:
-    """Executes tasks with ``jobs`` worker processes (1 = in-process).
+    """Executes tasks with ``jobs`` local lease clients (1 = in-process).
 
     ``retries`` bounds re-executions per run (on top of the first
     attempt); ``timeout`` is the per-run wall-clock budget in seconds
-    (None = unbounded; not enforced on the in-process runner).  ``jobs=0``
-    runs no local workers at all -- every run is executed by remote
-    worker agents through the ``remote`` lease scheduler, so :meth:`run`
-    requires one.
+    (None = unbounded; not enforced on the in-process runner), to which
+    a lease adds one heartbeat (``lease_ttl / 3``) of grace.  ``jobs=0``
+    runs no local clients: remote agents execute every run through the
+    ``remote`` ledger.  ``server`` is the engine's ``--listen`` server
+    fronting that ledger, which local clients then connect to; without
+    a ``remote`` ledger, :meth:`run` builds a listener-less one.
     """
 
     def __init__(
@@ -664,12 +623,15 @@ class Executor:
         timeout: Optional[float] = None,
         backoff_base: float = 0.1,
         backoff_cap: float = 5.0,
+        lease_ttl: Optional[float] = None,
     ) -> None:
         self.jobs = value("jobs", jobs)
         self.retries = value("max_retries", retries)
         self.timeout = value("run_timeout", timeout)
+        self.lease_ttl = value("lease_ttl", lease_ttl)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
+        self.server: Optional[LeaseServer] = None
 
     # -- supervision --------------------------------------------------------------
 
@@ -736,7 +698,7 @@ class Executor:
                 f"{sig[0]}: {sig[1]}",
                 attempts=sup.failures,
                 quarantined=identical,
-                cause=None if isinstance(exc, _WatchdogTimeout) else exc,
+                cause=exc,
             )
             on_failure(task.slot, task.request, error)
             return (_DONE,)
@@ -766,59 +728,44 @@ class Executor:
         are executing right now (slot, phase, attempt, worker PID) for
         the live view and the progress reporter.
 
-        ``remote``, when given, is a lease scheduler (a
-        :class:`~repro.engine.protocol.LeaseLedger`): connected worker
-        agents lease tasks straight out of the pending queue and their
-        completions/failures/expiries are folded back through the same
-        supervision machinery as local runs.
+        ``remote``, when given, is the engine's
+        :class:`~repro.engine.protocol.LeaseLedger`: connected worker
+        agents lease tasks out of the same pending queue as the local
+        clients, and every outcome comes back as the same events.
         """
         if self.jobs == 0 and remote is None:
             raise ValueError("jobs=0 requires a remote lease scheduler")
-        in_process = remote is None and (
-            self.jobs == 1 or (len(tasks) <= 1 and self.timeout is None)
-        )
-        slots = min(self.jobs, max(1, len(tasks)))  # jobs=0: leases only
-        inline = _InProcessRunner(telemetry) if in_process else None
-        workers: List[WorkerProcess] = []
         pending: Deque = deque(tasks)
-        waiting: List[Tuple[float, RunTask]] = []  # backoff: (ready_at, task)
+        waiting: List[Tuple[float, object]] = []  # backoff: (ready_at, task)
         supervision: Dict[int, _Supervision] = {}
-        if remote is not None:
-            # Connected agents lease tasks straight out of `pending`
-            # (deque pops are atomic, so local submission and remote
-            # grants never double-own a task).
-            remote.begin_batch(pending)
+        ledger = remote
+        owned: Optional[LeaseServer] = None
+        clients: List[tuple] = []
 
         def requeue(tasks: list) -> None:
             """Put tasks back on `pending` and wake waiting grants."""
             if tasks:
                 pending.extend(tasks)
-                if remote is not None:
-                    remote.wake()
+                if ledger is not None:
+                    ledger.wake()
 
-        def sync_telemetry() -> None:
-            """Rebuild the live in-flight view from the workers' state."""
-            if telemetry is None:
-                return
-            running = []
-            # Weight every queued unit by its member count: a BatchTask
-            # is one task but ``configs_per_batch`` pending runs, and an
-            # ETA that counted it as one run would be optimistic by
-            # roughly that factor.
-            queued = sum(len(_members(t)) for t in pending) + sum(
-                len(_members(t)) for _, t in waiting
-            )
-            for worker in workers:
-                held = list(worker.tasks)
-                if held and worker.started is not None:
-                    running.append({
-                        **_live_entry(held.pop(0)),
-                        "started": worker.started, "pid": worker.pid,
-                        "phase": worker.phase,
-                        "phase_attrs": worker.phase_attrs,
-                    })
-                queued += sum(len(_members(t)) for t in held)
-            telemetry.sync(running, queued)
+        def promote() -> Optional[float]:
+            """Requeue retries whose backoff has elapsed; returns the
+            seconds until the next one is due (None: none waits)."""
+            nonlocal waiting
+            now = time.monotonic()
+            requeue([t for ready, t in waiting if ready <= now])
+            waiting = [(ready, t) for ready, t in waiting if ready > now]
+            if telemetry is not None:
+                # Weight every queued unit by its member count: a
+                # BatchTask is one task but ``configs_per_batch`` runs,
+                # and an ETA counting it as one run would be optimistic
+                # by roughly that factor.
+                telemetry.set_queue(sum(
+                    len(_members(t))
+                    for t in [*pending, *(t for _, t in waiting)]
+                ))
+            return min(ready for ready, _ in waiting) - now if waiting else None
 
         def handle_failure(task, exc: BaseException) -> None:
             if isinstance(task, BatchTask):
@@ -852,7 +799,7 @@ class Executor:
             share of the wall time and CPU (the shares sum back to the
             true cost); the first carries the task's store-reuse
             counters so they are folded exactly once.  ``payloads`` are
-            a remote agent's wire payloads: the engine persists them
+            a leased run's wire payloads: the engine persists them
             verbatim, so a distributed store is byte-identical to a
             local one.
             """
@@ -878,168 +825,128 @@ class Executor:
             if isinstance(task, BatchTask) and on_batch is not None:
                 on_batch(runs)
 
-        def retire(worker: WorkerProcess, exc: BaseException) -> None:
-            """Stop a dead or hung worker: its started run is charged
-            ``exc``; every other task it held never ran, so it is
-            requeued uncharged.  Only this worker is touched."""
-            started = worker.started is not None
-            held = worker.stop()
-            workers.remove(worker)
-            if started:
-                handle_failure(held.pop(0), exc)
-            requeue(held)
-
-        def drain_worker(worker: WorkerProcess) -> None:
-            """Dispatch every message the worker has ready."""
-            while worker.tasks and worker.conn.poll():
-                kind, task, value = worker.recv()
-                if kind == "done":
-                    complete(task, value)
-                elif kind == "error":
-                    handle_failure(task, value)
-                elif kind == "crash":
-                    retire(worker, value)
-
-        def drain_remote() -> None:
-            """Fold the lease scheduler's events into the run loop."""
-            for event in remote.collect():
-                kind = event[0]
-                if kind == "complete":
-                    _, task, payloads, wall, reuse, agent, resources, phases = (
-                        event
-                    )
-                    results = [TechniqueResult.from_payload(p) for p in payloads]
-                    for result, phase_times in zip(results, phases):
-                        result.phase_times = phase_times
-                    slots = [member.slot for member in _members(task)]
-                    complete(
-                        task, (slots, results, wall, reuse, resources),
-                        payloads, agent,
-                    )
-                elif kind == "fail":
-                    _, task, exc, _agent = event
-                    handle_failure(task, exc)
-                elif kind == "timeout":
-                    # Deadline blown while the agent kept heartbeating:
-                    # a genuinely slow run, charged exactly like a local
-                    # watchdog reap (a BatchTask explodes uncharged).
-                    _, task, _agent, reason = event
-                    handle_failure(task, _WatchdogTimeout(reason))
-                elif kind == "requeue":
-                    # Dead/partitioned agent: the run never (provably)
-                    # executed, so it is requeued without being charged
-                    # an attempt.
-                    _, task, _agent, _reason = event
-                    requeue([task])
-                elif kind == "parity":
-                    _, key, agent, detail = event
-                    raise RuntimeError(
-                        f"distributed result parity violation for run "
-                        f"{key} from agent {agent}: {detail}"
-                    )
-
-        def deadline(worker: WorkerProcess) -> Optional[float]:
-            """When the worker's run expires; None before it starts
-            (time queued behind siblings never counts against a run)."""
-            if self.timeout is None or worker.started is None:
-                return None
-            runs = len(_members(worker.tasks[0]))
-            return worker.started + self.timeout * runs
+        def dispatch(event: tuple) -> None:
+            """Fold one ledger event into the run loop."""
+            kind = event[0]
+            if kind == "complete":
+                _, task, payloads, wall, reuse, agent, resources, phases = event
+                results = [TechniqueResult.from_payload(p) for p in payloads]
+                for result, phase_times in zip(results, phases):
+                    result.phase_times = phase_times
+                slots = [member.slot for member in _members(task)]
+                complete(
+                    task, (slots, results, wall, reuse, resources),
+                    payloads, agent,
+                )
+            elif kind == "fail":
+                handle_failure(event[1], event[2])
+            elif kind == "timeout":
+                # The run outlived its lease's budget while its client
+                # kept heartbeating: a genuinely slow run, charged (a
+                # BatchTask explodes uncharged).
+                handle_failure(
+                    event[1], RemoteFailure("timeout", "RunTimeout", event[3])
+                )
+            elif kind == "requeue":
+                # Dead/partitioned agent: the run never (provably)
+                # executed, so it is requeued without being charged an
+                # attempt.
+                requeue([event[1]])
+            elif kind == "parity":
+                _, key, agent, detail = event
+                raise RuntimeError(
+                    f"distributed result parity violation for run "
+                    f"{key} from agent {agent}: {detail}"
+                )
 
         try:
-            while (
-                pending or waiting or any(w.tasks for w in workers)
-                or (remote is not None and remote.outstanding())
+            if remote is None and (
+                self.jobs == 1 or (len(tasks) <= 1 and self.timeout is None)
             ):
-                now = time.monotonic()
-                if waiting:  # promote retries whose backoff has elapsed
-                    requeue([t for ready, t in waiting if ready <= now])
-                    waiting = [(ready, t) for ready, t in waiting if ready > now]
-
-                if remote is not None:
-                    drain_remote()
-
-                if inline is not None and pending:
+                while pending or waiting:
+                    due = promote()
+                    if not pending:
+                        time.sleep(due)
+                        continue
                     task = pending.popleft()
                     task.submitted = time.monotonic()
                     try:
-                        outcome = inline.run(task, scale)
+                        outcome = _run_here(task, scale, telemetry)
                     except Exception as exc:
                         handle_failure(task, exc)
                     else:
                         complete(task, outcome)
-                    sync_telemetry()
-                    continue
-
-                # Keep every worker fed: the first pass gives each
-                # worker a run, the second one more waiting in its pipe,
-                # so a worker never idles while the supervisor writes a
-                # finished run to the store.
-                while inline is None and len(workers) < slots and pending:
-                    workers.append(WorkerProcess())
-                for depth in range(1, _TASKS_PER_WORKER + 1):
-                    for worker in workers:
-                        if len(worker.tasks) < depth and pending:
-                            try:
-                                task = pending.popleft()
-                            except IndexError:
-                                break  # a remote agent leased the last task
-                            task.submitted = time.monotonic()
-                            worker.submit(task, scale)
-
-                busy = [w for w in workers if w.tasks]
-                if not busy:
-                    sleeps = []
-                    if waiting:
-                        next_ready = min(ready for ready, _ in waiting)
-                        sleeps.append(next_ready - time.monotonic())
-                    if remote is not None and (
-                        remote.outstanding() or pending
-                    ):
-                        # Remote-only progress: wake to drain lease
-                        # events (and to re-check the heartbeat scan).
-                        sleeps.append(_EVENT_POLL_S)
-                    if sleeps:
-                        time.sleep(max(0.0, min(sleeps)))
-                    continue
-
-                sync_telemetry()
-                now = time.monotonic()
-                timeouts = [
-                    expiry - now for expiry in map(deadline, busy)
-                    if expiry is not None
-                ]
-                if remote is not None:
-                    # Lease events (and heartbeat expiry) must be
-                    # drained even while no local run finishes.
-                    timeouts.append(_EVENT_POLL_S)
-                if waiting:
-                    timeouts.append(min(ready for ready, _ in waiting) - now)
-                wait_for = max(0.0, min(timeouts)) if timeouts else None
-                ready = connection.wait([w.conn for w in busy], wait_for)
-                for worker in busy:
-                    if worker.conn in ready:
-                        drain_worker(worker)
-
-                # The watchdog: a run past its deadline is charged a
-                # timeout, and only its own worker is killed.
-                now = time.monotonic()
-                for worker in list(workers):
-                    expiry = deadline(worker)
-                    if (
-                        expiry is not None and now >= expiry
-                        and not worker.conn.poll()  # else it just finished
-                    ):
-                        retire(worker, _WatchdogTimeout(
-                            f"run exceeded {self.timeout:g}s wall-clock "
-                            "timeout"
-                        ))
+                return
+            server = self.server
+            if remote is None:
+                server = owned = LeaseServer(
+                    run_timeout=self.timeout, lease_ttl=self.lease_ttl,
+                    scale_instructions_per_m=scale.instructions_per_m,
+                    results_epoch=RESULTS_EPOCH,
+                )
+                ledger = server.ledger
+            ledger.begin_batch(pending)
+            if self.jobs:
+                clients = _start_clients(
+                    server, min(self.jobs, max(1, len(tasks))), telemetry
+                )
+            while pending or waiting or ledger.outstanding():
+                if remote is None and not any(t.is_alive() for _, t in clients):
+                    raise RuntimeError("every local lease client stopped")
+                ledger.wait(promote())
+                for event in ledger.collect():
+                    dispatch(event)
         finally:
             try:
-                if remote is not None:
-                    remote.end_batch()
+                if ledger is not None:
+                    ledger.end_batch()
             finally:
-                for worker in workers:
-                    worker.stop()
+                if clients:
+                    _stop_clients(ledger, clients)
+                if owned is not None:
+                    owned.close()
                 if telemetry is not None:
                     telemetry.clear()
+
+
+def _start_clients(
+    server: LeaseServer, count: int, telemetry: Optional[InflightTracker]
+) -> List[tuple]:
+    """Start ``count`` local lease clients of ``server``; returns their
+    ``(agent, thread)`` pairs.
+
+    Each client's first :class:`WorkerProcess` is forked here, on the
+    caller's thread, before any client thread starts: a fork copies
+    only the forking thread, and none of these holds a lock yet.
+    """
+    from repro.engine.worker import WorkerAgent  # it imports this module
+
+    agents = [
+        WorkerAgent(quiet=True, local=True, telemetry=telemetry)
+        for _ in range(count)
+    ]
+    for agent in agents:
+        agent.worker = WorkerProcess()
+    clients = []
+    for agent in agents:
+        thread = threading.Thread(
+            target=agent.serve,
+            args=(Connection(server.connect_local()),),
+            name="repro-local-client",
+            daemon=True,
+        )
+        thread.start()
+        clients.append((agent, thread))
+    return clients
+
+
+def _stop_clients(ledger, clients: List[tuple]) -> None:
+    """End the local clients: they leave the ledger, so each one's next
+    lease request is answered ``shutdown``; a child still running a
+    canceled (or, on an error, live) lease is killed now rather than at
+    its next heartbeat."""
+    ledger.leave_local()
+    for agent, _ in clients:
+        agent.abandon()
+    for _, thread in clients:
+        thread.join()

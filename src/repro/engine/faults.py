@@ -22,8 +22,8 @@ Fault kinds:
 ``exc``
     the worker raises :class:`InjectedFault`;
 ``hang``
-    the worker sleeps ``arg`` seconds (default 3600) -- reaped by the
-    run-timeout watchdog;
+    the worker sleeps ``arg`` seconds (default 3600) -- charged a
+    timeout once it outlives its lease's budget, and killed;
 ``kill``
     the worker process SIGKILLs itself: a ``crash`` charged to that
     run alone, while every other worker keeps running;
@@ -31,8 +31,10 @@ Fault kinds:
     the simulation kernel of backend ``arg`` (default: any guarded
     backend) raises, triggering backend degradation.
 
-Network fault kinds (honored by remote worker agents,
-:mod:`repro.engine.worker`; ignored by local workers).  For these
+Network fault kinds (honored by TCP worker agents,
+:mod:`repro.engine.worker`; ignored by the executor's local ``--jobs``
+clients, which share the supervisor's process: a ``dead`` there would
+kill the supervisor).  For these
 the ``@N`` operand is the *agent's Nth granted lease* (1-based), not a
 plan slot -- plans are per-process environment, so ``@N`` selects when
 the agent carrying the plan misbehaves, deterministically:
@@ -70,7 +72,7 @@ from typing import List, Optional, Tuple
 #: Environment variable holding the active fault plan (empty = none).
 FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
-#: Network fault kinds, honored by remote worker agents only; their
+#: Network fault kinds, honored by TCP worker agents only; their
 #: ``slot`` operand is the agent's Nth granted lease (1-based).
 NETWORK_FAULT_KINDS = ("drop", "delay", "dead", "corrupt")
 
@@ -242,9 +244,10 @@ def deactivate() -> None:
 def network_fault(lease_ordinal: int) -> Optional[FaultSpec]:
     """The planned network fault for an agent's Nth lease (1-based).
 
-    Called by :mod:`repro.engine.worker` after each grant; local
-    workers never consult this, and :func:`activate` ignores network
-    kinds, so one plan string can mix worker-side and network faults.
+    Called by a TCP agent (:mod:`repro.engine.worker`) after each
+    grant; local clients never consult this, and :func:`activate`
+    ignores network kinds, so one plan string can mix worker-side and
+    network faults.
     """
     for spec in _current_plan():
         if spec.kind in NETWORK_FAULT_KINDS and spec.matches(lease_ordinal, 1):

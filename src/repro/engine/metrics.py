@@ -123,7 +123,7 @@ METRICS = (
     Metric("quarantined", "count",
            "Poison runs quarantined after failing identically twice.", EXACT),
     Metric("retries", "count", "Re-executions after a failed attempt.", EXACT),
-    Metric("timeouts", "count", "Attempts reaped by the run-timeout watchdog."),
+    Metric("timeouts", "count", "Attempts that outlived the run timeout."),
     Metric("crashes", "count", "Attempts lost to a dead worker process."),
     Metric("degradations", "count",
            "Runs retried on a lower kernel-backend tier."),

@@ -1,11 +1,13 @@
 """Lease-based distributed scheduling: wire protocol, ledger, server.
 
-The supervisor side of multi-host sweeps.  Remote worker agents
-(:mod:`repro.engine.worker`) connect over TCP and *lease* runs from the
-engine's pending queue; the :class:`LeaseLedger` tracks every
-outstanding lease and the :class:`LeaseServer` speaks the wire protocol
-on its behalf.  The executor treats the server as one more source of
-completed work next to its local worker processes.
+The supervisor side of every sweep that runs outside the supervisor's
+own thread.  Worker agents (:mod:`repro.engine.worker`) *lease* runs
+from the engine's pending queue: remote agents over TCP, and the
+executor's ``--jobs`` clients over socketpairs, with the same session
+code.  The :class:`LeaseLedger` tracks every outstanding lease and is
+the one place that turns an attempt's outcome into an event for the
+executor; the :class:`LeaseServer` speaks the wire protocol on its
+behalf.
 
 Wire format: newline-delimited JSON messages, one request/one reply,
 over a plain TCP socket.  Tasks travel as pickled submission copies
@@ -19,15 +21,15 @@ Robustness model (the PR 3 taxonomy, extended across hosts):
 
 * every lease carries a *heartbeat* liveness budget (``lease_ttl``
   seconds; agents beat at ``ttl / 3``) and, when the engine has a
-  ``--run-timeout``, a wall-clock *deadline* derived from it;
+  ``--run-timeout``, a wall-clock *deadline*: from the grant, the
+  timeout times the lease's member runs plus one heartbeat period;
 * a lease whose heartbeats stop is a dead or partitioned agent: the
   run never provably executed to completion, so it is requeued
-  **uncharged** -- exactly like a local run waiting in the pipe of a
-  worker that died (only actually-executing runs get charged);
+  **uncharged**;
 * a lease whose deadline passes while heartbeats continue is a *slow
-  run*, not a dead agent: it is charged a ``timeout`` failure, exactly
-  like a local run reaped by the watchdog.  This is the
-  heartbeat-loss-vs-slow-run disambiguation;
+  run*, not a dead agent: it is charged a ``timeout`` failure, and the
+  client kills the run when its next heartbeat is answered ``cancel``.
+  This is the heartbeat-loss-vs-slow-run disambiguation;
 * an agent can requeue the same run at most :data:`MAX_LEASE_REQUEUES`
   times; past that the run is charged a ``timeout`` so a poisonous run
   cannot ping-pong across dying agents forever;
@@ -37,37 +39,23 @@ Robustness model (the PR 3 taxonomy, extended across hosts):
   key is still pending is discarded as stale (the requeued task is the
   authoritative execution).
 
-Batch leases (PR 9): a lease may carry a whole
-:class:`~repro.engine.executor.BatchTask` -- N same-geometry configs
-served by one batched detailed pass on the agent.  The ledger tracks
-the batch as *one* lease with member run keys: heartbeat loss requeues
-the whole batch uncharged; an agent-reported member fault surfaces as
-one ``fail`` event on the batch task, which the executor explodes into
-uncharged singletons exactly like a local batch fault; duplicate batch
-completions dedup per member key with byte-parity asserted.
-``remote_batch_configs`` caps how many members one lease may carry --
-oversized batches are split at grant time (the remainder goes back to
-the front of the supply), so 1 reproduces PR 8 singleton leases.
+A lease may carry a whole :class:`~repro.engine.executor.BatchTask`,
+tracked as *one* lease with member run keys (heartbeat loss requeues
+it whole, a member fault is one ``fail`` event the executor explodes
+into uncharged singletons, straggler completions dedup per member);
+``remote_batch_configs`` caps its members, splitting wider batches at
+grant time.  Agents also probe and fetch content-addressed trace and
+checkpoint artifacts over the same connection (``artifact_fetch``
+replies are :class:`Frame` chunks, sha256-verified by the agent before
+install) and stream throttled phase events and artifact counters as
+``obs`` messages, which the server re-emits on the supervisor's tracer
+and folds into the agent registry.  DESIGN.md section 7 has the
+details.
 
-Artifact ops (PR 9): agents probe/fetch content-addressed artifacts --
-trace-store ``.npt`` columns and checkpoint-store entries -- from the
-supervisor's stores over the same connection, keyed by the stores'
-existing content hashes.  ``artifact_probe`` returns size + sha256
-(positions too, for checkpoints); ``artifact_fetch`` returns one
-bounded chunk per request as a :class:`Frame`: a JSON header line
-announcing ``length``, then exactly that many raw bytes.  The agent
-hashes the chunks as they stream into its local store's temp file and
-renames it into place only when the whole file's sha256 matches, so a
-corrupt transfer is detected and re-fetched, never trusted.
-
-Obs ops (PR 9): agents stream throttled per-phase progress events and
-artifact cache counter deltas back over the lease connection.  The
-server re-emits the events on the supervisor's tracer (they merge into
-``trace.jsonl``) and folds the counters into the agent registry
-(surfaced in ``live.json`` and the Prometheus textfile).  A run's
-phase-timing ledger is not an obs report: it rides on the ``complete``
-message, one ``phases`` dict per payload, and is recorded per run
-exactly like a local run's.
+Local clients are not agents: they join the ledger as ``local``, so
+they count toward no agent or lease counter, have no ``per_agent`` row,
+are not journaled, and their completions carry no agent (they are not
+remote runs).
 """
 
 from __future__ import annotations
@@ -288,12 +276,14 @@ class Connection:
         return reply
 
     def close(self) -> None:
+        # Shut down first: a thread blocked reading then sees EOF (and
+        # releases the reader, which close would otherwise wait for).
         try:
-            self._reader.close()
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
+            self._reader.close()
         except OSError:
             pass
         try:
@@ -363,6 +353,8 @@ class LeaseLedger:
         self._lock = threading.Lock()
         # Idle grants wait on this for work (or for closing).
         self._work = threading.Condition(self._lock)
+        # The executor waits on this for events (and new leases).
+        self._news = threading.Condition(self._lock)
         self._supply: Optional[Deque] = None
         self._leases: Dict[str, _Lease] = {}
         self._agents: Dict[str, _AgentEntry] = {}
@@ -371,6 +363,9 @@ class LeaseLedger:
         self._deliveries: Dict[str, int] = {}   # key -> grant count
         self._events: Deque[tuple] = deque()
         self._counters: Dict[str, int] = {}
+        # The executor's ``--jobs`` clients (not agents): id -> whether
+        # it is still present (False once it left).
+        self._local: Dict[str, bool] = {}
         self._next_lease = 0
         self._next_agent = 0
         self._closing = False
@@ -424,6 +419,28 @@ class LeaseLedger:
                 drained.append(self._events.popleft())
         return drained
 
+    def wait(self, timeout: Optional[float] = None) -> None:
+        """Block until an event is queued or a lease granted, the next
+        live lease can expire, or ``timeout`` seconds pass: the
+        executor's only wait, so it wakes for news, never to poll."""
+        with self._lock:
+            if self._events:
+                return
+            now = self.clock()
+            for lease in self._leases.values():
+                if lease.canceled_at is None:
+                    expiry = lease.last_beat + self.lease_ttl
+                    if lease.deadline is not None:
+                        expiry = min(expiry, lease.deadline)
+                    if timeout is None or expiry - now < timeout:
+                        timeout = expiry - now
+            self._news.wait(None if timeout is None else max(0.0, timeout))
+
+    def _push(self, event: tuple) -> None:
+        """Queue one event for the executor (lock held)."""
+        self._events.append(event)
+        self._news.notify_all()
+
     def outstanding(self) -> int:
         """Work the executor must still wait for (or drain).
 
@@ -448,7 +465,8 @@ class LeaseLedger:
 
     def agents_snapshot(self) -> List[dict]:
         """Per-agent rows: live telemetry and ``engine-stats.json``'s
-        ``per_agent`` table both read this one view."""
+        ``per_agent`` table both read this one view (local clients are
+        not agents and have no row)."""
         now = self.clock()
         with self._lock:
             return [
@@ -465,22 +483,35 @@ class LeaseLedger:
                     "artifact_misses": entry.artifact_misses,
                 }
                 for agent_id, entry in sorted(self._agents.items())
+                if agent_id not in self._local
             ]
 
     def total_agents(self) -> int:
         """Distinct agents that ever joined (lost ones included)."""
         with self._lock:
-            return len(self._agents)
+            return len(self._agents) - len(self._local)
 
     # -- agent side (called from connection threads) -------------------------------
 
-    def _bump(self, counter: str, amount: int = 1) -> None:
-        self._counters[counter] = self._counters.get(counter, 0) + amount
+    def _bump(self, counter: str, agent: str, amount: int = 1) -> None:
+        """Count ``agent``'s traffic; a local client's counts nowhere."""
+        if agent not in self._local:
+            self._counters[counter] = self._counters.get(counter, 0) + amount
 
-    def join(self, name: str = "", host: str = "", pid: int = 0) -> str:
+    def _note(self, kind: str, fields: dict) -> None:
+        """Journal one distributed lifecycle record (not a local
+        client's: the journal syncs every record to disk)."""
+        if fields["agent"] not in self._local:
+            self._record(kind, fields)
+
+    def join(
+        self, name: str = "", host: str = "", pid: int = 0,
+        local: bool = False,
+    ) -> str:
         with self._lock:
             self._next_agent += 1
-            agent_id = name or f"agent-{self._next_agent}"
+            kind = "local" if local else "agent"
+            agent_id = name or f"{kind}-{self._next_agent}"
             if agent_id in self._agents and (
                 self._agents[agent_id].state != "lost"
             ):
@@ -488,25 +519,45 @@ class LeaseLedger:
             self._agents[agent_id] = _AgentEntry(
                 name=agent_id, host=host, pid=pid, last_seen=self.clock()
             )
-            self._bump("agents_joined")
-        self._record("agent_joined", {"agent": agent_id, "host": host})
+            if local:
+                self._local[agent_id] = True
+            self._bump("agents_joined", agent_id)
+        self._note("agent_joined", {"agent": agent_id, "host": host})
         return agent_id
 
     def leave(self, agent_id: str, reason: str = "disconnected") -> None:
-        """Requeue an agent's outstanding leases, uncharged."""
+        """Requeue an agent's outstanding leases, uncharged.  A local
+        client that left is never granted again."""
         dropped: List[_Lease] = []
         with self._lock:
             entry = self._agents.get(agent_id)
             if entry is None or entry.state == "lost":
                 return
             entry.state = "lost"
-            self._bump("agents_lost")
+            if agent_id in self._local:
+                self._local[agent_id] = False
+            self._bump("agents_lost", agent_id)
             for lease in list(self._leases.values()):
                 if lease.agent == agent_id and lease.canceled_at is None:
                     dropped.append(self._leases.pop(lease.lease_id))
-        self._record("agent_lost", {"agent": agent_id, "reason": reason})
+            self._work.notify_all()
+            self._news.notify_all()
+        self._note("agent_lost", {"agent": agent_id, "reason": reason})
         for lease in dropped:
             self._requeue_locked_out(lease, reason)
+
+    def leave_local(self) -> None:
+        """End every local client's session: its leases are requeued,
+        uncharged, and its next lease request is answered
+        ``shutdown``."""
+        with self._lock:
+            present = [a for a, here in self._local.items() if here]
+        for agent_id in present:
+            self.leave(agent_id)
+
+    def left(self, agent_id: str) -> bool:
+        """Whether ``agent_id`` is a local client that has left."""
+        return self._local.get(agent_id) is False
 
     def _requeue_locked_out(self, lease: _Lease, reason: str) -> None:
         """Route one revoked lease: requeue uncharged, or charge a
@@ -514,18 +565,16 @@ class LeaseLedger:
         with self._lock:
             count = self._requeues.get(lease.key, 0) + 1
             self._requeues[lease.key] = count
-            self._bump("lease_expiries")
+            self._bump("lease_expiries", lease.agent)
             if count > self.max_requeues:
-                self._events.append(
+                self._push(
                     ("timeout", lease.task, lease.agent,
                      f"requeue budget exhausted after {reason}")
                 )
             else:
-                self._bump("lease_requeues")
-                self._events.append(
-                    ("requeue", lease.task, lease.agent, reason)
-                )
-        self._record(
+                self._bump("lease_requeues", lease.agent)
+                self._push(("requeue", lease.task, lease.agent, reason))
+        self._note(
             "lease_expired",
             {"key": lease.key, "agent": lease.agent, "reason": reason},
         )
@@ -536,22 +585,17 @@ class LeaseLedger:
         With no task pending, wait up to one heartbeat period for one
         (the executor calls :meth:`wake` when it adds work), so a run
         queued just after an idle agent asked starts at once.  None
-        means idle, or closing.
+        means idle, closing, or a local client that has left.
         """
         with self._lock:
             self._work.wait_for(
-                lambda: self._closing or bool(self._supply),
+                lambda: self._closing or bool(self._supply)
+                or self.left(agent_id),
                 self.lease_ttl / 3.0,
             )
-            if self._closing or self._supply is None:
+            if self._closing or not self._supply or self.left(agent_id):
                 return None
-            try:
-                # deque.popleft is atomic; the executor pops the same
-                # deque for its local workers, so contention resolves to
-                # exactly one owner per task.
-                task = self._supply.popleft()
-            except IndexError:
-                return None
+            task = self._supply.popleft()
             members = getattr(task, "members", None)
             cap = self.remote_batch_configs
             if members is not None and cap is not None and len(members) > cap:
@@ -575,14 +619,16 @@ class LeaseLedger:
             self._deliveries[key] = delivery
             deadline = None
             if self.run_timeout is not None:
-                budget = getattr(task, "members", None)
-                multiplier = len(budget) if budget is not None else 1
-                # One heartbeat period of grace absorbs wire latency,
-                # keeping remote deadline semantics aligned with the
-                # local watchdog's execution-time clock.
+                # The run's budget: its timeout per member, from the
+                # grant, plus one heartbeat period of grace for the
+                # wire and the child's start.
+                multiplier = len(members) if members is not None else 1
                 deadline = now + self.run_timeout * multiplier + (
                     self.lease_ttl / 3.0
                 )
+            # The queue-wait span runs from here to the run's start, on
+            # the machine-wide monotonic clock (not the ledger's).
+            task.submitted = time.monotonic()
             lease = _Lease(
                 lease_id=lease_id, task=task, key=key, agent=agent_id,
                 granted=now, last_beat=now, deadline=deadline,
@@ -592,12 +638,14 @@ class LeaseLedger:
                 ),
             )
             self._leases[lease_id] = lease
-            self._bump("leases_granted")
+            self._bump("leases_granted", agent_id)
+            # The executor's wait now has one more lease to time out.
+            self._news.notify_all()
             entry = self._agents.get(agent_id)
             if entry is not None:
                 entry.state = "running"
                 entry.last_seen = now
-        self._record(
+        self._note(
             "leased",
             {"key": key, "agent": agent_id, "delivery": delivery},
         )
@@ -659,9 +707,11 @@ class LeaseLedger:
                 if entry is not None:
                     entry.runs += len(payloads) if member_keys else 1
                     entry.wall_time_s += wall_s
-                self._events.append(
+                # A local client's run is not a remote run: no agent.
+                self._push(
                     ("complete", lease.task, payloads, wall_s, reuse,
-                     agent_id, resources, phases or [])
+                     None if agent_id in self._local else agent_id,
+                     resources, phases or [])
                 )
                 return "ok"
             # Lease expired/canceled/unknown: at-least-once straggler.
@@ -670,15 +720,15 @@ class LeaseLedger:
             known = self._completed.get(key)
             if known is not None:
                 if known != digest:
-                    self._events.append(
+                    self._push(
                         ("parity", key, agent_id,
                          f"duplicate payload digest {digest[:12]} != "
                          f"first-writer {known[:12]}")
                     )
                 else:
-                    self._bump("duplicate_completions")
+                    self._bump("duplicate_completions", agent_id)
                 return "duplicate"
-            self._bump("stale_completions")
+            self._bump("stale_completions", agent_id)
             return "stale"
 
     def _resolve_stale_batch(
@@ -697,15 +747,15 @@ class LeaseLedger:
             if known is None:
                 stale = True
             elif known != payload_digest([payload]):
-                self._events.append(
+                self._push(
                     ("parity", member_key, agent_id,
                      f"duplicate batch-member payload digest != "
                      f"first-writer {known[:12]}")
                 )
         if stale:
-            self._bump("stale_completions")
+            self._bump("stale_completions", agent_id)
             return "stale"
-        self._bump("duplicate_completions")
+        self._bump("duplicate_completions", agent_id)
         return "duplicate"
 
     def fail(
@@ -723,7 +773,7 @@ class LeaseLedger:
                 entry.state = "idle"
             lease = self._leases.get(lease_id)
             if lease is None or lease.canceled_at is not None:
-                self._bump("stale_completions")
+                self._bump("stale_completions", agent_id)
                 return "stale"
             del self._leases[lease_id]
             if getattr(lease.task, "members", None) is not None:
@@ -731,16 +781,16 @@ class LeaseLedger:
                 # event reaches the executor, which explodes the batch
                 # into uncharged singletons exactly like a local batch
                 # fault (the poisoned member is then found alone).
-                self._bump("remote_batch_explodes")
+                self._bump("remote_batch_explodes", agent_id)
                 exploded = {
                     "key": lease.key,
                     "agent": agent_id,
                     "members": len(lease.task.members),
                     "error": str(exc),
                 }
-            self._events.append(("fail", lease.task, exc, agent_id))
+            self._push(("fail", lease.task, exc, agent_id))
         if exploded is not None:
-            self._record("batch_exploded", exploded)
+            self._note("batch_exploded", exploded)
         return "ok"
 
     def observe(
@@ -773,7 +823,7 @@ class LeaseLedger:
                 ):
                     amount = int(artifacts.get(wire, 0))
                     if amount:
-                        self._bump(counter, amount)
+                        self._bump(counter, agent_id, amount)
 
     # -- expiry --------------------------------------------------------------------
 
@@ -794,15 +844,18 @@ class LeaseLedger:
                     # so it is requeued uncharged.
                     del self._leases[lease.lease_id]
                     expired.append(lease)
-                    lost_agents.append(lease.agent)
+                    # A late local client is not lost: it shares this
+                    # process, and a left one is never granted again.
+                    if lease.agent not in self._local:
+                        lost_agents.append(lease.agent)
                 elif lease.deadline is not None and now >= lease.deadline:
                     # Still heartbeating but past the run's wall-clock
-                    # budget: a slow run, charged like a local watchdog
-                    # reap.  The lease is kept (canceled) so the
-                    # agent's next heartbeat tells it to abandon ship.
+                    # budget: a slow run, charged a timeout.  The lease
+                    # is kept (canceled) so the client's next heartbeat
+                    # tells it to kill the run.
                     lease.canceled_at = now
                     lease.cancel_reason = "deadline"
-                    self._events.append(
+                    self._push(
                         ("timeout", lease.task, lease.agent,
                          f"exceeded {self.run_timeout:g}s run timeout")
                     )
@@ -813,18 +866,19 @@ class LeaseLedger:
 
 
 class LeaseServer:
-    """TCP front end for a :class:`LeaseLedger`.
+    """Wire front end for a :class:`LeaseLedger`.
 
-    One accept thread plus one thread per agent connection; every
-    ledger mutation happens under the ledger's lock, so the executor's
-    scheduling loop can poll :meth:`collect` without further
-    coordination.  The server is also the journal's scribe for
-    distributed lifecycle events (agent joins/losses, grants, expiries).
+    One thread per connection; every ledger mutation happens under the
+    ledger's lock.  With a ``host``, an accept thread serves TCP agents
+    (``--listen``); :meth:`connect_local` serves one end of a socketpair
+    the same way, for a ``--jobs`` client in this process.  The
+    server is also the journal's scribe for distributed lifecycle
+    events (agent joins/losses, grants, expiries).
     """
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
+        host: Optional[str] = None,
         port: int = 0,
         *,
         scale_instructions_per_m: int,
@@ -864,38 +918,23 @@ class LeaseServer:
             remote_batch_configs=remote_batch_configs,
         )
         self.lease_ttl = self.ledger.lease_ttl
+        self._connections: List[Connection] = []
+        self._conn_lock = threading.Lock()
+        self._threads: List[threading.Thread] = []
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self.host, self.port = host, None
+        if host is None:
+            return
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(64)
         self.host, self.port = self._listener.getsockname()[:2]
-        self._connections: List[Connection] = []
-        self._conn_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-lease-accept", daemon=True
         )
         self._accept_thread.start()
-
-    # -- ledger passthrough --------------------------------------------------------
-
-    def begin_batch(self, supply: Deque) -> None:
-        self.ledger.begin_batch(supply)
-
-    def end_batch(self) -> None:
-        self.ledger.end_batch()
-
-    def wake(self) -> None:
-        self.ledger.wake()
-
-    def collect(self) -> List[tuple]:
-        return self.ledger.collect()
-
-    def outstanding(self) -> int:
-        return self.ledger.outstanding()
-
-    def consume_counters(self) -> Dict[str, int]:
-        return self.ledger.consume_counters()
 
     def agents_snapshot(self) -> List[dict]:
         return self.ledger.agents_snapshot()
@@ -928,6 +967,23 @@ class LeaseServer:
                 )
             time.sleep(0.05)
 
+    def connect_local(self) -> socket.socket:
+        """A local client's end of a new socketpair, whose other end is
+        served like an accepted agent's, as a local client."""
+        ours, theirs = socket.socketpair()
+        self._start(ours, ("local", 0), True)
+        return theirs
+
+    def _start(self, sock: socket.socket, addr, local: bool = False) -> None:
+        thread = threading.Thread(
+            target=self._serve,
+            args=(sock, addr, local),
+            name=f"repro-lease-{addr[0]}:{addr[1]}",
+            daemon=True,
+        )
+        self._threads.append(thread)
+        thread.start()
+
     def _accept_loop(self) -> None:
         while True:
             try:
@@ -935,16 +991,9 @@ class LeaseServer:
             except OSError:
                 return  # listener closed: shutting down
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve,
-                args=(sock, addr),
-                name=f"repro-lease-{addr[0]}:{addr[1]}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+            self._start(sock, addr)
 
-    def _serve(self, sock: socket.socket, addr) -> None:
+    def _serve(self, sock: socket.socket, addr, local: bool = False) -> None:
         connection = Connection(sock)
         with self._conn_lock:
             self._connections.append(connection)
@@ -953,13 +1002,14 @@ class LeaseServer:
             while True:
                 try:
                     message = connection.recv()
-                except (ProtocolError, OSError):
-                    break
+                except (ProtocolError, OSError, ValueError):
+                    break  # ValueError: close() closed the reader first
                 if message is None:
                     break
-                reply, agent_id, done = self._handle(
-                    message, agent_id, addr
+                reply, joined, done = self._handle(
+                    message, agent_id, addr, local
                 )
+                agent_id = joined
                 try:
                     connection.send(reply)
                 except OSError:
@@ -977,7 +1027,8 @@ class LeaseServer:
                     pass
 
     def _handle(
-        self, message: dict, agent_id: Optional[str], addr
+        self, message: dict, agent_id: Optional[str], addr,
+        local: bool = False,
     ) -> Tuple[Union[dict, Frame], Optional[str], bool]:
         op = message.get("op")
         if op == "hello":
@@ -999,6 +1050,7 @@ class LeaseServer:
                 name=str(message.get("name", "") or ""),
                 host=str(message.get("host", "") or addr[0]),
                 pid=int(message.get("pid", 0) or 0),
+                local=local,
             )
             return (
                 {
@@ -1020,7 +1072,9 @@ class LeaseServer:
         if op == "lease":
             granted = self.ledger.grant(agent_id)
             if granted is None:
-                op = "shutdown" if self.ledger.closing else "idle"
+                op = "shutdown" if (
+                    self.ledger.closing or self.ledger.left(agent_id)
+                ) else "idle"
                 return {"op": op}, agent_id, False
             lease, delivery = granted
             from repro.engine.executor import _strip_task
@@ -1215,29 +1269,34 @@ class LeaseServer:
         )
 
     def close(self, drain_s: float = 3.0) -> None:
-        """Stop granting, give agents a moment to hear ``shutdown``,
-        then tear the sockets down."""
-        self.ledger.closing = True
-        deadline = time.monotonic() + drain_s
-        while time.monotonic() < deadline:
-            with self._conn_lock:
-                if not self._connections:
-                    break
-            time.sleep(0.05)
-        # Closing a listening socket from another thread does not wake a
-        # blocked accept() on Linux; shutting it down first does.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Stop serving.  A listener stops granting and gives agents a
+        moment to hear ``shutdown``; local clients leave the ledger (a
+        grant waiting for one returns at once).  Then every socket is
+        torn down."""
+        if self._listener is not None:
+            self.ledger.closing = True
+            deadline = time.monotonic() + drain_s
+            while time.monotonic() < deadline:
+                with self._conn_lock:
+                    if not self._connections:
+                        break
+                time.sleep(0.05)
+            # Closing a listening socket from another thread does not
+            # wake a blocked accept() on Linux; shutting it down does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         with self._conn_lock:
             connections = list(self._connections)
         for connection in connections:
             connection.close()
-        self._accept_thread.join(timeout=2.0)
+        self.ledger.leave_local()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
         for thread in self._threads:
             thread.join(timeout=0.5)

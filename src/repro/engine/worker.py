@@ -1,4 +1,4 @@
-"""Remote worker agent for distributed sweeps.
+"""Worker agents: the one lease client, remote or local.
 
 Usage::
 
@@ -7,57 +7,41 @@ Usage::
 
 An agent connects to a supervisor started with ``--listen``, leases
 runs one at a time and executes them with the *same* worker function
-local worker processes use (:func:`repro.engine.executor._worker`), so
-a run's result cannot depend on where it executed.  Workloads arrive as
+as every other runner (:func:`repro.engine.executor._worker`), so a
+run's result cannot depend on where it executed.  Workloads arrive as
 compact registry keys; the agent materializes traces and warm-state
-checkpoints into its **own** local store (under ``--cache-dir``), so
-joining a host costs nothing but CPU.
+checkpoints into its **own** local store (under ``--cache-dir``),
+fetching the supervisor's copies of missing ones over the same
+connection first, so joining a host costs little but CPU.
 
-Each leased run executes in a fresh
-:class:`~repro.engine.executor.WorkerProcess`, the same supervised
-child class the executor's local workers are.  While the child runs,
-the agent heartbeats at the cadence the supervisor announced (a third
-of the lease TTL); a ``cancel`` reply kills the child and abandons the
-run (the supervisor has already expired or reaped the lease).  The
-child's outcome maps to the wire ``kind``: a child that dies before
-reporting is a ``crash``, with the local crash signature; a
+Leased runs execute in the session's one
+:class:`~repro.engine.executor.WorkerProcess`, a supervised child kept
+from lease to lease and replaced only after a crash, a cancel or a
+kill.  While the child runs, the agent heartbeats at the cadence the
+supervisor announced (a third of the lease TTL); a ``cancel`` reply
+kills the child and abandons the run (the supervisor has already
+expired the lease or charged its timeout).  The child's outcome maps
+to the wire ``kind``: a child that dies before reporting is a
+``crash``, with the one crash signature; a
 :class:`~repro.cpu.kernels.registry.KernelError` is a ``kernel``
 failure, so the supervisor's backend-degradation path serves remote
 runs too; any other exception is ``transient``.  Completed results
-travel back as the exact JSON payload dicts the store persists, which
-is what makes distributed stores byte-identical to local ones.
+travel back as the exact JSON payload dicts the store persists, each
+with its phase-timing ledger (a batch lease reports one payload and
+one member run key per config), which is what makes distributed
+stores byte-identical to local ones.  Phase transitions stream back
+as throttled ``obs`` messages, with the artifact cache counters.
 
-A lease may carry a whole batch task (N same-geometry configs served
-by one batched pass); the completion then reports one payload and one
-member run key per config, so the supervisor dedups stragglers per
-member.  Before executing, the agent *prefetches artifacts*: it probes
-its local trace/checkpoint stores for the lease's content-addressed
-artifacts and fetches misses from the supervisor over the same
-connection (raw chunk frames, hashed as they stream into the store's
-temp file, renamed into place only when the whole file's sha256
-matches) -- so a fresh host costs one trace fetch + one checkpoint
-fetch instead of regenerating everything from zero.  While a run
-executes, the child's phase transitions stream back as ``obs``
-messages, throttled by the same
-:class:`~repro.engine.executor.PhaseNotifier` rule as local workers';
-after each run the agent reports its artifact cache counters the same
-way.  Each run's phase-timing ledger rides on the ``complete`` message,
-one ``phases`` dict per payload, so the supervisor records remote runs
-exactly like local ones.
+The executor's ``--jobs`` clients run this same session loop over a
+socketpair, as *local* clients (``local=True``): they share the
+supervisor's process and stores, so they apply no environment, fetch
+no artifacts, ignore network faults, and report phases to the live
+view instead of the wire (their children write their own trace files).
 
-Network fault injection (``$REPRO_FAULT_PLAN``, per-agent): the verbs
-``dead``/``drop``/``delay``/``corrupt`` match the agent's Nth granted
-lease (1-based) rather than a plan slot -- plans are per-process, so
-``@N`` selects *when this agent* misbehaves deterministically
-regardless of which runs it happens to lease.  ``dead@1`` SIGKILLs the
-whole agent on its first lease; ``drop@1`` executes the run but severs
-the connection instead of reporting it (a partition -- the work is
-lost and the supervisor requeues); ``drop@1:fetch`` severs mid
-``artifact_fetch`` instead, before the run executes; ``delay@1:300``
-holds the completion back 300 ms (heartbeating throughout);
-``corrupt@1`` flips one byte in a received artifact chunk -- the agent
-must detect the bad sha256, discard the bytes, count the corruption
-and re-fetch.
+Network fault verbs (``dead``/``drop``/``delay``/``corrupt`` in
+``$REPRO_FAULT_PLAN``, see :mod:`repro.engine.faults`) match a TCP
+agent's Nth granted lease, so ``@N`` selects *when this agent*
+misbehaves, whichever runs it happens to lease.
 """
 
 from __future__ import annotations
@@ -76,12 +60,14 @@ from typing import Iterator, Optional
 from repro.cpu import checkpoint
 from repro.cpu.kernels.registry import KernelError, activate as activate_backend
 from repro.files import atomic_write
+from repro.obs.live import InflightTracker
 from repro.scale import Scale
 from repro.workloads import trace_store
 
 from repro.engine import faults
 from repro.engine.executor import (
     WorkerProcess,
+    _live_entry,
     _resolve_workload,
     _signature,
     classify_failure,
@@ -118,19 +104,31 @@ class _DigestMismatch(Exception):
 
 
 class WorkerAgent:
-    """One remote agent: connect, lease, execute, report, repeat."""
+    """One agent: connect, lease, execute, report, repeat.
+
+    ``local`` marks one of the executor's ``--jobs`` clients (served
+    over a socketpair, no ``address``); ``telemetry`` is the live view
+    such a client keeps its run in.
+    """
 
     def __init__(
         self,
-        address: str,
+        address: Optional[str] = None,
         name: str = "",
         cache_dir: Optional[os.PathLike] = None,
         backend: Optional[str] = None,
         reconnect_attempts: int = 20,
         reconnect_delay: float = 0.5,
         quiet: bool = False,
+        local: bool = False,
+        telemetry: Optional[InflightTracker] = None,
     ) -> None:
-        self.host, self.port = parse_address(address)
+        self.host, self.port = parse_address(address) if address else ("", 0)
+        self.local = local
+        self.telemetry = telemetry
+        #: The session's child process (None until the first lease, and
+        #: after a crash, a cancel or a kill).
+        self.worker: Optional[WorkerProcess] = None
         self.name = name
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.backend = backend
@@ -175,16 +173,30 @@ class WorkerAgent:
                 continue
             misses = 0
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = Connection(sock)
-            try:
-                outcome = self._session(connection)
-            except (ConnectionError, ProtocolError, OSError):
-                outcome = None  # connection lost mid-session: reconnect
-            finally:
-                connection.close()
+            outcome = self.serve(Connection(sock))
             self._sessions += 1
             if outcome is not None:
                 return outcome
+
+    def serve(self, connection: Connection) -> Optional[int]:
+        """One session over ``connection``, then close it and stop the
+        session's child; None means the connection was lost."""
+        try:
+            return self._session(connection)
+        except (ConnectionError, ProtocolError, OSError):
+            return None
+        finally:
+            connection.close()
+            worker, self.worker = self.worker, None
+            if worker is not None:
+                worker.stop()
+
+    def abandon(self) -> None:
+        """Kill the child's run from another thread (the executor ends
+        its local clients this way); the session then reads a crash."""
+        worker = self.worker
+        if worker is not None and worker.task is not None:
+            worker.process.kill()
 
     def _session(self, connection: Connection) -> Optional[int]:
         """One connected session; None means reconnect and continue."""
@@ -219,7 +231,8 @@ class WorkerAgent:
         heartbeat_s = float(welcome.get("heartbeat_s", 1.0))
         # A lease request may wait one heartbeat period for work.
         connection.sock.settimeout(_CONNECT_TIMEOUT_S + heartbeat_s)
-        self._apply_environment(welcome)
+        if not self.local:
+            self._apply_environment(welcome)
         self._log(f"joined {self.host}:{self.port} (scale {scale.instructions_per_m})")
 
         while True:
@@ -237,18 +250,23 @@ class WorkerAgent:
             lease_id = str(reply["lease"])
             key = str(reply.get("key", ""))
             task = decode_task(reply["task"])
-            spec = faults.network_fault(self._lease_ordinal)
-            self._corrupt_fired = False
-            if spec is not None and spec.kind == "dead":
-                # A dead host does not say goodbye.
-                os.kill(os.getpid(), signal.SIGKILL)
-            try:
-                self._prefetch_artifacts(
-                    connection, lease_id, task, scale, heartbeat_s, spec
-                )
-            except _InjectedSever as sever:
-                self._log(f"injected {sever}: severing connection")
-                return None
+            # A local client shares the supervisor's process (a dead@N
+            # would kill it) and its stores: no network faults, nothing
+            # to fetch.
+            spec = None
+            if not self.local:
+                spec = faults.network_fault(self._lease_ordinal)
+                self._corrupt_fired = False
+                if spec is not None and spec.kind == "dead":
+                    # A dead host does not say goodbye.
+                    os.kill(os.getpid(), signal.SIGKILL)
+                try:
+                    self._prefetch_artifacts(
+                        connection, lease_id, task, scale, heartbeat_s, spec
+                    )
+                except _InjectedSever as sever:
+                    self._log(f"injected {sever}: severing connection")
+                    return None
             doc = self._execute(connection, lease_id, task, scale, heartbeat_s)
             if doc is None:
                 continue  # canceled by the supervisor mid-run
@@ -303,28 +321,35 @@ class WorkerAgent:
         scale: Scale,
         heartbeat_s: float,
     ) -> Optional[dict]:
-        """Run one task in a fresh worker process, heartbeating; None
-        when canceled.
+        """Run one task in the session's worker process, heartbeating;
+        None when canceled.
 
         The child's phase messages are forwarded to the supervisor as
-        ``obs`` events; its outcome becomes the ``{"ok": ...}`` document.
+        ``obs`` events (a local client puts them in its live view); its
+        outcome becomes the ``{"ok": ...}`` document.
         """
-        worker = WorkerProcess()
+        worker = self.worker = self.worker or WorkerProcess()
+        worker.submit(task, scale)
+        live = self.telemetry
+        if live is not None:
+            live.start(**_live_entry(task), pid=worker.pid)
+        kind = None
         try:
-            worker.submit(task, scale)
             next_beat = time.monotonic() + heartbeat_s
             while True:
                 if worker.conn.poll(max(0.0, next_beat - time.monotonic())):
                     kind, _, value = worker.recv()
-                    if kind == "phase":
+                    if kind != "phase":
+                        break
+                    if live is not None:
+                        live.set_phase(task.slot, *value)
+                    elif not self.local:
                         phase, attrs = value
                         self._send_obs(
                             connection,
                             phase=phase,
                             events=[{"phase": phase, "attrs": attrs}],
                         )
-                    elif kind != "start":
-                        break
                 if time.monotonic() >= next_beat:
                     reply = connection.request(
                         {"op": "heartbeat", "lease": lease_id}
@@ -334,9 +359,13 @@ class WorkerAgent:
                         return None
                     next_beat = time.monotonic() + heartbeat_s
         finally:
-            # Never leave a child simulating a run nobody is waiting
-            # for (a cancel, or a lost connection).
-            worker.stop()
+            if kind not in ("done", "error"):
+                # A crash, a cancel or a lost connection: the child is
+                # dead, or simulating a run nobody is waiting for.
+                self.worker = None
+                worker.stop()
+            if live is not None:
+                live.finish(task.slot)
         if kind == "done":
             _, results, wall, reuse, resources = value
             return {
@@ -591,8 +620,8 @@ class WorkerAgent:
 
     def _apply_environment(self, welcome: dict) -> None:
         """Activate this agent's local stores and adopt the supervisor's
-        backend/checkpoint settings (flags win); the per-lease workers
-        it forks inherit all of it."""
+        backend/checkpoint settings (flags win); the worker process it
+        forks inherits all of it."""
         if self._env_applied:
             return
         self._env_applied = True

@@ -9,6 +9,8 @@ than NumPy scalar access inside an interpreter loop).
 
 from __future__ import annotations
 
+import mmap
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
@@ -43,6 +45,22 @@ _COLUMN_NAMES = (
 )
 
 
+#: Bytes of region artifacts one trace keeps (:meth:`Trace.region_memo`).
+REGION_MEMO_BYTES = 64 * 1024 * 1024
+
+
+def _footprint(value) -> int:
+    """Approximate bytes held by one memoized region artifact: arrays,
+    lists (of numbers or row tuples) and small tuples of those."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(map(_footprint, value))
+    if isinstance(value, list) and value:
+        return len(value) * (8 + sys.getsizeof(value[0]))
+    return sys.getsizeof(value)
+
+
 @dataclass
 class Trace:
     """A dynamic instruction stream.
@@ -65,6 +83,7 @@ class Trace:
     num_blocks: int = 0
     _list_cache: dict = field(default_factory=dict, repr=False)
     _region_cache: dict = field(default_factory=dict, repr=False)
+    _region_bytes: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         length = len(self.op)
@@ -110,17 +129,34 @@ class Trace:
         (across configurations, warm-up/measure splits and repeated
         runs), so these are cached here rather than recomputed.
         ``key`` must fully determine the artifact: region bounds plus
-        any structure geometry it depends on.  The cache is bounded;
-        the oldest entry is evicted past 256 keys.
+        any structure geometry it depends on.  The cache is bounded by
+        bytes (:data:`REGION_MEMO_BYTES`): the oldest entries are
+        evicted first, and the newest is always kept.  A worker process
+        runs a whole session's tasks, so the bound is also what it
+        carries from one task to the next.
         """
         cache = self._region_cache
-        value = cache.get(key)
-        if value is None:
+        entry = cache.get(key)
+        if entry is None:
             value = build()
-            if len(cache) >= 256:
-                del cache[next(iter(cache))]
-            cache[key] = value
-        return value
+            entry = cache[key] = (value, _footprint(value))
+            self._region_bytes += entry[1]
+            while self._region_bytes > REGION_MEMO_BYTES and len(cache) > 1:
+                oldest = next(iter(cache))
+                self._region_bytes -= cache.pop(oldest)[1]
+        return entry[0]
+
+    def drop_pages(self) -> None:
+        """Let the OS drop the column pages this process has read.
+
+        A stored trace's columns are read-only file maps, so dropped
+        pages come back from the page cache when next read; columns
+        built in memory are left alone.
+        """
+        for name in _COLUMN_NAMES:
+            mapped = getattr(self, name).base
+            if isinstance(mapped, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+                mapped.madvise(mmap.MADV_DONTNEED)
 
     # -- derived columns for the kernel backends -------------------------------
 

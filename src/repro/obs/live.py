@@ -33,8 +33,8 @@ LIVE_SCHEMA_VERSION = 1
 class InflightTracker:
     """Thread-safe view of what the sweep is doing *right now*.
 
-    The executor (and its in-process runner) mutate it; the
-    :class:`LiveMonitor` and :class:`ProgressReporter
+    The executor's in-process runner and its local lease clients mutate
+    it; the :class:`LiveMonitor` and :class:`ProgressReporter
     <repro.engine.metrics.ProgressReporter>` read it.
     """
 
@@ -91,31 +91,6 @@ class InflightTracker:
     def finish(self, slot: int) -> None:
         with self._lock:
             self._runs.pop(slot, None)
-
-    def sync(self, runs: List[dict], queued: int) -> None:
-        """Replace the whole in-flight view (parallel-supervisor path).
-
-        Rebuilding from scratch every poll keeps the view self-healing
-        across worker kills and requeues; each entry needs ``slot`` and
-        ``started`` plus whatever else is known.
-        """
-        with self._lock:
-            self._runs = {
-                run["slot"]: {
-                    "slot": run["slot"],
-                    "key": run.get("key", ""),
-                    "description": run.get("description", ""),
-                    "attempt": run.get("attempt", 1),
-                    "backend": run.get("backend"),
-                    "pid": run.get("pid"),
-                    "phase": run.get("phase"),
-                    "phase_attrs": run.get("phase_attrs") or {},
-                    "started": run.get("started", time.monotonic()),
-                    "runs": max(1, run.get("runs", 1)),
-                }
-                for run in runs
-            }
-            self.queued = queued
 
     def set_queue(self, queued: int) -> None:
         with self._lock:

@@ -5,7 +5,7 @@ with what it cost the host: CPU seconds actually burned (user +
 system, from ``resource.getrusage``) and resident-set-size high-water
 marks (``ru_maxrss``, cross-checked against ``/proc/self/statm`` where
 procfs exists).  The executor snapshots before a run and diffs after,
-so pool workers that execute many runs report per-run deltas rather
+so worker processes that execute many runs report per-run deltas rather
 than process lifetime totals; max-RSS is a process high-water mark and
 is reported as observed (it cannot be rewound between runs).
 

@@ -144,8 +144,9 @@ SETTINGS: Dict[str, Setting] = {s.name: s for s in (
             "four benchmarks", "run all ten benchmarks"),
     Setting("jobs", "--jobs", "REPRO_JOBS", int, 1,
             "all cores (CLI), 1 (library)",
-            "worker processes; 1 = serial, 0 = remote agents only "
-            "(with --listen)", _at_least(0), "N"),
+            "local lease clients, each with one worker process; 1 = "
+            "serial, 0 = remote agents only (with --listen)",
+            _at_least(0), "N"),
     Setting("cache_dir", "--cache-dir", "REPRO_CACHE_DIR", Path, None,
             "no persistent cache", "persistent result cache directory",
             metavar="DIR"),
@@ -156,9 +157,13 @@ SETTINGS: Dict[str, Setting] = {s.name: s for s in (
             "(skips journaled completed runs; requires a cache dir)"),
     Setting("run_timeout", "--run-timeout", "REPRO_RUN_TIMEOUT", float,
             None, "unbounded",
-            "per-run wall-clock timeout; hung runs are killed, retried "
-            "and, if they hang again, quarantined; enforced when "
-            "--jobs > 1", _POSITIVE, "SECONDS"),
+            "per-run wall-clock timeout; the clock starts when the run's "
+            "lease is granted (a batch lease gets it once per member, "
+            "plus one heartbeat, --lease-ttl / 3, of grace), and the "
+            "client kills a run past it at its next heartbeat; the run "
+            "is retried and, if it hangs again, quarantined; enforced "
+            "when --jobs > 1 or with --listen",
+            _POSITIVE, "SECONDS"),
     Setting("max_retries", "--max-retries", "REPRO_MAX_RETRIES", int, 1,
             "1", "retry budget per run; retries back off exponentially "
             "with deterministic jitter", _at_least(0), "N"),

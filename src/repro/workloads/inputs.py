@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.trace import Trace
 from repro.obs import phases as obs_phases
@@ -163,6 +163,10 @@ class _TraceCache:
         with self._lock:
             self._entries.clear()
 
+    def values(self) -> List[Trace]:
+        with self._lock:
+            return list(self._entries.values())
+
 
 _TRACE_CACHE = _TraceCache()
 
@@ -170,3 +174,10 @@ _TRACE_CACHE = _TraceCache()
 def clear_trace_cache() -> None:
     """Drop all memoized traces (tests and memory-pressure relief)."""
     _TRACE_CACHE.clear()
+
+
+def drop_trace_pages() -> None:
+    """Let the OS drop every memoized trace's mapped column pages
+    (:meth:`Trace.drop_pages`)."""
+    for trace in _TRACE_CACHE.values():
+        trace.drop_pages()

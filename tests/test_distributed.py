@@ -1421,3 +1421,84 @@ class TestRemotePhaseSamples:
             assert max(samples.values()) == runs, (family, samples)
             assert samples["detailed"] == local_samples[family][1]["detailed"]
 
+
+
+# -- one scheduler: local clients and agents charge alike ---------------------------
+
+
+#: (fault plan, run timeout): a worker exception, a worker crash, a hang
+#: past the run timeout and a kernel fault.
+PARITY_PLANS = [
+    ("exc@1", None),
+    ("kill@0", None),
+    ("hang@2:60", 1.5),
+    ("kernel@1:numpy", None),
+]
+
+PARITY_COUNTERS = (
+    "retries", "crashes", "timeouts", "failures", "quarantined",
+    "degradations",
+)
+
+
+class TestTransportParity:
+    """``--jobs 2`` local clients and a TCP agent are clients of the one
+    lease ledger: a fault plan charges the same attempts either way."""
+
+    @pytest.mark.parametrize("plan, run_timeout", PARITY_PLANS)
+    def test_fault_plan_charges_alike_locally_and_remotely(
+        self, tmp_path, monkeypatch, plan, run_timeout
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
+        local = Engine(
+            scale=SCALE, jobs=2, cache_dir=tmp_path / "local",
+            run_timeout=run_timeout, backoff_base=0.01,
+        )
+        try:
+            local.run_many(_requests())
+            local_stats = local.metrics.snapshot()
+        finally:
+            local.close()
+
+        # The agent carries the plan; the supervisor executes nothing.
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
+        remote = Engine(
+            scale=SCALE, jobs=0, listen="127.0.0.1:0", lease_ttl=3.0,
+            min_agents=1, cache_dir=tmp_path / "remote",
+            run_timeout=run_timeout, backoff_base=0.01,
+        )
+        agent = None
+        try:
+            agent = _spawn_agent(
+                remote.lease_server.port, "solo", tmp_path,
+                fault_plan=plan, backend="numpy",
+            )
+            remote.run_many(_requests())
+            remote_stats = remote.metrics.snapshot()
+        finally:
+            remote.close()
+            if agent is not None:
+                try:
+                    agent.wait(timeout=15)
+                finally:
+                    agent.kill()
+
+        charged = {name: local_stats[name] for name in PARITY_COUNTERS}
+        assert charged == {name: remote_stats[name] for name in PARITY_COUNTERS}
+        assert charged["retries"] + charged["degradations"] == 1  # it fired
+        assert remote_stats["remote_runs"] == len(_requests())
+        assert local_stats["remote_runs"] == 0
+        assert _store_bytes(tmp_path / "local") == _store_bytes(
+            tmp_path / "remote"
+        )
+
+    def test_local_clients_ignore_network_faults(self, tmp_path, monkeypatch):
+        # dead@1 in a local client would SIGKILL this very process.
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "dead@1,drop@2")
+        with Engine(scale=SCALE, jobs=2, cache_dir=tmp_path) as engine:
+            results = engine.run_many(_requests())
+            stats = engine.metrics.snapshot()
+        assert all(result is not None for result in results)
+        assert stats["lease_requeues"] == 0
+        assert stats["retries"] == 0 and stats["failures"] == 0

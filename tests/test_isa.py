@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.isa import trace as trace_module
 from repro.isa.instructions import (
     BRANCH_CLASSES,
     FU_CLASS,
@@ -145,6 +146,28 @@ class TestTrace:
     def test_interval_bbvs_invalid(self):
         with pytest.raises(ValueError):
             _tiny_trace(4).interval_bbvs(0)
+
+    def test_region_memo_is_bounded_by_bytes(self, monkeypatch):
+        # 8 KB artifacts under a 20 KB bound: the two newest stay, the
+        # oldest go first, and an artifact larger than the bound is
+        # still kept (alone) so its caller's next lookup hits.
+        monkeypatch.setattr(trace_module, "REGION_MEMO_BYTES", 20_000)
+        trace = _tiny_trace()
+        builds = []
+
+        def artifact(size):
+            builds.append(size)
+            return np.zeros(size // 8, dtype=np.int64)
+
+        for start in range(4):
+            trace.region_memo(("probe", start), lambda: artifact(8000))
+        assert list(trace._region_cache) == [("probe", 2), ("probe", 3)]
+        assert trace._region_bytes == 16000
+        trace.region_memo(("probe", 3), lambda: artifact(8000))
+        assert len(builds) == 4  # a hit builds nothing
+        big = trace.region_memo(("big",), lambda: artifact(80000))
+        assert list(trace._region_cache) == [("big",)]
+        assert trace._region_bytes == big.nbytes == 80000
 
 
 class TestTraceBuilder:

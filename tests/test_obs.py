@@ -426,16 +426,6 @@ class TestInflightTracker:
         tracker.finish(0)
         assert tracker.counts() == {"in_flight": 0, "queued": 3}
 
-    def test_sync_replaces_view(self):
-        tracker = live.InflightTracker()
-        tracker.start(0, key="stale")
-        tracker.sync(
-            [{"slot": 1, "key": "fresh", "started": 0.0}], queued=7
-        )
-        snap = tracker.snapshot()
-        assert [run["key"] for run in snap["in_flight"]] == ["fresh"]
-        assert snap["queued"] == 7
-
     def test_phase_on_unknown_slot_ignored(self):
         tracker = live.InflightTracker()
         tracker.set_phase(99, "warming")  # must not raise

@@ -1,6 +1,7 @@
 """The one run loop: its phase-event throttle (shared by local worker
 processes and agent lease children), the in-process runner's live
-telemetry, and a failure touching only the worker it happened on."""
+telemetry, a failure touching only the worker it happened on, a loop
+that wakes on ledger events, and local clients that are not agents."""
 
 import os
 import signal
@@ -15,7 +16,11 @@ from repro.engine import Engine, RunRequest
 from repro.engine import executor
 from repro.engine.executor import Executor, RunTask, WorkerProcess
 from repro.engine.faults import FAULT_PLAN_ENV_VAR
+from repro.engine.planner import RESULTS_EPOCH
+from repro.engine.protocol import LeaseLedger, LeaseServer
 from repro.engine.worker import WorkerAgent
+from repro.files import read_jsonl
+from repro.techniques.truncated import RunZ
 from repro.cpu import checkpoint
 from repro.obs import phases as obs_phases
 from repro.obs import trace as obs_trace
@@ -214,7 +219,7 @@ class TestInProcessTelemetry:
 
 
 class TestOneWorkerPerFailure:
-    """A crash or a watchdog reap stops only the worker it happened on."""
+    """A crash or a timeout stops only the worker it happened on."""
 
     def test_crash_is_charged_only_to_the_run_that_died(
         self, monkeypatch, tmp_path
@@ -238,10 +243,11 @@ class TestOneWorkerPerFailure:
         assert _executions(counter) == 1
 
     def test_watchdog_reaps_only_the_hung_worker(self, monkeypatch, tmp_path):
-        # Two workers, a 1.5 s budget.  Worker A: slot 0 hangs, slot 2
-        # waits in its pipe.  Worker B: slot 1 (1 s), then slot 3 (1 s),
-        # which starts before slot 0 is reaped, ends after it and stays
-        # inside its own budget: it must run exactly once.
+        # Two clients, a 1.5 s budget (plus a heartbeat of grace) from
+        # each lease's grant.  Client A leases slot 0, which hangs.
+        # Client B runs slot 1 (1 s), slot 2, then slot 3 (1 s), which
+        # stays inside its own budget: each must run exactly once, and
+        # only slot 0 is charged a timeout.
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "hang@0:60")
         workload = get_workload("gzip")
         first, sibling = tmp_path / "first", tmp_path / "sibling"
@@ -326,3 +332,73 @@ class TestWorkerLifetime:
         for pid in survivors:
             os.kill(pid, signal.SIGKILL)
         assert not survivors
+
+
+class TestEventWake:
+    def test_completion_reaches_on_success_without_a_poll(self, tmp_path,
+                                                          monkeypatch):
+        # The loop sleeps on the ledger until an event arrives, so a
+        # completion is credited at once, not at the next poll.
+        from tests.test_distributed import _spawn_agent
+
+        entered = {}
+        complete = LeaseLedger.complete
+
+        def timed_complete(ledger, agent_id, lease_id, key, *args, **kw):
+            entered[key] = time.monotonic()
+            return complete(ledger, agent_id, lease_id, key, *args, **kw)
+
+        monkeypatch.setattr(LeaseLedger, "complete", timed_complete)
+        workload = get_workload("gzip", "reference", seed=7)
+        tasks = [
+            RunTask(slot=i, key=f"k{i}", request=RunRequest(
+                RunZ(100 * (i + 1)), workload, ARCH_CONFIGS[0]))
+            for i in range(8)
+        ]
+        server = LeaseServer(
+            "127.0.0.1", 0, lease_ttl=3.0,
+            scale_instructions_per_m=SCALE.instructions_per_m,
+            results_epoch=RESULTS_EPOCH,
+        )
+        credited = {}
+        agent = _spawn_agent(server.port, "waker", tmp_path)
+        try:
+            server.wait_for_agents(1, timeout=60)
+            Executor(jobs=0).run(
+                tasks, SCALE,
+                on_success=lambda slot, *args: credited.setdefault(
+                    f"k{slot}", time.monotonic()),
+                on_failure=lambda slot, request, error: pytest.fail(
+                    str(error)),
+                on_retry=lambda slot, exc: pytest.fail(str(exc)),
+                remote=server.ledger,
+            )
+        finally:
+            server.close()
+            try:
+                agent.wait(timeout=15)
+            finally:
+                agent.kill()
+        assert sorted(credited) == sorted(entered) == [t.key for t in tasks]
+        lag = max(credited[key] - entered[key] for key in credited)
+        assert lag < 0.05, lag
+
+
+class TestLocalClients:
+    def test_local_clients_are_not_agents(self, tmp_path):
+        workload = get_workload("gzip")
+        requests = [
+            RunRequest(StubTechnique(f"t{i}"), workload, ARCH_CONFIGS[0])
+            for i in range(4)
+        ]
+        with Engine(scale=SCALE, jobs=2, cache_dir=tmp_path) as engine:
+            results = engine.run_many(requests)
+            stats = engine.metrics.snapshot()
+        assert [r.permutation for r in results] == ["t0", "t1", "t2", "t3"]
+        assert stats["remote_runs"] == 0
+        assert stats["agents_joined"] == 0
+        assert stats["leases_granted"] == 0
+        assert stats["per_agent"] == {}
+        kinds = {r["event"] for r in read_jsonl(tmp_path / "journal.jsonl")}
+        assert "completed" in kinds
+        assert not kinds & {"leased", "agent_joined", "agent_lost"}

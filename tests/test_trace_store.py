@@ -66,6 +66,19 @@ class TestRoundTrip:
         assert isinstance(loaded.op, np.memmap)
         assert not loaded.op.flags.writeable
 
+    def test_dropped_pages_read_back_the_same(self, store):
+        # A worker process drops a stored trace's mapped pages between
+        # tasks; the columns then read the same from the page cache.
+        workload = make_micro_workload()
+        trace = workload.trace(TEST_SCALE)
+        store.save(workload, TEST_SCALE, trace)
+        loaded = store.load(workload, TEST_SCALE)
+        assert _columns_equal(loaded, trace)
+        loaded.drop_pages()
+        assert _columns_equal(loaded, trace)
+        trace.drop_pages()  # in-memory columns: nothing to drop
+        assert _columns_equal(loaded, trace)
+
     def test_save_is_idempotent(self, store):
         workload = make_micro_workload()
         trace = workload.trace(TEST_SCALE)
